@@ -3,118 +3,28 @@ script language over the resulting signal database, an RV32I decoder,
 and a synthetic core-trace generator for testing measurements against
 known timing."""
 
-from .errors import (
-    BadTimestampError,
-    DivisionByZeroError,
-    EmptyListError,
-    FormatArityMismatchError,
-    FormatError,
-    FormatTypeMismatchError,
-    IllegalCharacterError,
-    IndexOutOfRangeError,
-    InvalidSpecError,
-    MalformedHeaderError,
-    ParseFailure,
-    RedefinedAliasError,
-    ReservedKeywordError,
-    RunFailure,
-    TypeMismatchError,
-    UnexpectedTokenError,
-    UnknownFunctionError,
-    UnknownIdCodeError,
-    UnknownModuleError,
-    UnknownNameError,
-    UnknownSignalError,
-    UnsupportedVcdFeatureError,
-    UnterminatedStringError,
-    VcdError,
-    WawkError,
-    WawkRuntimeError,
-    WawkSyntaxError,
-    WidthMismatchError,
-    XZConversionError,
-)
-from .interp import (
-    OUT_OF_RANGE,
-    UNBOUND,
-    Environment,
-    default_native_modules,
-    execute,
-    run_source,
-)
-from .lexer import Token, tokenize
-from .parser import parse_program, parse_source
-from .riscv import MNEMONICS, decode
-from .tracegen import (
-    ACK_SIGNAL,
-    CLOCK_SIGNAL,
-    RDT_SIGNAL,
-    GroundTruth,
-    TraceSpec,
-    generate,
-    parse_spec_file,
-    table1_spec,
-)
+from .errors import ParseFailure, RunFailure, WawkError
+from .interp import execute, run_source
+from .parser import parse_source
+from .riscv import decode
+from .tracegen import generate
 from .value import Value
-from .vcd import VcdHeader, parse_vcd, parse_vcd_file
-from .waveform import SignalSeries, Waveform
+from .vcd import parse_vcd, parse_vcd_file
+from .waveform import Waveform
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACK_SIGNAL",
-    "BadTimestampError",
-    "CLOCK_SIGNAL",
-    "DivisionByZeroError",
-    "EmptyListError",
-    "Environment",
-    "FormatArityMismatchError",
-    "FormatError",
-    "FormatTypeMismatchError",
-    "GroundTruth",
-    "IllegalCharacterError",
-    "IndexOutOfRangeError",
-    "InvalidSpecError",
-    "MNEMONICS",
-    "MalformedHeaderError",
-    "OUT_OF_RANGE",
     "ParseFailure",
-    "RDT_SIGNAL",
-    "RedefinedAliasError",
-    "ReservedKeywordError",
     "RunFailure",
-    "SignalSeries",
-    "Token",
-    "TraceSpec",
-    "TypeMismatchError",
-    "UNBOUND",
-    "UnexpectedTokenError",
-    "UnknownFunctionError",
-    "UnknownIdCodeError",
-    "UnknownModuleError",
-    "UnknownNameError",
-    "UnknownSignalError",
-    "UnsupportedVcdFeatureError",
-    "UnterminatedStringError",
     "Value",
-    "VcdError",
-    "VcdHeader",
     "Waveform",
     "WawkError",
-    "WawkRuntimeError",
-    "WawkSyntaxError",
-    "WidthMismatchError",
-    "XZConversionError",
     "decode",
-    "default_native_modules",
     "execute",
     "generate",
-    "parse_program",
     "parse_source",
-    "parse_spec_file",
     "parse_vcd",
     "parse_vcd_file",
     "run_source",
-    "table1_spec",
-    "tokenize",
 ]

@@ -5,11 +5,13 @@
     wawk gen spec <spec.txt> <out.vcd>        trace from a spec file
     wawk decode <hexword>                     one instruction word
 
-Exit codes: 0 success, 1 script runtime error, 2 unusable input (bad
-usage, unreadable file, malformed VCD, script syntax error, bad spec).
+Exit codes: 0 success, 1 script runtime error or stdout closed early
+(`| head`), 2 unusable input (bad usage, unreadable file, malformed VCD,
+script syntax error, bad spec).
 """
 
 import argparse
+import os
 import sys
 from importlib import resources
 
@@ -159,11 +161,18 @@ def main(argv=None) -> int:
         opts = _build_parser().parse_args(argv)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
-    if opts.command == "run":
-        return _cmd_run(opts)
-    if opts.command == "gen":
-        return _cmd_gen(opts)
-    return _cmd_decode(opts)
+    command = {"run": _cmd_run, "gen": _cmd_gen}.get(opts.command, _cmd_decode)
+    try:
+        code = command(opts)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull so the flush at
+        # interpreter exit cannot fail again (the recipe in the `signal`
+        # module's documentation).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

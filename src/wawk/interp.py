@@ -70,6 +70,8 @@ def _extern_decode(args: list) -> str:
         word = word.to_int()
     if not isinstance(word, int):
         raise TypeMismatchError(f"decode needs an instruction word, got {_type_name(word)}")
+    if not 0 <= word <= 0xFFFFFFFF:
+        raise TypeMismatchError(f"decode needs a 32-bit instruction word, got {word}")
     return _decode_word(word)
 
 
@@ -97,7 +99,6 @@ class Environment:
         self.aliases: dict[str, str] = {}
         self.modules = modules if modules is not None else default_native_modules()
         self.imported: set[str] = set()
-        self.index: int | None = None
 
 
 def _type_name(v: object) -> str:
@@ -260,32 +261,36 @@ class _Run:
     def __init__(self, env: Environment):
         self.env = env
         self.wave = env.waveform
-        self.index: int | None = None  # mirrors env.index, cheaper to reach
+        self.count = env.waveform.index_count
+        self.index: int | None = None  # set only during the sweep
         self.series_cache: dict[str, SignalSeries] = {}
 
     # --- name and signal resolution ---
 
-    def signal_series(self, name: str) -> SignalSeries:
-        series = self.series_cache.get(name)
-        if series is None:
-            target = self.env.aliases.get(name, name)
-            series = self.wave.series(target)  # raises UnknownSignalError
-            self.series_cache[name] = series
-        return series
-
-    def read_signal(self, name: str) -> Value:
-        if self.index is None:
+    def sample(self, name: str, offset: int) -> object:
+        """Signal `name` (or an alias of one) at the current index plus
+        `offset`; OUT_OF_RANGE when that lands outside the trace."""
+        index = self.index
+        if index is None:
             raise WawkRuntimeError(
                 f"signal {name!r} can only be read during the index sweep"
             )
-        return self.signal_series(name).value_at(self.index)
+        series = self.series_cache.get(name)
+        if series is None:
+            # raises UnknownSignalError
+            series = self.wave.series(self.env.aliases.get(name, name))
+            self.series_cache[name] = series
+        target = index + offset
+        if 0 <= target < self.count:
+            return series.value_at(target)
+        return OUT_OF_RANGE
 
     def resolve(self, name: str, cond: bool) -> object:
         env = self.env
         if name in env.variables:
             return env.variables[name]
         if name in env.aliases or self.wave.has_signal(name):
-            return self.read_signal(name)
+            return self.sample(name, 0)
         if name in env.modules:
             raise TypeMismatchError(f"{name!r} is a native module, not a value")
         if "." in name:
@@ -319,15 +324,7 @@ class _Run:
         return self.index
 
     def _e_offset(self, node: ast.OffsetRef, cond: bool) -> object:
-        if self.index is None:
-            raise WawkRuntimeError(
-                f"signal {node.signal.name!r} can only be read during the index sweep"
-            )
-        series = self.signal_series(node.signal.name)
-        target = self.index + node.offset
-        if 0 <= target < self.wave.index_count:
-            return series.value_at(target)
-        return OUT_OF_RANGE
+        return self.sample(node.signal.name, node.offset)
 
     def _e_unary(self, node: ast.Unary, cond: bool) -> int:
         if node.op == "!":
@@ -522,7 +519,6 @@ def execute(
         exec_body = run.exec_body
         for index in range(env.waveform.index_count):
             run.index = index
-            env.index = index
             for ordinal, conditions, body in sweep:
                 try:
                     for condition in conditions:
@@ -535,7 +531,6 @@ def execute(
                         err.context = f"statement {ordinal} at index {index}"
                     raise
         run.index = None
-        env.index = None
 
     for ordinal, stmt in numbered:
         if isinstance(stmt.trigger, ast.End):

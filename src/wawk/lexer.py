@@ -46,6 +46,11 @@ def _is_ident_char(ch: str) -> bool:
     return ch.isalnum() or ch in "_$"
 
 
+def _is_digit(ch: str) -> bool:
+    # ASCII only: str.isdigit() also accepts '²', which int() rejects
+    return "0" <= ch <= "9"
+
+
 class _Scanner:
     def __init__(self, source: str):
         self.src = source
@@ -93,9 +98,9 @@ def tokenize(source: str) -> list[Token]:
         if _is_ident_start(ch):
             out.append(_scan_word(sc, line, col))
             continue
-        if ch.isdigit():
+        if _is_digit(ch):
             start = sc.pos
-            while not sc.at_end() and sc.peek().isdigit():
+            while _is_digit(sc.peek()):
                 sc.advance()
             text = sc.src[start : sc.pos]
             out.append(Token("INT", text, line, col, int(text)))

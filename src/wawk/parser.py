@@ -17,6 +17,9 @@ Precedence, loosest first: '||', '&&', comparisons, '+ -', '* /', unary
 optionally signed integer literal and its left side must be a plain
 (possibly dotted) name. Assignment is a statement, not an expression,
 and its target is a plain undotted name.
+
+Nesting through parentheses, unary operators, subscripts, call arguments,
+list literals and if bodies is limited to MAX_DEPTH levels.
 """
 
 from . import ast
@@ -24,6 +27,12 @@ from .errors import ReservedKeywordError, UnexpectedTokenError
 from .lexer import Token, tokenize
 
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+
+# The parser, the interpreter and ast.to_source all recurse once or more
+# per nesting level; a parenthesis costs the parser nine frames. Without
+# a limit, deep input exhausts Python's default 1000-frame stack, and 64
+# levels leave room for the caller's own frames, pytest's included.
+MAX_DEPTH = 64
 
 
 class _Parser:
@@ -35,6 +44,7 @@ class _Parser:
             eof = Token("EOF", "", 1, 1)
         self.tokens = tokens + [eof]
         self.pos = 0
+        self.depth = 0
 
     # --- token plumbing ---
 
@@ -60,6 +70,15 @@ class _Parser:
         if tok.kind == kind:
             return self.advance()
         self.fail(f"expected {kind!r} {context}", tok)
+
+    def enter(self, tok: Token) -> None:
+        """Open one nesting level at `tok`; the caller closes it with
+        `self.depth -= 1`."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise UnexpectedTokenError(
+                f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.col
+            )
 
     def fail(self, message: str, tok: Token):
         if tok.kind == "RESERVED":
@@ -135,10 +154,14 @@ class _Parser:
 
     def body(self) -> tuple:
         """A brace block, or a single statement treated as one."""
+        self.enter(self.peek())
         if self.check("{"):
-            return self.block()
-        stmt = self.stmt()
-        return (stmt,) if stmt is not None else ()
+            body = self.block()
+        else:
+            stmt = self.stmt()
+            body = (stmt,) if stmt is not None else ()
+        self.depth -= 1
+        return body
 
     # --- expressions, loosest binding first ---
 
@@ -180,8 +203,11 @@ class _Parser:
 
     def unary(self):
         if self.peek().kind in ("!", "-"):
-            op = self.advance().kind
-            return ast.Unary(op, self.unary())
+            tok = self.advance()
+            self.enter(tok)
+            node = ast.Unary(tok.kind, self.unary())
+            self.depth -= 1
+            return node
         return self.postfix()
 
     def postfix(self):
@@ -190,20 +216,22 @@ class _Parser:
             if self.accept("@"):
                 node = self.offset_ref(node)
             elif self.check("["):
-                self.advance()
+                self.enter(self.advance())
                 index = self.expr()
                 self.expect("]", "after subscript")
+                self.depth -= 1
                 node = ast.Subscript(node, index)
             elif self.check("("):
                 if not isinstance(node, ast.Ident):
                     self.fail("only a named function can be called", self.peek())
-                self.advance()
+                self.enter(self.advance())
                 args = []
                 if not self.check(")"):
                     args.append(self.expr())
                     while self.accept(","):
                         args.append(self.expr())
                 self.expect(")", "after call arguments")
+                self.depth -= 1
                 node = ast.Call(node.name, tuple(args))
             else:
                 return node
@@ -234,18 +262,20 @@ class _Parser:
             self.advance()
             return ast.CurrentIndex()
         if tok.kind == "[":
-            self.advance()
+            self.enter(self.advance())
             items = []
             if not self.check("]"):
                 items.append(self.expr())
                 while self.accept(","):
                     items.append(self.expr())
             self.expect("]", "after list literal")
+            self.depth -= 1
             return ast.ListLit(tuple(items))
         if tok.kind == "(":
-            self.advance()
+            self.enter(self.advance())
             node = self.expr()
             self.expect(")", "after parenthesized expression")
+            self.depth -= 1
             return node
         self.fail("expected an expression", tok)
 

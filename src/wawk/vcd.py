@@ -13,8 +13,8 @@ one. Vector values shorter than the declared width are left-extended with
 extension rule.
 """
 
-from dataclasses import dataclass, field
-from typing import IO
+from itertools import chain
+from typing import IO, Iterator
 
 from .errors import (
     BadTimestampError,
@@ -32,60 +32,46 @@ _VAR_TYPES = ("wire", "reg")
 _SKIP_DIRECTIVES = ("$comment", "$date", "$version")
 
 
-@dataclass
-class VarDecl:
-    id_code: str
-    width: int
-    name: str  # full hierarchical name, dot-joined
-
-
-@dataclass
-class ScopeNode:
-    name: str
-    children: list["ScopeNode"] = field(default_factory=list)
-    var_names: list[str] = field(default_factory=list)
-
-
-@dataclass
-class VcdHeader:
-    timescale: tuple[int, str] | None
-    var_decls: list[VarDecl]
-    root: ScopeNode  # synthetic root; top-level scopes are its children
-
-
 class _Tokens:
     """Whitespace-separated tokens pulled line by line, tracking the line
     number for error messages. Header directives may span lines."""
 
     def __init__(self, stream: IO[str]):
-        self._stream = stream
+        self._lines = enumerate(stream, 1)
         self._buf: list[str] = []
         self._pos = 0
         self.line = 0
 
     def next(self) -> str | None:
         while self._pos >= len(self._buf):
-            raw = self._stream.readline()
-            if raw == "":
+            item = next(self._lines, None)
+            if item is None:
                 return None
-            self.line += 1
+            self.line, raw = item
             self._buf = raw.split()
             self._pos = 0
         tok = self._buf[self._pos]
         self._pos += 1
         return tok
 
-    def leftover(self) -> list[str]:
-        rest = self._buf[self._pos :]
+    def lines(self) -> Iterator[tuple[int, str]]:
+        """The untaken rest of the current line, then every later line, as
+        (line number, text) pairs; the caller takes over tokenizing."""
+        rest = " ".join(self._buf[self._pos :])
         self._pos = len(self._buf)
-        return rest
+        return chain([(self.line, rest)], self._lines)
+
+
+def _is_decimal(text: str) -> bool:
+    # str.isdigit() alone also accepts digits such as '²' that int() rejects
+    return text.isascii() and text.isdigit()
 
 
 def _parse_timescale(parts: list[str], line: int) -> tuple[int, str]:
     text = "".join(parts)
     magnitude = text.rstrip("".join(_TIME_UNITS))
     unit = text[len(magnitude) :]
-    if unit not in _TIME_UNITS or not magnitude.isdigit():
+    if unit not in _TIME_UNITS or not _is_decimal(magnitude):
         raise MalformedHeaderError(f"invalid $timescale {' '.join(parts)!r}", line)
     return int(magnitude), unit
 
@@ -94,9 +80,6 @@ class _Parser:
     def __init__(self, stream: IO[str]):
         self.tokens = _Tokens(stream)
         self.timescale: tuple[int, str] | None = None
-        self.var_decls: list[VarDecl] = []
-        self.root = ScopeNode("")
-        self.scope_stack: list[ScopeNode] = [self.root]
         self.scope_path: list[str] = []
         # id code -> list of signal names it drives (aliasing fans out)
         self.id_names: dict[str, list[str]] = {}
@@ -129,7 +112,7 @@ class _Parser:
                     raise MalformedHeaderError(
                         "unexpected tokens in $enddefinitions", self.tokens.line
                     )
-                if len(self.scope_stack) != 1:
+                if self.scope_path:
                     raise MalformedHeaderError("unclosed $scope", self.tokens.line)
                 return
             if tok == "$timescale":
@@ -141,9 +124,8 @@ class _Parser:
             elif tok == "$upscope":
                 if self._until_end("$upscope"):
                     raise MalformedHeaderError("unexpected tokens in $upscope", self.tokens.line)
-                if len(self.scope_stack) == 1:
+                if not self.scope_path:
                     raise MalformedHeaderError("$upscope without matching $scope", self.tokens.line)
-                self.scope_stack.pop()
                 self.scope_path.pop()
             elif tok == "$var":
                 self._parse_var()
@@ -167,9 +149,6 @@ class _Parser:
             raise UnsupportedVcdFeatureError(
                 f"unsupported scope type {scope_type!r}", self.tokens.line
             )
-        node = ScopeNode(name)
-        self.scope_stack[-1].children.append(node)
-        self.scope_stack.append(node)
         self.scope_path.append(name)
 
     def _parse_var(self) -> None:
@@ -182,7 +161,7 @@ class _Parser:
             raise UnsupportedVcdFeatureError(
                 f"unsupported variable type {var_type!r}", self.tokens.line
             )
-        if not width_text.isdigit() or int(width_text) < 1:
+        if not _is_decimal(width_text) or int(width_text) < 1:
             raise MalformedHeaderError(f"invalid $var width {width_text!r}", self.tokens.line)
         width = int(width_text)
         if len(parts) == 5 and not (parts[4].startswith("[") and parts[4].endswith("]")):
@@ -204,8 +183,6 @@ class _Parser:
             )
         else:
             self.id_names[id_code].append(name)
-        self.var_decls.append(VarDecl(id_code, width, name))
-        self.scope_stack[-1].var_names.append(name)
 
     # --- change region ---
 
@@ -251,12 +228,8 @@ class _Parser:
                 return SCALARS[bits]
             return Value(bits)
 
-        tokens = self.tokens
-        stream = tokens._stream
-        line = tokens.line
-        queue = tokens.leftover()
-        while True:
-            for tok in queue:
+        for line, raw in self.tokens.lines():
+            for tok in raw.split():
                 if skipping:
                     if tok == "$end":
                         skipping = False
@@ -268,14 +241,12 @@ class _Parser:
                 c = tok[0]
                 if c == "#":
                     text = tok[1:]
-                    try:
-                        t = int(text)
-                    except ValueError:
-                        raise BadTimestampError(f"invalid timestamp {tok!r}", line) from None
-                    if t < 0 or (timestamps and t <= timestamps[-1]):
+                    if not _is_decimal(text):
+                        raise BadTimestampError(f"invalid timestamp {tok!r}", line)
+                    t = int(text)
+                    if timestamps and t <= timestamps[-1]:
                         raise BadTimestampError(
-                            f"timestamp #{t} does not increase (previous "
-                            f"{'#%d' % timestamps[-1] if timestamps else 'none'})",
+                            f"timestamp #{t} does not increase (previous #{timestamps[-1]})",
                             line,
                         )
                     timestamps.append(t)
@@ -305,11 +276,6 @@ class _Parser:
                     )
                 else:
                     raise VcdError(f"unrecognized token {tok!r} in change region", line)
-            raw = stream.readline()
-            if raw == "":
-                break
-            line += 1
-            queue = raw.split()
         if vector_bits is not None:
             raise VcdError("vector value at end of file has no id code", line)
         if skipping:
@@ -327,16 +293,10 @@ class _Parser:
 
 
 def parse_vcd(stream: IO[str]) -> Waveform:
-    """Parse a dump from a text stream into a Waveform.
-
-    The returned waveform carries the parsed header on a `header`
-    attribute (a VcdHeader) for callers that need declarations or scope
-    structure."""
+    """Parse a dump from a text stream into a Waveform."""
     parser = _Parser(stream)
     parser.parse_header()
-    waveform = parser.parse_changes()
-    waveform.header = VcdHeader(parser.timescale, parser.var_decls, parser.root)
-    return waveform
+    return parser.parse_changes()
 
 
 def parse_vcd_file(path) -> Waveform:

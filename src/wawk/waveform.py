@@ -72,16 +72,6 @@ class Waveform:
         self._check_index(index)
         return self.series(name).value_at(index)
 
-    def value_at_offset(self, name: str, index: int, offset: int) -> Value | None:
-        """Value of `name` at index+offset, or None when that lands outside
-        the trace. The only error here is an unknown name; boundary misses
-        are an expected, non-exceptional outcome."""
-        series = self.series(name)
-        target = index + offset
-        if 0 <= target < len(self.timestamps):
-            return series.value_at(target)
-        return None
-
     def _check_index(self, index: int) -> None:
         if not 0 <= index < len(self.timestamps):
             raise IndexOutOfRangeError(

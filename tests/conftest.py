@@ -29,6 +29,41 @@ def run_script(source: str, waveform: Waveform, args=()):
     return out.getvalue(), env
 
 
+NESTINGS = ("parens", "minus", "not", "subscript", "call", "list", "if")
+
+
+def nested_statement(kind: str, depth: int) -> str:
+    """An action statement that assigns `v_<kind>` through exactly `depth`
+    levels of one kind of nesting the parser's depth limit counts. The
+    subscript kind indexes a variable `l` holding [0]."""
+    if kind == "if":
+        return "if (1) " * depth + "v_if = 1;"
+    if kind == "call":  # min([...]) opens two levels, the call and the list
+        half, odd = divmod(depth, 2)
+        expr = "min([" * half + "(" * odd + "1" + ")" * odd + "])" * half
+    else:
+        opener, inner, closer = {
+            "parens": ("(", "1", ")"),
+            "minus": ("-", "1", ""),
+            "not": ("!", "1", ""),
+            "subscript": ("l[", "0", "]"),
+            "list": ("[", "1", "]"),
+        }[kind]
+        expr = opener * depth + inner + closer * depth
+    return f"v_{kind} = {expr};"
+
+
+def nested_script(depth: int) -> str:
+    """A BEGIN-only script with one statement per NESTINGS kind at `depth`
+    levels; at an even depth it prints "1 1 1 0 1 1 1"."""
+    lines = ["BEGIN: {", "l = [0];"]
+    lines += [nested_statement(kind, depth) for kind in NESTINGS]
+    lines.append('printf("%d %d %d %d %d %d %d\\n", v_parens, v_minus, v_not, '
+                 "v_subscript, v_call, length(v_list), v_if);")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def wave_from_vcd(text: str) -> Waveform:
     return parse_vcd(io.StringIO(text))
 

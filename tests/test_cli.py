@@ -8,7 +8,10 @@ import sys
 
 import pytest
 
+from conftest import nested_script
+from wawk import cli, parser
 from wawk.cli import main
+from wawk.parser import MAX_DEPTH
 from wawk.tracegen import TraceSpec, generate, parse_spec_file, table1_spec
 
 
@@ -35,6 +38,15 @@ def _wawk_distribution_installed():
     except importlib.metadata.PackageNotFoundError:
         return False
     return True
+
+
+def _run_wawk(args, **kwargs):
+    """`python -m wawk ARGS` in a fresh interpreter on the checkout's src."""
+    env = kwargs.pop("env", dict(os.environ))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "wawk", *args], env=env,
+                          text=True, timeout=60, **kwargs)
 
 
 SMALL_SCRIPT = """\
@@ -201,6 +213,15 @@ class TestRun:
         vcd.write_text("$var wire 1 ! clk $end\n#0\n")
         assert main(["run", str(script), str(vcd)]) == 2
 
+    def test_non_ascii_digits_on_stdin_are_malformed(self, tmp_path, capsys, monkeypatch):
+        # files are read as ASCII, stdin is not: '²' passed isdigit() and broke int()
+        script = tmp_path / "s.wawk"
+        script.write_text("BEGIN: { }")
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "$timescale \u00b2ns $end\n$enddefinitions $end\n"))
+        assert main(["run", str(script), "-"]) == 2
+        assert capsys.readouterr().err == "wawk: -: line 1: invalid $timescale '\u00b2ns'\n"
+
     def test_runtime_error_exits_1(self, tmp_path, small_vcd, capsys):
         script = tmp_path / "s.wawk"
         script.write_text("BEGIN: { v = nope + 1; }")
@@ -213,6 +234,65 @@ class TestRun:
         script.write_text("INDEX == 2: { v = 1 / 0; }")
         assert main(["run", str(script), str(small_vcd)]) == 1
         assert "index 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, small_vcd, unbuffered):
+        # `wawk run ... | head -1`: the reader is gone before wawk writes
+        script = tmp_path / "s.wawk"
+        script.write_text(SMALL_SCRIPT)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        try:
+            proc = _run_wawk(["run", str(script), str(small_vcd)], env=env,
+                             stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+    def test_depth_limit(self, tmp_path, small_vcd, capsys):
+        # the deepest script the parser accepts runs in-process and from a
+        # fresh interpreter; one level deeper is a syntax error, exit 2
+        deepest = tmp_path / "deepest.wawk"
+        deepest.write_text(nested_script(MAX_DEPTH))
+        deeper = tmp_path / "deeper.wawk"
+        deeper.write_text(nested_script(MAX_DEPTH + 1))
+        col = len("v_parens = ") + MAX_DEPTH + 1  # the first '(' past the limit
+        message = f"{deeper}:3:{col}: nesting deeper than {MAX_DEPTH} levels\n"
+
+        assert main(["run", str(deepest), str(small_vcd)]) == 0
+        assert capsys.readouterr().out == "1 1 1 0 1 1 1\n"
+        assert main(["run", str(deeper), str(small_vcd)]) == 2
+        assert capsys.readouterr().err == f"wawk: {message}"
+
+        proc = _run_wawk(["run", str(deepest), str(small_vcd)], capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1 1 0 1 1 1\n", "")
+        proc = _run_wawk(["run", str(deeper), str(small_vcd)], capture_output=True)
+        assert (proc.returncode, proc.stderr) == (2, f"wawk: {message}")
+
+    def test_benchmark_hook_points_are_called(self, tmp_path, small_vcd, monkeypatch):
+        # perfbench/traced.py times each layer by replacing these names; a
+        # refactor that stops calling through them would drop its spans
+        calls = []
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((cli, "parse_source"), (cli, "parse_vcd_file"),
+                             (cli, "execute"), (parser, "tokenize"),
+                             (parser, "parse_program")):
+            count(module, name)
+        script = tmp_path / "s.wawk"
+        script.write_text(SMALL_SCRIPT)
+        assert main(["run", str(script), str(small_vcd)]) == 0
+        assert calls == ["parse_source", "tokenize", "parse_program",
+                         "parse_vcd_file", "execute"]
 
 
 class TestUsage:

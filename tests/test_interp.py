@@ -428,6 +428,13 @@ class TestNativeCalls:
         # counter reads 3 at index 6; word 3 encodes lb x0, 0(x0)
         assert env.variables["m"] == "lb"
 
+    @pytest.mark.parametrize("word", ["4294967296 + 19", "-1"])
+    def test_decode_rejects_words_outside_32_bits(self, empty_wave, word):
+        # the range `wawk decode` accepts; 2**32 + 19 used to decode as addi
+        with pytest.raises(TypeMismatchError, match="32-bit"):
+            run_script(f"BEGIN: {{ import(extern); m = call(extern.decode, {word}); }}",
+                       empty_wave)
+
     def test_decode_rejects_x(self):
         wave = make_waveform(1, {"w": (32, [])})
         with pytest.raises(XZConversionError):

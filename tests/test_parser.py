@@ -1,10 +1,13 @@
+import io
 import random
 
 import pytest
 
+from conftest import NESTINGS, make_waveform, nested_script, nested_statement
 from wawk import ast
 from wawk.errors import ReservedKeywordError, UnexpectedTokenError
-from wawk.parser import parse_source
+from wawk.interp import execute
+from wawk.parser import MAX_DEPTH, parse_source
 
 
 def first_body(source):
@@ -195,6 +198,24 @@ class TestErrors:
             parse_source("BEGIN: { a = ; }")
         assert exc.value.line == 1
         assert exc.value.col == 14
+
+
+class TestDepthLimit:
+    def test_max_depth_parses_runs_and_prints(self):
+        program = parse_source(nested_script(MAX_DEPTH))
+        out = io.StringIO()
+        execute(program, make_waveform(0, {}), out=out)
+        assert out.getvalue() == "1 1 1 0 1 1 1\n"
+        assert ast.to_source(program).startswith("BEGIN: {")
+
+    @pytest.mark.parametrize("kind", NESTINGS)
+    def test_one_level_deeper_is_a_located_syntax_error(self, kind):
+        # past the limit the parser used to die with RecursionError
+        parse_source("BEGIN: {\n" + nested_statement(kind, MAX_DEPTH) + "\n}")
+        with pytest.raises(UnexpectedTokenError, match=f"deeper than {MAX_DEPTH}") as exc:
+            parse_source("BEGIN: {\n" + nested_statement(kind, MAX_DEPTH + 1) + "\n}")
+        assert exc.value.line == 2
+        assert exc.value.col > 1
 
 
 class TestRoundTrip:

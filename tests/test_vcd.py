@@ -65,11 +65,6 @@ class TestBasics:
         # bus changes at 0, 1, and 3; index 2 keeps the index-1 value
         assert wave.value_at("top.bus", 2).bits == "00000101"
 
-    def test_header_attached(self):
-        wave = parse(BASIC)
-        assert [v.name for v in wave.header.var_decls] == ["top.clk", "top.bus"]
-        assert wave.header.root.children[0].name == "top"
-
 
 class TestValueRules:
     def test_zero_one_left_extends_with_zeros(self):
@@ -221,9 +216,12 @@ class TestErrors:
             parse(text)
 
     def test_bad_timestamp_text(self):
-        text = "$var wire 1 ! a $end\n$enddefinitions $end\n#zap\n"
-        with pytest.raises(BadTimestampError):
-            parse(text)
+        # only ASCII decimal digits: int() would also take '1_0', '+11', '٣'
+        for stamp in ["#zap", "#", "#1_0", "#+11", "#\u0663", "#\u00b2"]:
+            text = f"$var wire 1 ! a $end\n$enddefinitions $end\n#0\n{stamp}\n"
+            with pytest.raises(BadTimestampError) as exc:
+                parse(text)
+            assert "line 4" in str(exc.value)
 
     def test_garbage_token_rejected(self):
         text = "$var wire 1 ! a $end\n$enddefinitions $end\n#0\nhello\n"
@@ -237,8 +235,18 @@ class TestErrors:
         assert "line 4" in str(exc.value)
 
     def test_bad_timescale(self):
-        with pytest.raises(MalformedHeaderError):
-            parse("$timescale sometime $end\n$enddefinitions $end\n")
+        for timescale in ["sometime", "\u00b2ns", "+1ns", "1_0ns"]:
+            text = f"$comment x $end\n$timescale {timescale} $end\n$enddefinitions $end\n"
+            with pytest.raises(MalformedHeaderError) as exc:
+                parse(text)
+            assert "line 2" in str(exc.value)
+
+    def test_bad_var_width(self):
+        for width in ["0", "x", "+8", "1_6", "\u00b2", "\u0663"]:
+            text = f"$comment x $end\n$var wire {width} ! a $end\n$enddefinitions $end\n"
+            with pytest.raises(MalformedHeaderError) as exc:
+                parse(text)
+            assert "line 2" in str(exc.value)
 
 
 class TestTransparentDirectives:

@@ -45,20 +45,6 @@ class TestValueAt:
             wave.value_at("t.a", -1)
 
 
-class TestOffsets:
-    def test_in_range(self, wave):
-        assert wave.value_at_offset("t.a", 2, 2) == Value("1")
-        assert wave.value_at_offset("t.a", 2, -2) == Value("0")
-
-    def test_out_of_range_is_none_not_error(self, wave):
-        assert wave.value_at_offset("t.a", 9, 1) is None
-        assert wave.value_at_offset("t.a", 0, -1) is None
-
-    def test_unknown_signal_still_raises(self, wave):
-        with pytest.raises(UnknownSignalError):
-            wave.value_at_offset("t.nope", 0, 50)
-
-
 class TestShape:
     def test_index_count(self, wave):
         assert wave.index_count == 10
