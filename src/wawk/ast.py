@@ -7,6 +7,12 @@ the original.
 
 from dataclasses import dataclass, field
 
+# How tightly each binary operator binds, loosest first; all associate
+# left. The parser and the printer both read this table.
+PRECEDENCE = {"||": 0, "&&": 1, "==": 2, "!=": 2, "<": 2, "<=": 2, ">": 2, ">=": 2,
+              "+": 3, "-": 3, "*": 4, "/": 4}
+_UNARY = 5  # '!' and '-' bind tighter than every binary operator
+
 # --- expressions ---
 
 
@@ -126,7 +132,9 @@ def _quote(text: str) -> str:
     return '"' + "".join(_ESCAPES.get(ch, ch) for ch in text) + '"'
 
 
-def _expr(node) -> str:
+def _expr(node, level: int = 0) -> str:
+    """`node` as source, in parentheses only when it binds looser than
+    `level`."""
     match node:
         case IntLit(value=v):
             return str(v)
@@ -141,11 +149,14 @@ def _expr(node) -> str:
         case OffsetRef(signal=sig, offset=k):
             return f"{sig.name}@{k}" if k >= 0 else f"{sig.name}@-{-k}"
         case Unary(op=op, operand=operand):
-            return f"({op}{_expr(operand)})"
+            text = op + _expr(operand, _UNARY)
+            return f"({text})" if level > _UNARY else text
         case Binary(op=op, left=left, right=right):
-            return f"({_expr(left)} {op} {_expr(right)})"
+            prec = PRECEDENCE[op]
+            text = f"{_expr(left, prec)} {op} {_expr(right, prec + 1)}"
+            return f"({text})" if level > prec else text
         case Subscript(base=base, index=index):
-            return f"{_expr(base)}[{_expr(index)}]"
+            return f"{_expr(base, _UNARY + 1)}[{_expr(index)}]"
         case Call(func=func, args=args):
             return f"{func}(" + ", ".join(_expr(a) for a in args) + ")"
     raise TypeError(f"not an expression node: {node!r}")

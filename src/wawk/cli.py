@@ -134,12 +134,12 @@ def _cmd_gen(opts) -> int:
         text, _ = generate(spec)
     except ParseFailure as err:
         return _fail(str(err), 2)
+    if opts.out == "-":
+        sys.stdout.write(text)  # a BrokenPipeError goes to main
+        return 0
     try:
-        if opts.out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(opts.out, "w", encoding="ascii") as f:
-                f.write(text)
+        with open(opts.out, "w", encoding="ascii") as f:
+            f.write(text)
     except OSError as err:
         return _fail(f"cannot write output: {err}", 2)
     return 0

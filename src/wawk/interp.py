@@ -62,6 +62,14 @@ UNBOUND = _Marker("unbound")
 OUT_OF_RANGE = _Marker("out-of-range")
 
 
+def _shown(n: int) -> str:
+    """`n` for an error message; str() raises past sys.get_int_max_str_digits()."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"a {n.bit_length()}-bit integer"
+
+
 def _extern_decode(args: list) -> str:
     if len(args) != 1:
         raise TypeMismatchError(f"decode takes 1 argument, got {len(args)}")
@@ -71,7 +79,7 @@ def _extern_decode(args: list) -> str:
     if not isinstance(word, int):
         raise TypeMismatchError(f"decode needs an instruction word, got {_type_name(word)}")
     if not 0 <= word <= 0xFFFFFFFF:
-        raise TypeMismatchError(f"decode needs a 32-bit instruction word, got {word}")
+        raise TypeMismatchError(f"decode needs a 32-bit instruction word, got {_shown(word)}")
     return _decode_word(word)
 
 
@@ -80,25 +88,6 @@ def default_native_modules() -> dict[str, dict]:
     values map function names to callables taking the evaluated argument
     list."""
     return {"extern": {"decode": _extern_decode}}
-
-
-class Environment:
-    """All mutable state of one script run. Returned by execute() so
-    callers can inspect final variable values."""
-
-    def __init__(
-        self,
-        waveform: Waveform,
-        args: Sequence[str] = (),
-        out: IO[str] | None = None,
-        modules: dict[str, dict] | None = None,
-    ):
-        self.waveform = waveform
-        self.out = out if out is not None else sys.stdout
-        self.variables: dict[str, object] = {"args": list(args)}
-        self.aliases: dict[str, str] = {}
-        self.modules = modules if modules is not None else default_native_modules()
-        self.imported: set[str] = set()
 
 
 def _type_name(v: object) -> str:
@@ -150,9 +139,16 @@ def _need_list_arg(name: str, args: list) -> list:
     return lst
 
 
-def _int_list(name: str, lst: list) -> list[int]:
+def _int_list(name: str, args: list) -> list[int]:
+    """The argument of builtin `name`: a non-empty list of integers, with
+    logic values converted as arithmetic converts them (x/z bits raise)."""
+    lst = _need_list_arg(name, args)
+    if not lst:
+        raise EmptyListError(f"{name} of an empty list")
     out = []
     for item in lst:
+        if isinstance(item, Value):
+            item = item.to_int()
         if isinstance(item, bool) or not isinstance(item, int):
             raise TypeMismatchError(
                 f"{name} needs a list of integers, found {_type_name(item)}"
@@ -161,29 +157,8 @@ def _int_list(name: str, lst: list) -> list[int]:
     return out
 
 
-def _builtin_length(args: list) -> int:
-    return len(_need_list_arg("length", args))
-
-
-def _builtin_min(args: list) -> int:
-    lst = _need_list_arg("min", args)
-    if not lst:
-        raise EmptyListError("min of an empty list")
-    return min(_int_list("min", lst))
-
-
-def _builtin_max(args: list) -> int:
-    lst = _need_list_arg("max", args)
-    if not lst:
-        raise EmptyListError("max of an empty list")
-    return max(_int_list("max", lst))
-
-
 def _builtin_average(args: list) -> int:
-    lst = _need_list_arg("average", args)
-    if not lst:
-        raise EmptyListError("average of an empty list")
-    items = _int_list("average", lst)
+    items = _int_list("average", args)
     # integer mean, exact halves rounding up
     return (2 * sum(items) + len(items)) // (2 * len(items))
 
@@ -217,7 +192,10 @@ def _format(fmt: str, values: list) -> str:
                 v = v.to_int()
             if isinstance(v, bool) or not isinstance(v, int):
                 raise FormatTypeMismatchError(f"%d needs an integer, got {_type_name(v)}")
-            out.append(str(v))
+            try:
+                out.append(str(v))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise FormatError("%d value has too many digits to print") from None
         elif spec == "s":
             if not isinstance(v, str):
                 raise FormatTypeMismatchError(f"%s needs a string, got {_type_name(v)}")
@@ -241,10 +219,10 @@ def _format(fmt: str, values: list) -> str:
 
 
 _BUILTINS = {
-    "min": _builtin_min,
-    "max": _builtin_max,
+    "min": lambda args: min(_int_list("min", args)),
+    "max": lambda args: max(_int_list("max", args)),
     "average": _builtin_average,
-    "length": _builtin_length,
+    "length": lambda args: len(_need_list_arg("length", args)),
 }
 
 _CMP = {
@@ -257,11 +235,24 @@ _CMP = {
 }
 
 
-class _Run:
-    def __init__(self, env: Environment):
-        self.env = env
-        self.wave = env.waveform
-        self.count = env.waveform.index_count
+class Environment:
+    """All mutable state of one script run, and the evaluator that runs it.
+    Returned by execute() so callers can inspect final variable values."""
+
+    def __init__(
+        self,
+        waveform: Waveform,
+        args: Sequence[str] = (),
+        out: IO[str] | None = None,
+        modules: dict[str, dict] | None = None,
+    ):
+        self.waveform = waveform
+        self.out = out if out is not None else sys.stdout
+        self.variables: dict[str, object] = {"args": list(args)}
+        self.aliases: dict[str, str] = {}
+        self.modules = modules if modules is not None else default_native_modules()
+        self.imported: set[str] = set()
+        self.count = waveform.index_count
         self.index: int | None = None  # set only during the sweep
         self.series_cache: dict[str, SignalSeries] = {}
 
@@ -278,7 +269,7 @@ class _Run:
         series = self.series_cache.get(name)
         if series is None:
             # raises UnknownSignalError
-            series = self.wave.series(self.env.aliases.get(name, name))
+            series = self.waveform.series(self.aliases.get(name, name))
             self.series_cache[name] = series
         target = index + offset
         if 0 <= target < self.count:
@@ -286,12 +277,11 @@ class _Run:
         return OUT_OF_RANGE
 
     def resolve(self, name: str, cond: bool) -> object:
-        env = self.env
-        if name in env.variables:
-            return env.variables[name]
-        if name in env.aliases or self.wave.has_signal(name):
+        if name in self.variables:
+            return self.variables[name]
+        if name in self.aliases or self.waveform.has_signal(name):
             return self.sample(name, 0)
-        if name in env.modules:
+        if name in self.modules:
             raise TypeMismatchError(f"{name!r} is a native module, not a value")
         if "." in name:
             raise UnknownSignalError(f"unknown signal {name!r}")
@@ -360,7 +350,7 @@ class _Run:
         if op == "*":
             return lhs * rhs
         if rhs == 0:
-            raise DivisionByZeroError(f"{lhs} / 0")
+            raise DivisionByZeroError(f"{_shown(lhs)} / 0")
         q = abs(lhs) // abs(rhs)
         return -q if (lhs < 0) != (rhs < 0) else q
 
@@ -389,7 +379,9 @@ class _Run:
         if isinstance(index, bool) or not isinstance(index, int):
             raise TypeMismatchError(f"list index must be an integer, got {_type_name(index)}")
         if not 0 <= index < len(base):
-            raise WawkRuntimeError(f"list index {index} out of range for length {len(base)}")
+            raise WawkRuntimeError(
+                f"list index {_shown(index)} out of range for length {len(base)}"
+            )
         return base[index]
 
     # --- calls ---
@@ -407,7 +399,7 @@ class _Run:
             args = [self.eval(a, cond) for a in arg_nodes]
             if not args or not isinstance(args[0], str):
                 raise TypeMismatchError("printf needs a format string first")
-            self.env.out.write(_format(args[0], args[1:]))
+            self.out.write(_format(args[0], args[1:]))
             return UNBOUND
         builtin = _BUILTINS.get(func)
         if builtin is None:
@@ -420,21 +412,21 @@ class _Run:
         short, target = (a.name for a in arg_nodes)
         if "." in short:
             raise TypeMismatchError(f"alias name {short!r} must be a plain identifier")
-        if short in self.env.aliases:
+        if short in self.aliases:
             raise RedefinedAliasError(f"alias {short!r} is already defined")
-        resolved = self.env.aliases.get(target, target)
-        if not self.wave.has_signal(resolved):
+        resolved = self.aliases.get(target, target)
+        if not self.waveform.has_signal(resolved):
             raise UnknownSignalError(f"unknown signal {resolved!r}")
-        self.env.aliases[short] = resolved
+        self.aliases[short] = resolved
         return UNBOUND
 
     def _form_import(self, arg_nodes: tuple) -> object:
         if len(arg_nodes) != 1 or not isinstance(arg_nodes[0], ast.Ident):
             raise TypeMismatchError("import takes one module name")
         name = arg_nodes[0].name
-        if name not in self.env.modules:
+        if name not in self.modules:
             raise UnknownModuleError(f"unknown native module {name!r}")
-        self.env.imported.add(name)
+        self.imported.add(name)
         return UNBOUND
 
     def _form_call(self, arg_nodes: tuple, cond: bool) -> object:
@@ -444,9 +436,9 @@ class _Run:
         module, _, func = full.rpartition(".")
         if not module:
             raise TypeMismatchError(f"call target {full!r} must be module.function")
-        if module not in self.env.imported:
+        if module not in self.imported:
             raise UnknownModuleError(f"module {module!r} has not been imported")
-        fn = self.env.modules[module].get(func)
+        fn = self.modules[module].get(func)
         if fn is None:
             raise UnknownFunctionError(f"module {module!r} has no function {func!r}")
         return fn([self.eval(a, cond) for a in arg_nodes[1:]])
@@ -454,7 +446,7 @@ class _Run:
     # --- statements ---
 
     def exec_body(self, body: tuple) -> None:
-        variables = self.env.variables
+        variables = self.variables
         for stmt in body:
             cls = stmt.__class__
             if cls is ast.Assign:
@@ -471,16 +463,16 @@ class _Run:
 
 
 _EVAL = {
-    ast.IntLit: _Run._e_int,
-    ast.StrLit: _Run._e_str,
-    ast.ListLit: _Run._e_list,
-    ast.Ident: _Run._e_ident,
-    ast.CurrentIndex: _Run._e_index,
-    ast.OffsetRef: _Run._e_offset,
-    ast.Unary: _Run._e_unary,
-    ast.Binary: _Run._e_binary,
-    ast.Subscript: _Run._e_subscript,
-    ast.Call: _Run._e_call,
+    ast.IntLit: Environment._e_int,
+    ast.StrLit: Environment._e_str,
+    ast.ListLit: Environment._e_list,
+    ast.Ident: Environment._e_ident,
+    ast.CurrentIndex: Environment._e_index,
+    ast.OffsetRef: Environment._e_offset,
+    ast.Unary: Environment._e_unary,
+    ast.Binary: Environment._e_binary,
+    ast.Subscript: Environment._e_subscript,
+    ast.Call: Environment._e_call,
 }
 
 
@@ -493,12 +485,11 @@ def execute(
 ) -> Environment:
     """Run a parsed script over a waveform; returns the final Environment."""
     env = Environment(waveform, args, out, modules)
-    run = _Run(env)
     numbered = list(enumerate(program.statements, start=1))
 
     def run_block(ordinal: int, where: str, body: tuple) -> None:
         try:
-            run.exec_body(body)
+            env.exec_body(body)
         except WawkRuntimeError as err:
             if err.context is None:
                 err.context = f"statement {ordinal}{where}"
@@ -514,11 +505,11 @@ def execute(
         if isinstance(stmt.trigger, ast.Conditions)
     ]
     if sweep:
-        evaluate = run.eval
+        evaluate = env.eval
         truthy = _truthy
-        exec_body = run.exec_body
-        for index in range(env.waveform.index_count):
-            run.index = index
+        exec_body = env.exec_body
+        for index in range(env.count):
+            env.index = index
             for ordinal, conditions, body in sweep:
                 try:
                     for condition in conditions:
@@ -530,7 +521,7 @@ def execute(
                     if err.context is None:
                         err.context = f"statement {ordinal} at index {index}"
                     raise
-        run.index = None
+        env.index = None
 
     for ordinal, stmt in numbered:
         if isinstance(stmt.trigger, ast.End):

@@ -103,7 +103,13 @@ def tokenize(source: str) -> list[Token]:
             while _is_digit(sc.peek()):
                 sc.advance()
             text = sc.src[start : sc.pos]
-            out.append(Token("INT", text, line, col, int(text)))
+            try:
+                value = int(text)
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise IllegalCharacterError(
+                    f"integer literal of {len(text)} digits is too long", line, col
+                ) from None
+            out.append(Token("INT", text, line, col, value))
             continue
         if ch == '"':
             out.append(_scan_string(sc, line, col))

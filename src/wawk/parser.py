@@ -12,26 +12,27 @@ Script grammar, roughly:
                 | ';'
     body       := block | stmt
 
-Precedence, loosest first: '||', '&&', comparisons, '+ -', '* /', unary
-'! -', postfix ('@' offset, subscript, call). The '@' offset takes an
-optionally signed integer literal and its left side must be a plain
-(possibly dotted) name. Assignment is a statement, not an expression,
-and its target is a plain undotted name.
+Binary operators bind as ast.PRECEDENCE says and associate left; unary
+'! -' binds tighter, and postfix ('@' offset, subscript, call) tighter
+still. The '@' offset takes an optionally signed integer literal and its
+left side must be a plain (possibly dotted) name. Assignment is a
+statement, not an expression, and its target is a plain undotted name.
 
-Nesting through parentheses, unary operators, subscripts, call arguments,
-list literals and if bodies is limited to MAX_DEPTH levels.
+Nesting through parentheses, unary operators, binary operators,
+subscripts, call arguments, list literals and if bodies is limited to
+MAX_DEPTH levels. A chain such as `a + b + c` or `m[i][j]` nests one
+level per link: its tree is as deep as it is long.
 """
 
 from . import ast
 from .errors import ReservedKeywordError, UnexpectedTokenError
 from .lexer import Token, tokenize
 
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-
 # The parser, the interpreter and ast.to_source all recurse once or more
-# per nesting level; a parenthesis costs the parser nine frames. Without
-# a limit, deep input exhausts Python's default 1000-frame stack, and 64
-# levels leave room for the caller's own frames, pytest's included.
+# per nesting level; a parenthesis costs the parser four frames, 271 at
+# the limit. Without a limit, deep input exhausts Python's default
+# 1000-frame stack, and 64 levels leave room for the caller's own frames,
+# pytest's included.
 MAX_DEPTH = 64
 
 
@@ -45,6 +46,7 @@ class _Parser:
         self.tokens = tokens + [eof]
         self.pos = 0
         self.depth = 0
+        self.peak = 0  # the deepest level the tree being parsed reaches
 
     # --- token plumbing ---
 
@@ -73,12 +75,15 @@ class _Parser:
 
     def enter(self, tok: Token) -> None:
         """Open one nesting level at `tok`; the caller closes it with
-        `self.depth -= 1`."""
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
+        `self.depth -= 1`. The level counts from the deepest one the tree
+        built so far reaches, so each link of a chain such as `a + b + c`
+        or `m[i][j]` adds one."""
+        self.peak += 1
+        if self.peak > MAX_DEPTH:
             raise UnexpectedTokenError(
                 f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.col
             )
+        self.depth += 1
 
     def fail(self, message: str, tok: Token):
         if tok.kind == "RESERVED":
@@ -154,6 +159,7 @@ class _Parser:
 
     def body(self) -> tuple:
         """A brace block, or a single statement treated as one."""
+        self.peak = self.depth  # count from the if, not from its condition
         self.enter(self.peek())
         if self.check("{"):
             body = self.block()
@@ -163,42 +169,22 @@ class _Parser:
         self.depth -= 1
         return body
 
-    # --- expressions, loosest binding first ---
+    # --- expressions ---
 
-    def expr(self):
-        return self.or_expr()
-
-    def or_expr(self):
-        node = self.and_expr()
-        while self.accept("||"):
-            node = ast.Binary("||", node, self.and_expr())
-        return node
-
-    def and_expr(self):
-        node = self.cmp_expr()
-        while self.accept("&&"):
-            node = ast.Binary("&&", node, self.cmp_expr())
-        return node
-
-    def cmp_expr(self):
-        node = self.add_expr()
-        while self.peek().kind in _CMP_OPS:
-            op = self.advance().kind
-            node = ast.Binary(op, node, self.add_expr())
-        return node
-
-    def add_expr(self):
-        node = self.mul_expr()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = ast.Binary(op, node, self.mul_expr())
-        return node
-
-    def mul_expr(self):
+    def expr(self, level: int = 0):
+        """Precedence climbing over ast.PRECEDENCE: take every operator that
+        binds at least as tightly as `level`; its right operand takes only
+        tighter ones, so chains associate left."""
+        # self.peak follows the deepest level this expression reaches; the
+        # enclosing expression keeps the deeper of the two
+        outer, self.peak = self.peak, self.depth
         node = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = ast.Binary(op, node, self.unary())
+        while (prec := ast.PRECEDENCE.get(self.peek().kind, -1)) >= level:
+            tok = self.advance()
+            self.enter(tok)
+            node = ast.Binary(tok.kind, node, self.expr(prec + 1))
+            self.depth -= 1
+        self.peak = max(outer, self.peak)
         return node
 
     def unary(self):

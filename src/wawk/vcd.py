@@ -62,18 +62,23 @@ class _Tokens:
         return chain([(self.line, rest)], self._lines)
 
 
-def _is_decimal(text: str) -> bool:
-    # str.isdigit() alone also accepts digits such as '²' that int() rejects
-    return text.isascii() and text.isdigit()
+def _decimal(text: str) -> int | None:
+    # str.isdigit() alone also accepts digits such as '²' that int() rejects;
+    # int() also rejects more digits than sys.get_int_max_str_digits()
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:
+        return None
 
 
 def _parse_timescale(parts: list[str], line: int) -> tuple[int, str]:
     text = "".join(parts)
-    magnitude = text.rstrip("".join(_TIME_UNITS))
-    unit = text[len(magnitude) :]
-    if unit not in _TIME_UNITS or not _is_decimal(magnitude):
+    digits = text.rstrip("".join(_TIME_UNITS))
+    unit = text[len(digits) :]
+    magnitude = _decimal(digits)
+    if unit not in _TIME_UNITS or magnitude is None:
         raise MalformedHeaderError(f"invalid $timescale {' '.join(parts)!r}", line)
-    return int(magnitude), unit
+    return magnitude, unit
 
 
 class _Parser:
@@ -161,9 +166,9 @@ class _Parser:
             raise UnsupportedVcdFeatureError(
                 f"unsupported variable type {var_type!r}", self.tokens.line
             )
-        if not _is_decimal(width_text) or int(width_text) < 1:
+        width = _decimal(width_text)
+        if width is None or width < 1:
             raise MalformedHeaderError(f"invalid $var width {width_text!r}", self.tokens.line)
-        width = int(width_text)
         if len(parts) == 5 and not (parts[4].startswith("[") and parts[4].endswith("]")):
             raise MalformedHeaderError(
                 f"unexpected trailing token {parts[4]!r} in $var", self.tokens.line
@@ -240,10 +245,9 @@ class _Parser:
                     continue
                 c = tok[0]
                 if c == "#":
-                    text = tok[1:]
-                    if not _is_decimal(text):
+                    t = _decimal(tok[1:])
+                    if t is None:
                         raise BadTimestampError(f"invalid timestamp {tok!r}", line)
-                    t = int(text)
                     if timestamps and t <= timestamps[-1]:
                         raise BadTimestampError(
                             f"timestamp #{t} does not increase (previous #{timestamps[-1]})",

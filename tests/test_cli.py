@@ -235,17 +235,19 @@ class TestRun:
         assert main(["run", str(script), str(small_vcd)]) == 1
         assert "index 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("unbuffered", ["1", ""])
-    def test_closed_stdout_exits_1_quietly(self, tmp_path, small_vcd, unbuffered):
+    @pytest.mark.parametrize("unbuffered, command", [
+        ("1", "run"), ("", "run"), ("1", "gen"), ("", "gen")], ids=["1", "", "gen-1", "gen"])
+    def test_closed_stdout_exits_1_quietly(self, tmp_path, small_vcd, unbuffered, command):
         # `wawk run ... | head -1`: the reader is gone before wawk writes
         script = tmp_path / "s.wawk"
         script.write_text(SMALL_SCRIPT)
+        argv = {"run": ["run", str(script), str(small_vcd)],
+                "gen": ["gen", "table1", "-"]}[command]
         read_end, write_end = os.pipe()
         os.close(read_end)
         env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
         try:
-            proc = _run_wawk(["run", str(script), str(small_vcd)], env=env,
-                             stdout=write_end, stderr=subprocess.PIPE)
+            proc = _run_wawk(argv, env=env, stdout=write_end, stderr=subprocess.PIPE)
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, "")
@@ -261,14 +263,26 @@ class TestRun:
         message = f"{deeper}:3:{col}: nesting deeper than {MAX_DEPTH} levels\n"
 
         assert main(["run", str(deepest), str(small_vcd)]) == 0
-        assert capsys.readouterr().out == "1 1 1 0 1 1 1\n"
+        assert capsys.readouterr().out == "1 1 1 0 1 1 1 1\n"
         assert main(["run", str(deeper), str(small_vcd)]) == 2
         assert capsys.readouterr().err == f"wawk: {message}"
 
         proc = _run_wawk(["run", str(deepest), str(small_vcd)], capture_output=True)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1 1 0 1 1 1\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1 1 0 1 1 1 1\n", "")
         proc = _run_wawk(["run", str(deeper), str(small_vcd)], capture_output=True)
         assert (proc.returncode, proc.stderr) == (2, f"wawk: {message}")
+
+    @pytest.mark.parametrize("terms", [MAX_DEPTH + 2, 600])
+    def test_long_chain_is_a_located_syntax_error(self, tmp_path, small_vcd, capsys, terms):
+        # a chain of 600 terms used to end in a RecursionError traceback
+        script = tmp_path / "chain.wawk"
+        script.write_text("BEGIN: { v = " + "1 + " * (terms - 1) + "1; }\n")
+        col = len("BEGIN: { v = " + "1 + " * MAX_DEPTH + "1 ") + 1  # operator 65
+        message = f"wawk: {script}:1:{col}: nesting deeper than {MAX_DEPTH} levels\n"
+        assert main(["run", str(script), str(small_vcd)]) == 2
+        assert capsys.readouterr().err == message
+        proc = _run_wawk(["run", str(script), str(small_vcd)], capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
     def test_benchmark_hook_points_are_called(self, tmp_path, small_vcd, monkeypatch):
         # perfbench/traced.py times each layer by replacing these names; a

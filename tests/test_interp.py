@@ -22,6 +22,11 @@ from wawk.interp import OUT_OF_RANGE, UNBOUND, default_native_modules, execute
 from wawk.parser import parse_source
 
 
+# x = 10 ** 8192: more digits than str() converts by default
+# (sys.get_int_max_str_digits())
+HUGE = "x = 10; " + "x = x * x; " * 13
+
+
 def counting_module():
     calls = []
 
@@ -258,6 +263,14 @@ class TestValuesAndOperators:
         with pytest.raises(DivisionByZeroError):
             run_script("BEGIN: { v = 1 / 0; }", empty_wave)
 
+    def test_messages_give_the_size_of_integers_str_cannot_convert(self, empty_wave):
+        for action, error in [("v = x / 0;", DivisionByZeroError),
+                              ("v = [1][x];", WawkRuntimeError),
+                              ("import(extern); v = call(extern.decode, x);",
+                               TypeMismatchError)]:
+            with pytest.raises(error, match="a 27214-bit integer"):
+                run_script(f"BEGIN: {{ {HUGE} {action} }}", empty_wave)
+
     def test_unary_minus_and_not(self, empty_wave):
         _, env = run_script('BEGIN: { a = -5; b = !5; c = !0; d = !""; }', empty_wave)
         assert env.variables["a"] == -5
@@ -367,6 +380,17 @@ class TestBuiltins:
         with pytest.raises(UnknownFunctionError):
             run_script("BEGIN: { v = median([1]); }", empty_wave)
 
+    def test_logic_values_count_as_integers(self, clocked_wave):
+        # as in arithmetic: defined bits convert, x/z bits raise
+        src = ("BEGIN: { l = []; }\n"
+               "top.clk: { l = l + top.counter; m = max([top.counter, 3]); }\n"
+               "END: { a = min(l); b = max(l); c = average(l); }")
+        _, env = run_script(src, clocked_wave)
+        assert [env.variables[name] for name in "abcm"] == [0, 9, 5, 9]
+        wave = make_waveform(1, {"s": (4, [(0, "10x0")])})
+        with pytest.raises(XZConversionError):
+            run_script("1: { v = min([s]); }", wave)
+
 
 class TestPrintf:
     def test_directives(self, empty_wave):
@@ -400,6 +424,11 @@ class TestPrintf:
     def test_needs_format_string(self, empty_wave):
         with pytest.raises(TypeMismatchError):
             run_script("BEGIN: { printf(1); }", empty_wave)
+
+    def test_integer_past_the_str_digit_limit(self, empty_wave):
+        with pytest.raises(FormatError, match="too many digits") as exc:
+            run_script(f'BEGIN: {{ {HUGE} printf("%d", x); }}', empty_wave)
+        assert str(exc.value).startswith("statement 1 (BEGIN): ")
 
 
 class TestNativeCalls:

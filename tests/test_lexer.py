@@ -111,6 +111,12 @@ class TestErrors:
         assert exc.value.line == 1
         assert exc.value.col == 3
 
+    def test_integer_literal_past_the_str_digit_limit(self):
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        with pytest.raises(IllegalCharacterError, match="5000 digits") as exc:
+            tokenize("a = " + "9" * 5000)
+        assert (exc.value.line, exc.value.col) == (1, 5)
+
     def test_single_ampersand(self):
         with pytest.raises(IllegalCharacterError):
             tokenize("a & b")

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import NESTINGS, make_waveform, nested_script, nested_statement
 from wawk import ast
+from wawk.cli import bundled_script
 from wawk.errors import ReservedKeywordError, UnexpectedTokenError
 from wawk.interp import execute
 from wawk.parser import MAX_DEPTH, parse_source
@@ -205,7 +206,7 @@ class TestDepthLimit:
         program = parse_source(nested_script(MAX_DEPTH))
         out = io.StringIO()
         execute(program, make_waveform(0, {}), out=out)
-        assert out.getvalue() == "1 1 1 0 1 1 1\n"
+        assert out.getvalue() == "1 1 1 0 1 1 1 1\n"
         assert ast.to_source(program).startswith("BEGIN: {")
 
     @pytest.mark.parametrize("kind", NESTINGS)
@@ -217,6 +218,26 @@ class TestDepthLimit:
         assert exc.value.line == 2
         assert exc.value.col > 1
 
+    @pytest.mark.parametrize("link", [" + 1", " && 1", "[0]"])
+    def test_a_chain_nests_one_level_per_link(self, link):
+        # a 600-term chain used to parse and then end in RecursionError
+        deepest = "BEGIN: { v = 1" + link * MAX_DEPTH
+        parse_source(deepest + "; }")
+        with pytest.raises(UnexpectedTokenError, match=f"deeper than {MAX_DEPTH}") as exc:
+            parse_source(deepest + link + "; }")
+        assert exc.value.col == len(deepest) + len(link) - len(link.lstrip()) + 1
+
+    def test_links_after_a_group_count_above_it(self):
+        # each group is the left operand of 30 more operators, so the tree
+        # is 900 levels deep although no token sits inside more than 60
+        # open parentheses and operators; the interpreter would overflow
+        # the stack on it
+        source = "1"
+        for _ in range(30):
+            source = "(" + source + ")" + " + 1" * 30
+        with pytest.raises(UnexpectedTokenError, match=f"deeper than {MAX_DEPTH}"):
+            parse_source("BEGIN: { v = " + source + "; }")
+
 
 class TestRoundTrip:
     SAMPLES = [
@@ -225,7 +246,22 @@ class TestRoundTrip:
         'END: { if (cpis) { printf("%s: %d\\n", args[0], average(cpis)); }; }',
         "a@-3 || b && !c, x * (y + 2) / z != 0: { m = [1, [2, 3], \"s\"]; }",
         "if_less: { v = m[i][j] - -k; }",
+        # the first two nested too deep when every operator was printed in
+        # parentheses; the third is a chain at the limit
+        "BEGIN: { v = " + "-" * 40 + "1; }",
+        "BEGIN: { v = " + "-" * 32 + "1" + " + 1" * 32 + "; }",
+        "BEGIN: { v = 1" + " + 1" * MAX_DEPTH + "; }",
     ]
+
+    def test_prints_only_the_parentheses_precedence_needs(self):
+        printed = ast.to_source(parse_source(bundled_script("cpi")))
+        assert "\n  cpis = cpis + (INDEX - start) / 2;\n" in printed
+        for source, expected in [
+            ("(a - b) - (c - d)", "a - b - (c - d)"),
+            ("(a || b) && !(c == d) * -(e)", "(a || b) && !(c == d) * -e"),
+            ("-(-x)[0] + ((y))[(1)]", "-(-x)[0] + y[1]"),
+        ]:
+            assert ast.to_source(parse_source(f"{source}: {{ }}")) == f"{expected}: {{ }}\n"
 
     @pytest.mark.parametrize("source", SAMPLES)
     def test_print_then_reparse_is_identity(self, source):

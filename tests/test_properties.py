@@ -1,6 +1,9 @@
 """Property tests: whatever text the two readers are given, they either
-return a result or raise ParseFailure, never another exception."""
+return a result or raise ParseFailure, never another exception; and a
+well-formed program prints to source that parses back to it, and runs
+raising nothing but WawkError."""
 
+import functools
 import io
 
 import pytest
@@ -9,7 +12,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from wawk.errors import ParseFailure  # noqa: E402
+from conftest import make_waveform  # noqa: E402
+from wawk import ast  # noqa: E402
+from wawk.errors import ParseFailure, WawkError  # noqa: E402
+from wawk.interp import execute  # noqa: E402
 from wawk.parser import MAX_DEPTH, parse_source  # noqa: E402
 from wawk.vcd import parse_vcd  # noqa: E402
 
@@ -19,7 +25,7 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples
 ODD_DIGITS = ["²", "٣", "๓", "１", "1_0", "+1"]
 
 
-FIELDS = ["0", "1", "8", "-1", "ns", "x", "z", "!", '"', "a", "top", "$end"]
+FIELDS = ["0", "1", "8", "-1", "ns", "x", "z", "!", '"', "a", "top", "$end", "9" * 5000]
 FIELD = st.one_of(st.sampled_from(ODD_DIGITS), st.sampled_from(FIELDS), st.text(max_size=3))
 
 
@@ -51,6 +57,7 @@ SCRIPT_WORDS = ODD_DIGITS + [
     "else", "x", "a.b", "a.", "1", "42", '"s"', '"%d\\n"', '"', "\\", "@",
     "@-2", "-", "!", "+", "*", "/", "==", "<=", "&&", "||", "INDEX", "map",
     "in-group", "printf", "alias", "//", "(" * (MAX_DEPTH + 1), "-" * MAX_DEPTH,
+    "9" * 5000,
 ]
 SCRIPT_TEXT = st.lists(
     st.tuples(st.one_of(st.sampled_from(SCRIPT_WORDS), st.text(max_size=4)),
@@ -76,3 +83,113 @@ def test_vcd_reader_raises_only_parse_failure(text):
 @given(st.one_of(SCRIPT_TEXT, st.text()))
 def test_script_parser_raises_only_parse_failure(text):
     _only_parse_failure(parse_source, text)
+
+
+# --- well-formed programs ---
+# A strategy called with a budget of b levels draws trees whose printed
+# form nests at most b levels deep, counted as the parser counts them. An
+# inner node takes two: its own level and the parentheses the printer may
+# put around it. A chain of one operator or a run of unary operators over
+# plain operands takes one level per operator, which reaches the limit.
+# '*' and '/' take only operands that no assignment can grow, so values
+# stay small however the program loops.
+
+NAMES = ["x", "y", "l", "args", "clk", "top.bus", "nope.sig", "extern", "extern.decode"]
+SIGNALS = st.builds(ast.Ident, st.sampled_from(["clk", "top.bus"]))
+CONSTANTS = st.one_of(
+    st.builds(ast.IntLit, st.integers(0, 999)),
+    st.just(ast.CurrentIndex()),
+    SIGNALS,
+    st.builds(ast.OffsetRef, SIGNALS, st.integers(-3, 3)),
+)
+LEAVES = st.one_of(
+    CONSTANTS,
+    st.builds(ast.StrLit, st.sampled_from(["", "%d", "%s %b\n", '"\\'])),
+    st.builds(ast.Ident, st.sampled_from(NAMES)),
+)
+OPS = sorted(ast.PRECEDENCE)
+ADDITIVE_OPS = [op for op in OPS if op not in "*/"]
+
+
+def _chain(op, links, terms):
+    """`links` applications of `op`, left-associated, cycling through `terms`."""
+    return functools.reduce(lambda left, i: ast.Binary(op, left, terms[i % len(terms)]),
+                            range(1, links + 1), terms[0])
+
+
+def _run(length, ops, leaf):
+    """`length` unary operators over `leaf`, cycling through `ops`."""
+    return functools.reduce(lambda node, op: ast.Unary(op, node), (ops * length)[:length], leaf)
+
+
+@functools.cache
+def chains(budget):
+    links = st.integers(1, budget)
+    return st.one_of(
+        st.builds(_chain, st.sampled_from(ADDITIVE_OPS), links, st.lists(LEAVES, min_size=1)),
+        st.builds(_chain, st.sampled_from("*/"), links, st.lists(CONSTANTS, min_size=1)),
+    )
+
+
+@functools.cache
+def runs(budget):
+    return st.builds(_run, st.integers(1, budget), st.sampled_from(["-", "!", "-!"]), LEAVES)
+
+
+@functools.cache
+def exprs(budget):
+    if budget < 2:
+        return LEAVES
+    inner = exprs(budget - 2)
+    items = st.lists(inner, max_size=3).map(tuple)
+    binary = st.builds(ast.Binary, st.sampled_from(ADDITIVE_OPS), inner, inner)
+    return st.one_of(LEAVES, st.one_of(
+        binary,
+        binary,
+        chains(budget - 1),
+        runs(budget - 1),
+        st.builds(ast.Unary, st.sampled_from("!-"), inner),
+        st.builds(ast.Binary, st.sampled_from("*/"), CONSTANTS, CONSTANTS),
+        st.builds(ast.Subscript, inner, inner),
+        st.builds(ast.Call, st.sampled_from(
+            ["min", "max", "average", "length", "printf", "alias", "import", "call", "f"]),
+            items),
+        st.builds(ast.ListLit, items),
+    ))
+
+
+def top_exprs(budget):
+    return st.one_of(exprs(budget), chains(budget), runs(budget))
+
+
+@functools.cache
+def bodies(budget):
+    stmts = [st.builds(ast.Assign, st.sampled_from(["x", "y", "l", "clk"]), top_exprs(budget)),
+             st.builds(ast.ExprStmt, top_exprs(budget))]
+    if budget > MAX_DEPTH - 3:  # if statements nest up to three deep
+        inner = bodies(budget - 1)
+        stmts.append(st.builds(ast.If, top_exprs(budget), inner, inner))
+    return st.lists(st.one_of(stmts), max_size=2).map(tuple)
+
+
+TRIGGERS = st.one_of(
+    st.just(ast.Begin()),
+    st.just(ast.End()),
+    st.builds(ast.Conditions, st.lists(top_exprs(MAX_DEPTH), min_size=1, max_size=3).map(tuple)),
+)
+PROGRAMS = st.lists(st.builds(ast.Statement, TRIGGERS, bodies(MAX_DEPTH)),
+                    min_size=1, max_size=3).map(lambda s: ast.Program(tuple(s)))
+WAVE = make_waveform(4, {
+    "clk": (1, [(0, "1"), (1, "0"), (2, "1"), (3, "x")]),
+    "top.bus": (8, [(0, "00000011"), (2, "0000x000")]),
+})
+
+
+@settings(PROPERTY, max_examples=100)
+@given(PROGRAMS)
+def test_well_formed_programs_reprint_and_raise_only_wawk_error(program):
+    assert parse_source(ast.to_source(program)) == program
+    try:
+        execute(program, WAVE, out=io.StringIO())
+    except WawkError:
+        pass

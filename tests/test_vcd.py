@@ -217,7 +217,8 @@ class TestErrors:
 
     def test_bad_timestamp_text(self):
         # only ASCII decimal digits: int() would also take '1_0', '+11', '٣'
-        for stamp in ["#zap", "#", "#1_0", "#+11", "#\u0663", "#\u00b2"]:
+        # nor more digits than int() converts (sys.get_int_max_str_digits())
+        for stamp in ["#zap", "#", "#1_0", "#+11", "#\u0663", "#\u00b2", "#" + "9" * 5000]:
             text = f"$var wire 1 ! a $end\n$enddefinitions $end\n#0\n{stamp}\n"
             with pytest.raises(BadTimestampError) as exc:
                 parse(text)
@@ -235,14 +236,14 @@ class TestErrors:
         assert "line 4" in str(exc.value)
 
     def test_bad_timescale(self):
-        for timescale in ["sometime", "\u00b2ns", "+1ns", "1_0ns"]:
+        for timescale in ["sometime", "\u00b2ns", "+1ns", "1_0ns", "9" * 5000 + "ns"]:
             text = f"$comment x $end\n$timescale {timescale} $end\n$enddefinitions $end\n"
             with pytest.raises(MalformedHeaderError) as exc:
                 parse(text)
             assert "line 2" in str(exc.value)
 
     def test_bad_var_width(self):
-        for width in ["0", "x", "+8", "1_6", "\u00b2", "\u0663"]:
+        for width in ["0", "x", "+8", "1_6", "\u00b2", "\u0663", "9" * 5000]:
             text = f"$comment x $end\n$var wire {width} ! a $end\n$enddefinitions $end\n"
             with pytest.raises(MalformedHeaderError) as exc:
                 parse(text)
