@@ -88,7 +88,7 @@ def _cmd_run(opts) -> int:
         try:
             with open(opts.script, "r", encoding="utf-8") as f:
                 source = f.read()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             return _fail(f"cannot read script: {err}", 2)
     try:
         program = parse_source(source)
@@ -127,7 +127,7 @@ def _cmd_gen(opts) -> int:
                 else:
                     with open(opts.specfile, "r", encoding="utf-8") as f:
                         spec = parse_spec_file(f.read())
-            except OSError as err:
+            except (OSError, UnicodeDecodeError) as err:
                 return _fail(f"cannot read spec: {err}", 2)
             spec.clock_half_period = opts.half_period
             spec.dummy_signals = opts.dummy_signals

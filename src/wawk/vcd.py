@@ -7,10 +7,12 @@ binary vector changes, and transparent $dumpvars/$comment blocks. Real
 (`r`) changes and non-module scopes are rejected rather than guessed at.
 
 Every `#` directive opens a new index on the time axis, even if no change
-follows it; repeated changes for one signal at the same index keep the last
-one. Vector values shorter than the declared width are left-extended with
-0 for leading 0/1 and with x/z for leading x/z, per the dump format's
-extension rule.
+follows it; changes before the first `#` belong to index 0, and repeated
+changes for one signal at the same index keep the last one. Vector values
+shorter than the declared width are left-extended with 0 for leading 0/1
+and with x/z for leading x/z, per the dump format's extension rule. A $var
+may be at most MAX_WIDTH (65,536) bits wide, and names that share an id
+code share one SignalSeries.
 """
 
 from itertools import chain
@@ -30,6 +32,8 @@ from .waveform import SignalSeries, Waveform
 _TIME_UNITS = ("fs", "ps", "ns", "us", "ms", "s")
 _VAR_TYPES = ("wire", "reg")
 _SKIP_DIRECTIVES = ("$comment", "$date", "$version")
+# widest $var accepted: the smallest vector-length limit IEEE 1364 lets a tool set
+MAX_WIDTH = 65536
 
 
 class _Tokens:
@@ -86,10 +90,9 @@ class _Parser:
         self.tokens = _Tokens(stream)
         self.timescale: tuple[int, str] | None = None
         self.scope_path: list[str] = []
-        # id code -> list of signal names it drives (aliasing fans out)
-        self.id_names: dict[str, list[str]] = {}
-        self.id_width: dict[str, int] = {}
-        self.names: set[str] = set()
+        # id code -> its series; hierarchical name -> the series of its id code
+        self.ids: dict[str, SignalSeries] = {}
+        self.signals: dict[str, SignalSeries] = {}
 
     # --- header ---
 
@@ -169,58 +172,38 @@ class _Parser:
         width = _decimal(width_text)
         if width is None or width < 1:
             raise MalformedHeaderError(f"invalid $var width {width_text!r}", self.tokens.line)
+        if width > MAX_WIDTH:
+            message = f"$var width {width_text} is over the limit of {MAX_WIDTH} bits"
+            raise MalformedHeaderError(message, self.tokens.line)
         if len(parts) == 5 and not (parts[4].startswith("[") and parts[4].endswith("]")):
             raise MalformedHeaderError(
                 f"unexpected trailing token {parts[4]!r} in $var", self.tokens.line
             )
         name = ".".join(self.scope_path + [short_name])
-        if name in self.names:
+        if name in self.signals:
             raise MalformedHeaderError(f"duplicate signal name {name!r}", self.tokens.line)
-        self.names.add(name)
-        known_width = self.id_width.get(id_code)
-        if known_width is None:
-            self.id_width[id_code] = width
-            self.id_names[id_code] = [name]
-        elif known_width != width:
+        series = self.ids.setdefault(id_code, SignalSeries(width, [], []))
+        if series.width != width:
             raise MalformedHeaderError(
-                f"id code {id_code!r} re-declared with width {width}, was {known_width}",
+                f"id code {id_code!r} re-declared with width {width}, was {series.width}",
                 self.tokens.line,
             )
-        else:
-            self.id_names[id_code].append(name)
+        self.signals[name] = series
 
     # --- change region ---
 
     def parse_changes(self) -> Waveform:
         timestamps: list[int] = []
-        # per id code: (indexes, values) change lists
-        id_series: dict[str, tuple[list[int], list[Value]]] = {
-            ic: ([], []) for ic in self.id_names
-        }
-        # changes seen before the first '#' take effect at index 0
-        pending: dict[str, Value] = {}
+        ids = self.ids
         vector_bits: str | None = None
         skipping = False  # inside a $comment-style block
-        cur = -1  # current index, -1 before the first '#'
-        id_width = self.id_width
+        cur = 0  # index of the latest '#', and 0 before the first one
 
-        def apply(id_code: str, value: Value, line: int) -> None:
-            if id_code not in id_series:
+        def store(bits: str, id_code: str, line: int) -> None:
+            series = ids.get(id_code)
+            if series is None:
                 raise UnknownIdCodeError(f"undeclared id code {id_code!r}", line)
-            if cur < 0:
-                pending[id_code] = value
-                return
-            indexes, values = id_series[id_code]
-            if indexes and indexes[-1] == cur:
-                values[-1] = value  # same-index rewrite: last one wins
-            else:
-                indexes.append(cur)
-                values.append(value)
-
-        def make_value(bits: str, id_code: str, line: int) -> Value:
-            width = id_width.get(id_code)
-            if width is None:
-                raise UnknownIdCodeError(f"undeclared id code {id_code!r}", line)
+            width = series.width
             if len(bits) > width:
                 raise WidthMismatchError(
                     f"{len(bits)}-bit value for {width}-bit id code {id_code!r}", line
@@ -229,9 +212,13 @@ class _Parser:
                 lead = bits[0]
                 fill = "0" if lead in "01" else lead
                 bits = fill * (width - len(bits)) + bits
-            if width == 1:
-                return SCALARS[bits]
-            return Value(bits)
+            value = SCALARS[bits] if width == 1 else Value(bits)
+            indexes = series.indexes
+            if indexes and indexes[-1] == cur:
+                series.values[-1] = value  # same-index rewrite: last one wins
+            else:
+                indexes.append(cur)
+                series.values.append(value)
 
         for line, raw in self.tokens.lines():
             for tok in raw.split():
@@ -240,7 +227,7 @@ class _Parser:
                         skipping = False
                     continue
                 if vector_bits is not None:
-                    apply(tok, make_value(vector_bits, tok, line), line)
+                    store(vector_bits, tok, line)
                     vector_bits = None
                     continue
                 c = tok[0]
@@ -248,19 +235,16 @@ class _Parser:
                     t = _decimal(tok[1:])
                     if t is None:
                         raise BadTimestampError(f"invalid timestamp {tok!r}", line)
-                    if timestamps and t <= timestamps[-1]:
-                        raise BadTimestampError(
-                            f"timestamp #{t} does not increase (previous #{timestamps[-1]})",
-                            line,
-                        )
+                    if timestamps:
+                        if t <= timestamps[-1]:
+                            raise BadTimestampError(
+                                f"timestamp #{t} does not increase (previous #{timestamps[-1]})",
+                                line,
+                            )
+                        cur += 1
                     timestamps.append(t)
-                    cur += 1
-                    if cur == 0:
-                        for id_code, value in pending.items():
-                            apply(id_code, value, line)
-                        pending.clear()
                 elif c in "01xzXZ" and len(tok) > 1:
-                    apply(tok[1:], make_value(c.lower(), tok[1:], line), line)
+                    store(c.lower(), tok[1:], line)
                 elif c in "bB":
                     bits = tok[1:].lower()
                     if not bits or not frozenset("01xz").issuperset(bits):
@@ -285,15 +269,11 @@ class _Parser:
         if skipping:
             raise VcdError("unterminated directive block at end of file", line)
 
-        signals: dict[str, SignalSeries] = {}
-        for id_code, names in self.id_names.items():
-            indexes, values = id_series[id_code]
-            width = id_width[id_code]
-            # names sharing an id code share the (never again mutated) lists
-            series = SignalSeries(width, indexes, values)
-            for name in names:
-                signals[name] = series
-        return Waveform(timestamps, signals, self.timescale)
+        if not timestamps:  # no index to hold the changes
+            for series in ids.values():
+                series.indexes.clear()
+                series.values.clear()
+        return Waveform(timestamps, self.signals, self.timescale)
 
 
 def parse_vcd(stream: IO[str]) -> Waveform:

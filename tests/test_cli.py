@@ -134,6 +134,12 @@ class TestGen:
         assert main(["gen", "spec", str(tmp_path / "none.spec"), "-"]) == 2
         assert "wawk:" in capsys.readouterr().err
 
+    def test_spec_not_utf8(self, tmp_path, capsys):
+        spec = tmp_path / "bad.spec"
+        spec.write_bytes(b"00000033 3\n\xff\n")
+        assert main(["gen", "spec", str(spec), "-"]) == 2
+        assert capsys.readouterr().err.startswith("wawk: cannot read spec: 'utf-8' codec")
+
     def test_spec_bad_contents(self, tmp_path, capsys):
         spec = tmp_path / "bad.spec"
         spec.write_text("not hex at all\n")
@@ -186,6 +192,12 @@ class TestRun:
 
     def test_missing_script_file(self, small_vcd, capsys):
         assert main(["run", "/no/such/script.wawk", str(small_vcd)]) == 2
+
+    def test_script_not_utf8(self, tmp_path, small_vcd, capsys):
+        script = tmp_path / "bad.wawk"
+        script.write_bytes(b"BEGIN: { } // \xff\n")
+        assert main(["run", str(script), str(small_vcd)]) == 2
+        assert capsys.readouterr().err.startswith("wawk: cannot read script: 'utf-8' codec")
 
     def test_missing_vcd(self, tmp_path, capsys):
         script = tmp_path / "s.wawk"

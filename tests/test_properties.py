@@ -1,7 +1,8 @@
 """Property tests: whatever text the two readers are given, they either
-return a result or raise ParseFailure, never another exception; and a
-well-formed program prints to source that parses back to it, and runs
-raising nothing but WawkError."""
+return a result or raise ParseFailure, never another exception; a
+well-formed dump reads the way a model written here says, and a generated
+trace reads back as its ground truth; and a well-formed program prints to
+source that parses back to it, and runs raising nothing but WawkError."""
 
 import functools
 import io
@@ -17,6 +18,7 @@ from wawk import ast  # noqa: E402
 from wawk.errors import ParseFailure, WawkError  # noqa: E402
 from wawk.interp import execute  # noqa: E402
 from wawk.parser import MAX_DEPTH, parse_source  # noqa: E402
+from wawk.tracegen import WORDS, TraceSpec, generate  # noqa: E402
 from wawk.vcd import parse_vcd  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -83,6 +85,114 @@ def test_vcd_reader_raises_only_parse_failure(text):
 @given(st.one_of(SCRIPT_TEXT, st.text()))
 def test_script_parser_raises_only_parse_failure(text):
     _only_parse_failure(parse_source, text)
+
+
+# --- well-formed dumps ---
+# Up to 6 $vars over 4 id codes, so some names share one. A change is an
+# (id code, bits) pair, its bits cut to the id code's width; "#" opens the
+# next index, and a list is a $dumpvars block.
+
+ID_CODES = ["!", '"', "%", "&"]
+
+
+@st.composite
+def dumps(draw):
+    widths = draw(st.lists(st.integers(1, 4), min_size=4, max_size=4))
+    var_ids = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    change = st.tuples(st.sampled_from(sorted(set(var_ids))), st.text("01xz", min_size=1, max_size=4))
+    events = st.one_of(st.just("#"), change, st.lists(change, max_size=3))
+    return widths, var_ids, draw(st.lists(events, max_size=25))
+
+
+def _changes(event):
+    return [] if event == "#" else [event] if isinstance(event, tuple) else event
+
+
+def _dump_text(widths, var_ids, events):
+    lines = ["$timescale 1ns $end", "$scope module top $end"]
+    for n, i in enumerate(var_ids):
+        lines.append(f"$var wire {widths[i]} {ID_CODES[i]} s{n} [{widths[i] - 1}:0] $end")
+    lines += ["$upscope $end", "$enddefinitions $end"]
+    stamps = 0
+    for event in events:
+        if event == "#":
+            lines.append(f"#{10 * stamps}")
+            stamps += 1
+            continue
+        changes = [
+            f"{bits[:widths[i]]}{ID_CODES[i]}" if widths[i] == 1
+            else f"b{bits[:widths[i]]} {ID_CODES[i]}"
+            for i, bits in _changes(event)
+        ]
+        lines += changes if isinstance(event, tuple) else ["$dumpvars", *changes, "$end"]
+    return "\n".join(lines) + "\n"
+
+
+def _dump_model(widths, var_ids, events):
+    """Expected bits of each name at each index: a change belongs to the
+    index of the latest "#" before it, or to index 0 before the first one;
+    the last change at an index wins, a value holds until the next change,
+    and a signal is all x before its first one."""
+    written = [{} for _ in range(events.count("#"))]  # per index: id -> bits
+    stamps = 0
+    for event in events:
+        if event == "#":
+            stamps += 1
+        for i, bits in _changes(event):
+            bits = bits[: widths[i]]
+            fill = "0" if bits[0] in "01" else bits[0]
+            if written:
+                written[max(stamps - 1, 0)][i] = bits.rjust(widths[i], fill)
+    expected = {}
+    for n, i in enumerate(var_ids):
+        current, column = "x" * widths[i], []
+        for at_index in written:
+            current = at_index.get(i, current)
+            column.append(current)
+        expected[f"top.s{n}"] = column
+    return expected
+
+
+@PROPERTY
+@given(dumps())
+def test_well_formed_dumps_read_as_the_model_says(dump):
+    widths, var_ids, events = dump
+    wave = parse_vcd(io.StringIO(_dump_text(*dump)))
+    expected = _dump_model(*dump)
+    assert wave.timestamps == [10 * k for k in range(events.count("#"))]
+    assert sorted(wave.signals) == sorted(expected)
+    for n, i in enumerate(var_ids):
+        name = f"top.s{n}"
+        assert wave.width_of(name) == widths[i]
+        assert [wave.value_at(name, k).bits for k in range(wave.index_count)] == expected[name]
+        for m, j in enumerate(var_ids):
+            assert (wave.series(name) is wave.series(f"top.s{m}")) == (i == j)
+
+
+# --- generated traces ---
+
+SPECS = st.builds(
+    TraceSpec,
+    st.lists(st.tuples(st.one_of(st.sampled_from(sorted(WORDS.values())),
+                                 st.integers(0, 2**32 - 1)),
+                       st.integers(1, 6)),
+             min_size=1, max_size=8).map(tuple),
+    st.integers(1, 4),
+    st.integers(0, 4),
+)
+
+
+@PROPERTY
+@given(SPECS)
+def test_generated_traces_read_back_as_their_ground_truth(spec):
+    text, truth = generate(spec)
+    wave = parse_vcd(io.StringIO(text))
+    assert wave.timestamps == [truth.timestamp_of(k) for k in range(truth.index_count)]
+    assert sorted(wave.signals) == sorted(truth.signal_names())
+    for name in truth.signal_names():
+        assert wave.width_of(name) == truth.width_of(name)
+        assert [wave.value_at(name, k).bits for k in range(wave.index_count)] == [
+            truth.expected_bits(name, k) for k in range(truth.index_count)]
 
 
 # --- well-formed programs ---

@@ -243,11 +243,18 @@ class TestErrors:
             assert "line 2" in str(exc.value)
 
     def test_bad_var_width(self):
-        for width in ["0", "x", "+8", "1_6", "\u00b2", "\u0663", "9" * 5000]:
+        for width in ["0", "x", "+8", "1_6", "\u00b2", "\u0663", "9" * 5000, "65537",
+                      "100000000000"]:
             text = f"$comment x $end\n$var wire {width} ! a $end\n$enddefinitions $end\n"
             with pytest.raises(MalformedHeaderError) as exc:
                 parse(text)
             assert "line 2" in str(exc.value)
+
+    def test_widest_var(self):
+        wave = parse("$var wire 65536 ! a $end\n$enddefinitions $end\n#0\nb1 !\n")
+        assert wave.value_at("a", 0).bits == "0" * 65535 + "1"
+        with pytest.raises(MalformedHeaderError, match="line 1: .* limit of 65536 bits"):
+            parse("$var wire 65537 ! a $end\n$enddefinitions $end\n")
 
 
 class TestTransparentDirectives:
