@@ -113,10 +113,6 @@ class UnknownSignalError(WawkRuntimeError):
     pass
 
 
-class IndexOutOfRangeError(WawkRuntimeError):
-    pass
-
-
 class XZConversionError(WawkRuntimeError):
     pass
 

@@ -279,7 +279,7 @@ class Environment:
     def resolve(self, name: str, cond: bool) -> object:
         if name in self.variables:
             return self.variables[name]
-        if name in self.aliases or self.waveform.has_signal(name):
+        if name in self.aliases or name in self.waveform.signals:
             return self.sample(name, 0)
         if name in self.modules:
             raise TypeMismatchError(f"{name!r} is a native module, not a value")
@@ -415,7 +415,7 @@ class Environment:
         if short in self.aliases:
             raise RedefinedAliasError(f"alias {short!r} is already defined")
         resolved = self.aliases.get(target, target)
-        if not self.waveform.has_signal(resolved):
+        if resolved not in self.waveform.signals:
             raise UnknownSignalError(f"unknown signal {resolved!r}")
         self.aliases[short] = resolved
         return UNBOUND

@@ -9,7 +9,7 @@ change return all-x.
 
 from bisect import bisect_right
 
-from .errors import IndexOutOfRangeError, UnknownSignalError
+from .errors import UnknownSignalError
 from .value import Value, all_x
 
 
@@ -49,31 +49,8 @@ class Waveform:
     def index_count(self) -> int:
         return len(self.timestamps)
 
-    def signal_names(self) -> list[str]:
-        return sorted(self.signals)
-
-    def has_signal(self, name: str) -> bool:
-        return name in self.signals
-
     def series(self, name: str) -> SignalSeries:
         try:
             return self.signals[name]
         except KeyError:
             raise UnknownSignalError(f"unknown signal {name!r}") from None
-
-    def width_of(self, name: str) -> int:
-        return self.series(name).width
-
-    def timestamp_of(self, index: int) -> int:
-        self._check_index(index)
-        return self.timestamps[index]
-
-    def value_at(self, name: str, index: int) -> Value:
-        self._check_index(index)
-        return self.series(name).value_at(index)
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < len(self.timestamps):
-            raise IndexOutOfRangeError(
-                f"index {index} out of range for trace with {len(self.timestamps)} indexes"
-            )

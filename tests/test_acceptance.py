@@ -172,13 +172,13 @@ def test_a3_generated_traces_parse_back_bit_exact(criterion):
         assert wave.index_count == truth.index_count
         assert wave.index_count >= 5000
         names = sorted(truth.signal_names())
-        assert sorted(wave.signal_names()) == names
+        assert sorted(wave.signals) == names
         for i in range(wave.index_count):
-            assert wave.timestamp_of(i) == truth.timestamp_of(i)
+            assert wave.timestamps[i] == truth.timestamp_of(i)
         for name in names:
-            assert wave.width_of(name) == truth.width_of(name)
+            assert wave.series(name).width == truth.width_of(name)
             for i in range(wave.index_count):
-                assert wave.value_at(name, i).bits == truth.expected_bits(name, i), (
+                assert wave.series(name).value_at(i).bits == truth.expected_bits(name, i), (
                     name, i)
         info["note"] = f"{wave.index_count} indexes x {len(names)} signals"
 

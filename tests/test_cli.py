@@ -212,6 +212,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"{script}:1:" in err
 
+    def test_backslash_before_line_break_is_one_line(self, tmp_path, small_vcd, capsys):
+        script = tmp_path / "esc.wawk"
+        script.write_bytes(b'BEGIN: { printf("a\\\n')
+        assert main(["run", str(script), str(small_vcd)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"wawk: {script}:1:17: unterminated string literal\n"
+
     def test_reserved_word_reported(self, tmp_path, small_vcd, capsys):
         script = tmp_path / "s.wawk"
         script.write_text("BEGIN: { map = 1; }")

@@ -12,6 +12,12 @@ def texts(source):
     return [t.text for t in tokenize(source)]
 
 
+def illegal_at(source):
+    with pytest.raises(IllegalCharacterError) as exc:
+        tokenize(source)
+    return str(exc.value)
+
+
 class TestBasics:
     def test_comment_only_is_empty(self):
         assert tokenize("// comment") == []
@@ -52,6 +58,12 @@ class TestBasics:
         a, b = tokenize("ab\n  cd")
         assert (a.line, a.col) == (1, 1)
         assert (b.line, b.col) == (2, 3)
+
+    def test_positions_after_blank_lines_and_comments(self):
+        toks = tokenize("a\n\n  b // c\n\r\n\t\"d\" e")
+        assert [(t.text, t.line, t.col) for t in toks] == [
+            ("a", 1, 1), ("b", 3, 3), ("d", 5, 2), ("e", 5, 6),
+        ]
 
 
 class TestKeywords:
@@ -100,8 +112,47 @@ class TestStrings:
             tokenize('"abc\ndef"')
 
     def test_unknown_escape(self):
-        with pytest.raises(IllegalCharacterError):
+        with pytest.raises(IllegalCharacterError, match=r"unsupported escape sequence '\\q'") as exc:
             tokenize(r'"a\qb"')
+        assert (exc.value.line, exc.value.col) == (1, 4)
+        with pytest.raises(IllegalCharacterError) as exc:
+            tokenize('x\n  "a\\qb"')
+        assert (exc.value.line, exc.value.col) == (2, 6)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_backslash_before_line_break(self, newline):
+        # the string ends at its line, escaped or not
+        with pytest.raises(UnterminatedStringError, match="^1:17: unterminated string literal$") as exc:
+            tokenize('BEGIN: { printf("a\\' + newline + '"); }')
+        assert (exc.value.line, exc.value.col) == (1, 17)
+
+
+# (character, may start a name, may continue one): a name starts with a
+# letter (str.isalpha()) or "_" and continues with letters, digits
+# (str.isalnum()), "_" or "$"
+@pytest.mark.parametrize("ch, starts, continues", [
+    ("²", False, True), ("٣", False, True), ("½", False, True), ("Ⅻ", False, True),
+    ("é", True, True), ("_", True, True), ("$", False, True),
+    ("\xa0", False, False), ("\f", False, False),
+])
+class TestNameCharacters:
+    def test_start_of_name(self, ch, starts, continues):
+        if starts:
+            assert texts(ch + "b") == [ch + "b"]
+        else:
+            assert illegal_at(ch + "b") == f"1:1: illegal character {ch!r}"
+
+    def test_inside_name(self, ch, starts, continues):
+        if continues:
+            assert texts("a" + ch + "b") == ["a" + ch + "b"]
+        else:
+            assert illegal_at("a" + ch + "b") == f"1:2: illegal character {ch!r}"
+
+    def test_after_dot(self, ch, starts, continues):
+        if starts:
+            assert texts("a." + ch + "b") == ["a." + ch + "b"]
+        else:
+            assert illegal_at("a." + ch + "b") == "1:2: illegal character '.'"
 
 
 class TestErrors:

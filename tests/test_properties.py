@@ -1,8 +1,10 @@
 """Property tests: whatever text the two readers are given, they either
-return a result or raise ParseFailure, never another exception; a
-well-formed dump reads the way a model written here says, and a generated
-trace reads back as its ground truth; and a well-formed program prints to
-source that parses back to it, and runs raising nothing but WawkError."""
+return a result or raise ParseFailure, never another exception; every
+token of a script that lexes sits at the line and column of its text,
+with only whitespace and comments between tokens; a well-formed dump
+reads the way a model written here says, and a generated trace reads
+back as its ground truth; and a well-formed program prints to source
+that parses back to it, and runs raising nothing but WawkError."""
 
 import functools
 import io
@@ -17,6 +19,7 @@ from conftest import make_waveform  # noqa: E402
 from wawk import ast  # noqa: E402
 from wawk.errors import ParseFailure, WawkError  # noqa: E402
 from wawk.interp import execute  # noqa: E402
+from wawk.lexer import tokenize  # noqa: E402
 from wawk.parser import MAX_DEPTH, parse_source  # noqa: E402
 from wawk.tracegen import WORDS, TraceSpec, generate  # noqa: E402
 from wawk.vcd import parse_vcd  # noqa: E402
@@ -85,6 +88,38 @@ def test_vcd_reader_raises_only_parse_failure(text):
 @given(st.one_of(SCRIPT_TEXT, st.text()))
 def test_script_parser_raises_only_parse_failure(text):
     _only_parse_failure(parse_source, text)
+
+
+def _blank(gap):
+    """True when `gap` holds only whitespace and // comments."""
+    return all(not line.partition("//")[0].strip(" \t\r") for line in gap.split("\n"))
+
+
+@PROPERTY
+@given(SCRIPT_TEXT)
+def test_tokens_point_at_their_source_text(text):
+    try:
+        tokens = tokenize(text)
+    except ParseFailure:
+        return
+    line_starts = [0]
+    for line in text.split("\n"):
+        line_starts.append(line_starts[-1] + len(line) + 1)
+    pos = 0
+    for tok in tokens:
+        at = line_starts[tok.line - 1] + tok.col - 1
+        assert _blank(text[pos:at]), (tok, text)
+        if tok.kind == "STRING":
+            assert text[at] == '"'
+            end = at + 1
+            while text[end] != '"':
+                end += 2 if text[end] == "\\" else 1
+            end += 1
+        else:
+            assert text.startswith(tok.text, at), (tok, text)
+            end = at + len(tok.text)
+        pos = end
+    assert _blank(text[pos:]), text
 
 
 # --- well-formed dumps ---
@@ -163,8 +198,9 @@ def test_well_formed_dumps_read_as_the_model_says(dump):
     assert sorted(wave.signals) == sorted(expected)
     for n, i in enumerate(var_ids):
         name = f"top.s{n}"
-        assert wave.width_of(name) == widths[i]
-        assert [wave.value_at(name, k).bits for k in range(wave.index_count)] == expected[name]
+        series = wave.series(name)
+        assert series.width == widths[i]
+        assert [series.value_at(k).bits for k in range(wave.index_count)] == expected[name]
         for m, j in enumerate(var_ids):
             assert (wave.series(name) is wave.series(f"top.s{m}")) == (i == j)
 
@@ -190,8 +226,8 @@ def test_generated_traces_read_back_as_their_ground_truth(spec):
     assert wave.timestamps == [truth.timestamp_of(k) for k in range(truth.index_count)]
     assert sorted(wave.signals) == sorted(truth.signal_names())
     for name in truth.signal_names():
-        assert wave.width_of(name) == truth.width_of(name)
-        assert [wave.value_at(name, k).bits for k in range(wave.index_count)] == [
+        assert wave.series(name).width == truth.width_of(name)
+        assert [wave.series(name).value_at(k).bits for k in range(wave.index_count)] == [
             truth.expected_bits(name, k) for k in range(truth.index_count)]
 
 

@@ -52,24 +52,24 @@ class TestHandTrace:
 
     def test_timestamps_follow_half_period(self):
         _, truth, wave = build(self.WORDS, clock_half_period=5)
-        assert [wave.timestamp_of(i) for i in range(4)] == [0, 5, 10, 15]
+        assert [wave.timestamps[i] for i in range(4)] == [0, 5, 10, 15]
         assert truth.timestamp_of(3) == 15
 
     def test_clock_alternates_from_high(self):
         _, _, wave = build(self.WORDS)
-        bits = [wave.value_at(CLOCK_SIGNAL, i).bits for i in range(6)]
+        bits = [wave.series(CLOCK_SIGNAL).value_at(i).bits for i in range(6)]
         assert bits == ["1", "0", "1", "0", "1", "0"]
 
     def test_ack_pulses_span_one_cycle(self):
         _, _, wave = build(self.WORDS)
-        highs = [i for i in range(16) if wave.value_at(ACK_SIGNAL, i).bits == "1"]
+        highs = [i for i in range(16) if wave.series(ACK_SIGNAL).value_at(i).bits == "1"]
         assert highs == [2, 3, 10, 11]
 
     def test_rdt_holds_word_while_acked(self):
         _, _, wave = build(self.WORDS)
-        assert wave.value_at(RDT_SIGNAL, 2).to_int() == 0x00000033
-        assert wave.value_at(RDT_SIGNAL, 10).to_int() == 0x00000013
-        assert wave.value_at(RDT_SIGNAL, 0).has_xz
+        assert wave.series(RDT_SIGNAL).value_at(2).to_int() == 0x00000033
+        assert wave.series(RDT_SIGNAL).value_at(10).to_int() == 0x00000013
+        assert wave.series(RDT_SIGNAL).value_at(0).has_xz
 
     def test_scan_oracle_agrees(self):
         _, truth, wave = build(self.WORDS)
@@ -82,10 +82,10 @@ class TestGroundTruth:
     def test_expected_bits_match_parsed_waveform(self):
         text, truth, wave = build(
             ((0x00000033, 2), (0x00000013, 4), (0x00000033, 1)), dummy_signals=3)
-        assert sorted(truth.signal_names()) == sorted(wave.signal_names())
+        assert sorted(truth.signal_names()) == sorted(wave.signals)
         for name in truth.signal_names():
             for i in range(truth.index_count):
-                assert wave.value_at(name, i).bits == truth.expected_bits(name, i), (
+                assert wave.series(name).value_at(i).bits == truth.expected_bits(name, i), (
                     name, i)
 
     def test_repeated_mnemonic_collects_all_measured(self):
@@ -108,7 +108,7 @@ class TestGroundTruth:
         _, truth, wave = build(((0x00000033, 2), (0x00000013, 1)),
                                dummy_signals=2)
         name = dummy_signal_name(0)  # period 3
-        bits = [wave.value_at(name, i).bits for i in range(9)]
+        bits = [wave.series(name).value_at(i).bits for i in range(9)]
         assert bits == ["0", "0", "0", "1", "1", "1", "0", "0", "0"]
         assert truth.dummy_signals == 2
 

@@ -44,7 +44,7 @@ class TestBasics:
         wave = parse(BASIC)
         assert wave.index_count == 4
         assert wave.timestamps == [0, 5, 10, 20]
-        assert wave.timestamp_of(2) == 10
+        assert wave.timestamps[2] == 10
 
     def test_timescale(self):
         assert parse(BASIC).timescale == (1, "ns")
@@ -55,58 +55,58 @@ class TestBasics:
 
     def test_hierarchical_names(self):
         wave = parse(BASIC)
-        assert wave.signal_names() == ["top.bus", "top.clk"]
-        assert wave.width_of("top.bus") == 8
+        assert sorted(wave.signals) == ["top.bus", "top.clk"]
+        assert wave.series("top.bus").width == 8
 
     def test_values_carry_forward(self):
         wave = parse(BASIC)
-        clk = [wave.value_at("top.clk", i).bits for i in range(4)]
+        clk = [wave.series("top.clk").value_at(i).bits for i in range(4)]
         assert clk == ["0", "1", "0", "1"]
         # bus changes at 0, 1, and 3; index 2 keeps the index-1 value
-        assert wave.value_at("top.bus", 2).bits == "00000101"
+        assert wave.series("top.bus").value_at(2).bits == "00000101"
 
 
 class TestValueRules:
     def test_zero_one_left_extends_with_zeros(self):
         wave = parse(BASIC)
-        assert wave.value_at("top.bus", 1).bits == "00000101"
+        assert wave.series("top.bus").value_at(1).bits == "00000101"
 
     def test_x_left_extends_with_x(self):
         wave = parse(BASIC)
-        assert wave.value_at("top.bus", 3).bits == "x" * 8
+        assert wave.series("top.bus").value_at(3).bits == "x" * 8
 
     def test_z_left_extends_with_z(self):
         text = BASIC + "#30\nbz1 \"\n"
         wave = parse(text)
-        assert wave.value_at("top.bus", 4).bits == "zzzzzzz1"
+        assert wave.series("top.bus").value_at(4).bits == "zzzzzzz1"
 
     def test_value_before_first_change_is_all_x(self):
         text = BASIC.replace("b0 \"\n", "")  # bus first changes at index 1
         wave = parse(text)
-        assert wave.value_at("top.bus", 0).bits == "x" * 8
+        assert wave.series("top.bus").value_at(0).bits == "x" * 8
 
     def test_declared_but_never_dumped_reads_x(self):
         text = BASIC.replace('$var wire 8 " bus [7:0] $end',
                              '$var wire 8 " bus [7:0] $end\n$var wire 4 # spare $end')
         wave = parse(text)
         for i in range(4):
-            assert wave.value_at("top.spare", i).bits == "xxxx"
+            assert wave.series("top.spare").value_at(i).bits == "xxxx"
 
     def test_same_index_last_write_wins(self):
         text = BASIC + "#30\nb1 \"\nb1010 \"\n"
         wave = parse(text)
-        assert wave.value_at("top.bus", 4).bits == "00001010"
+        assert wave.series("top.bus").value_at(4).bits == "00001010"
 
     def test_case_insensitive_value_characters(self):
         text = BASIC + "#30\nbX1Z0 \"\n#40\nZ!\n"
         wave = parse(text)
-        assert wave.value_at("top.bus", 4).bits == "xxxxx1z0"
-        assert wave.value_at("top.clk", 5).bits == "z"
+        assert wave.series("top.bus").value_at(4).bits == "xxxxx1z0"
+        assert wave.series("top.clk").value_at(5).bits == "z"
 
     def test_vector_id_on_next_line(self):
         text = BASIC + "#30\nb111\n\"\n"
         wave = parse(text)
-        assert wave.value_at("top.bus", 4).bits == "00000111"
+        assert wave.series("top.bus").value_at(4).bits == "00000111"
 
     def test_changes_before_first_timestamp_land_at_index_zero(self):
         text = """\
@@ -119,14 +119,14 @@ b11 !
 """
         wave = parse(text)
         assert wave.timestamps == [3, 4]
-        assert wave.value_at("a", 0).bits == "10"
-        assert wave.value_at("a", 1).bits == "11"
+        assert wave.series("a").value_at(0).bits == "10"
+        assert wave.series("a").value_at(1).bits == "11"
 
     def test_every_hash_makes_an_index_even_without_changes(self):
         text = "$var wire 1 ! a $end\n$enddefinitions $end\n#0\n1!\n#7\n#9\n"
         wave = parse(text)
         assert wave.index_count == 3
-        assert [wave.value_at("a", i).bits for i in range(3)] == ["1", "1", "1"]
+        assert [wave.series("a").value_at(i).bits for i in range(3)] == ["1", "1", "1"]
 
     def test_id_code_aliasing_fans_out(self):
         text = """\
@@ -141,8 +141,8 @@ $enddefinitions $end
 0!
 """
         wave = parse(text)
-        assert wave.value_at("top.a", 1).bits == "0"
-        assert wave.value_at("top.mirror", 1).bits == "0"
+        assert wave.series("top.a").value_at(1).bits == "0"
+        assert wave.series("top.mirror").value_at(1).bits == "0"
 
 
 class TestErrors:
@@ -252,7 +252,7 @@ class TestErrors:
 
     def test_widest_var(self):
         wave = parse("$var wire 65536 ! a $end\n$enddefinitions $end\n#0\nb1 !\n")
-        assert wave.value_at("a", 0).bits == "0" * 65535 + "1"
+        assert wave.series("a").value_at(0).bits == "0" * 65535 + "1"
         with pytest.raises(MalformedHeaderError, match="line 1: .* limit of 65536 bits"):
             parse("$var wire 65537 ! a $end\n$enddefinitions $end\n")
 
@@ -270,10 +270,10 @@ $comment mid-stream note $end
 1!
 """
         wave = parse(text)
-        assert wave.value_at("a", 0).bits == "1"
+        assert wave.series("a").value_at(0).bits == "1"
 
     def test_dumpvars_block_is_transparent(self):
         # values inside and outside the block behave identically
         inside = parse(BASIC)
         outside = parse(BASIC.replace("$dumpvars\n", "").replace("$end\n#5", "#5"))
-        assert inside.value_at("top.clk", 0) == outside.value_at("top.clk", 0)
+        assert inside.series("top.clk").value_at(0) == outside.series("top.clk").value_at(0)
