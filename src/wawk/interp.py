@@ -6,6 +6,15 @@ statement is evaluated at every index of the waveform in source order
 once. Variables are global and dynamically typed; `args` is pre-bound to
 the command-line argument list.
 
+The sweep visits only the indexes where a statement can fire, which
+gives the same output, variables and errors as visiting every one (see
+_plan). A statement's head, its leading conditions that read only
+signals and literals, is constant between the indexes where one of its
+signals changes, so it is evaluated once per such stretch, and the
+statement is visited only in the stretches where the head can hold.
+When a statement's first condition reads anything else, or a sweep
+statement calls `alias`, every statement is visited at every index.
+
 Value domain: Python ints, strings, lists, four-state logic Values, and
 two absence markers. UNBOUND is what reading a never-assigned variable
 yields inside a condition (falsy, so "has this been set yet" patterns
@@ -21,12 +30,17 @@ list appends the right operand in place and yields the list; `/` is
 integer division truncating toward zero; `average` rounds half up.
 
 Expression dispatch is a dict keyed on the node class rather than
-match/case: the sweep visits every statement at every index, so this is
-the hottest loop in the package.
+match/case: the sweep evaluates conditions at up to every index, so this
+is the hottest loop in the package.
 """
 
+import heapq
 import sys
-from typing import IO, Sequence
+from bisect import bisect_left, bisect_right
+from dataclasses import fields, is_dataclass
+from itertools import chain, groupby, repeat, starmap
+from operator import itemgetter
+from typing import IO, Iterator, Sequence
 
 from . import ast
 from .errors import (
@@ -361,12 +375,16 @@ class Environment:
             left = left.to_int()
         if isinstance(right, Value):
             right = right.to_int()
+        cls = left.__class__
+        if (cls is int or cls is str) and right.__class__ is cls:
+            return cmp(left, right)  # the common case; below, find what is wrong
         if isinstance(left, str) != isinstance(right, str):
             raise TypeMismatchError(
                 f"cannot compare {_type_name(left)} with {_type_name(right)} using {op!r}"
             )
-        if not isinstance(left, (int, str)) or isinstance(left, bool):
-            raise TypeMismatchError(f"cannot compare {_type_name(left)} values with {op!r}")
+        for operand in (left, right):
+            if not isinstance(operand, (int, str)) or isinstance(operand, bool):
+                raise TypeMismatchError(f"cannot compare {_type_name(operand)} values with {op!r}")
         return cmp(left, right)
 
     def _e_subscript(self, node: ast.Subscript, cond: bool) -> object:
@@ -476,6 +494,144 @@ _EVAL = {
 }
 
 
+def _walk(node) -> Iterator:
+    """`node` and every syntax node below it. Fields are read one by one:
+    vars() would give each node a dict, and attribute reads from such
+    a node are slower in every later sweep."""
+    yield node
+    for field in fields(node):
+        child = getattr(node, field.name)
+        for item in child if isinstance(child, tuple) else (child,):
+            if is_dataclass(item):
+                yield from _walk(item)
+
+
+def _reads(node, env: Environment, assigned: set) -> list | None:
+    """The (SignalSeries, offset) pairs a pure condition reads, or None
+    when `node` is not pure: it must read only signals, `sig@k` and
+    literals through operators, and a plain name counts as a signal only
+    if it is no variable now and no sweep body assigns it."""
+    cls = node.__class__
+    if cls is ast.IntLit or cls is ast.StrLit:
+        return []
+    if cls is ast.Ident or cls is ast.OffsetRef:
+        if cls is ast.OffsetRef:  # reads a signal even where a variable has its name
+            name, k = node.signal.name, node.offset
+        elif node.name in env.variables or node.name in assigned:
+            return None
+        else:
+            name, k = node.name, 0
+        series = env.waveform.signals.get(env.aliases.get(name, name))
+        return None if series is None else [(series, k)]
+    if cls is ast.Unary:
+        return _reads(node.operand, env, assigned)
+    if cls is ast.Binary:
+        left = _reads(node.left, env, assigned)
+        right = _reads(node.right, env, assigned)
+        return None if left is None or right is None else left + right
+    return None
+
+
+def _can_raise(node) -> bool:
+    """False when evaluating the pure condition `node` cannot raise: it
+    only reads signals and literals through '!', '&&' and '||'."""
+    cls = node.__class__
+    if cls is ast.Unary:
+        return node.op != "!" or _can_raise(node.operand)
+    if cls is ast.Binary:
+        return (node.op not in ("&&", "||")
+                or _can_raise(node.left) or _can_raise(node.right))
+    return False
+
+
+def _cuts(indexes: list, k: int, count: int, lo: int, hi: int) -> Iterator[int]:
+    """The indexes in (lo, hi), ascending, where `sig@k` can change: where
+    the read enters and leaves the trace, and `sig`'s changes less k."""
+    if lo < -k < hi:
+        yield -k
+    for j in range(bisect_right(indexes, lo + k), bisect_left(indexes, min(hi + k, count))):
+        yield indexes[j] - k
+    if lo < count - k < hi:
+        yield count - k
+
+
+def _holds(planner: Environment, condition) -> bool:
+    try:
+        return _truthy(planner.eval(condition, True))
+    except WawkRuntimeError:
+        return True  # the sweep evaluates it here and raises the same error
+
+
+def _narrow(planner: Environment, condition, reads: list, stretches) -> Iterator:
+    """The parts of `stretches`, (start, end) pairs, where `condition` can
+    hold, adjacent parts joined: each stretch is cut where a signal the
+    condition reads can change, and the condition is evaluated once per
+    piece."""
+    count = planner.count
+    start = end = None
+    for lo, hi in stretches:
+        a = lo
+        cuts = heapq.merge(*(_cuts(series.indexes, k, count, lo, hi) for series, k in reads))
+        for b in chain(cuts, (hi,)):
+            if b == a:
+                continue
+            planner.index = a
+            if _holds(planner, condition):
+                if a != end:
+                    if start is not None:
+                        yield start, end
+                    start = a
+                end = b
+            a = b
+    if start is not None:
+        yield start, end
+
+
+def _plan(env: Environment, sweep: list) -> Iterator | None:
+    """The sweep's visits as (index, statements) pairs, in index and then
+    source order, skipping every index where no statement can fire; None
+    when every statement must be visited at every index.
+
+    A statement's head is its leading pure conditions (see _reads), up to
+    and including the first that can raise. Between the cuts of its
+    signals each head condition is constant, so a stretch where one is
+    false holds no visit: the sweep would stop at that condition or at an
+    earlier false one without raising. The head is narrowed starting from
+    its condition whose signals change least. The conditions are
+    evaluated in an Environment of their own, so the sweep's index and
+    variables are never touched."""
+    assigned = set()
+    for _, conditions, body in sweep:
+        for node in chain.from_iterable(map(_walk, conditions + body)):
+            if node.__class__ is ast.Call and node.func == "alias":
+                return None
+            if node.__class__ is ast.Assign:
+                assigned.add(node.name)
+    planner = Environment(env.waveform, modules=env.modules)
+    planner.aliases = env.aliases
+    streams = []
+    for position, (_, conditions, _) in enumerate(sweep):
+        head = []
+        for condition in conditions:
+            reads = _reads(condition, env, assigned)
+            if reads is None:
+                break
+            head.append((sum(len(series.indexes) for series, _ in reads), condition, reads))
+            if _can_raise(condition):
+                break
+        if not head:
+            return None
+        stretches = [(0, env.count)]
+        for _, condition, reads in sorted(head, key=itemgetter(0)):
+            stretches = _narrow(planner, condition, reads, stretches)
+        indexes = chain.from_iterable(starmap(range, stretches))
+        streams.append(zip(indexes, repeat(position)))
+    return (
+        (index, [sweep[position] for _, position in group])
+        for index, group in groupby(heapq.merge(*streams), itemgetter(0))
+    )
+
+
 def execute(
     program: ast.Program,
     waveform: Waveform,
@@ -505,12 +661,15 @@ def execute(
         if isinstance(stmt.trigger, ast.Conditions)
     ]
     if sweep:
+        visits = _plan(env, sweep)
+        if visits is None:
+            visits = zip(range(env.count), repeat(sweep))
         evaluate = env.eval
         truthy = _truthy
         exec_body = env.exec_body
-        for index in range(env.count):
+        for index, statements in visits:
             env.index = index
-            for ordinal, conditions, body in sweep:
+            for ordinal, conditions, body in statements:
                 try:
                     for condition in conditions:
                         if not truthy(evaluate(condition, True)):

@@ -60,6 +60,7 @@ class Token:
     line: int
     col: int
     value: object = None  # decoded payload for INT and STRING
+    width: int = 0  # length of the source text, quotes and escapes included
 
 
 def tokenize(source: str) -> list[Token]:
@@ -108,6 +109,6 @@ def tokenize(source: str) -> list[Token]:
         elif kind == "op":
             kind = text
         if kind != "skip":
-            out.append(Token(kind, text, line, col, value))
+            out.append(Token(kind, text, line, col, value, end - pos))
         pos = end
     return out

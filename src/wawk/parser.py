@@ -40,7 +40,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         if tokens:
             last = tokens[-1]
-            eof = Token("EOF", "", last.line, last.col + len(last.text))
+            eof = Token("EOF", "", last.line, last.col + last.width)
         else:
             eof = Token("EOF", "", 1, 1)
         self.tokens = tokens + [eof]

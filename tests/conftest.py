@@ -1,7 +1,9 @@
 import io
+from contextlib import contextmanager
 
 import pytest
 
+from wawk import interp
 from wawk.interp import execute
 from wawk.parser import parse_source
 from wawk.value import Value
@@ -77,3 +79,17 @@ def clocked_wave():
     clk = [(i, "10"[i % 2]) for i in range(20)]
     counter = [(i, format(i // 2, "08b")) for i in range(0, 20, 2)]
     return make_waveform(20, {"top.clk": (1, clk), "top.counter": (8, counter)})
+
+
+@pytest.fixture(scope="session")
+def dense_sweep():
+    """A context manager under which execute() visits every statement at
+    every index, the order the planned sweep must agree with."""
+
+    @contextmanager
+    def dense():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(interp, "_plan", lambda env, sweep: None)
+            yield
+
+    return dense

@@ -117,7 +117,7 @@ def test_a1_canned_trace_report(criterion):
         info["note"] = "36 report lines exact"
 
 
-def test_a2_randomized_cross_validation(criterion):
+def test_a2_randomized_cross_validation(criterion, dense_sweep):
     with criterion("A2 interpreter == direct scan == generator bookkeeping "
                    "on 100 random traces") as info:
         rng = random.Random(0xA2C0FFEE)
@@ -149,15 +149,18 @@ def test_a2_randomized_cross_validation(criterion):
             measured = truth.measured_mnemonics()
             if measured:
                 mnemonic = rng.choice(measured)
-                line, env = run_bundled(program, wave, mnemonic)
                 oracle = scanned[mnemonic]
-                assert env.variables["cpis"] == oracle, (k, mnemonic)
-                assert line == expected_report_line(mnemonic, oracle), (k, mnemonic)
+                with dense_sweep():
+                    dense = run_bundled(program, wave, mnemonic)
+                for line, env in (run_bundled(program, wave, mnemonic), dense):
+                    assert env.variables["cpis"] == oracle, (k, mnemonic)
+                    assert line == expected_report_line(mnemonic, oracle), (k, mnemonic)
                 interp_runs += 1
         # single-instruction specs measure nothing; most specs must still
         # have exercised the interpreter
         assert interp_runs >= 85
-        info["note"] = f"{total_indexes} indexes, {interp_runs} interpreter runs"
+        info["note"] = (f"{total_indexes} indexes, {interp_runs} interpreter runs, "
+                        "each planned and dense")
 
 
 def test_a3_generated_traces_parse_back_bit_exact(criterion):

@@ -248,6 +248,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert "statement 1 (BEGIN)" in err
 
+    @pytest.mark.parametrize("expr", ["1 < [1]", "0 < args"])
+    def test_comparison_with_a_list_on_the_right_exits_1(self, tmp_path, small_vcd, capsys, expr):
+        script = tmp_path / "s.wawk"
+        script.write_text(f"BEGIN: {{ x = {expr}; }}")
+        assert main(["run", str(script), str(small_vcd)]) == 1
+        op = expr.split()[1]
+        assert capsys.readouterr().err == (
+            f"wawk: statement 1 (BEGIN): cannot compare list values with '{op}'\n")
+
     def test_runtime_error_mid_sweep_exits_1(self, tmp_path, small_vcd, capsys):
         script = tmp_path / "s.wawk"
         script.write_text("INDEX == 2: { v = 1 / 0; }")

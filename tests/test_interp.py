@@ -293,6 +293,14 @@ class TestValuesAndOperators:
         with pytest.raises(TypeMismatchError):
             run_script('BEGIN: { v = ("a" == 1); }', empty_wave)
 
+    @pytest.mark.parametrize("expr", ["1 < [1]", "[1] < 2", "0 < args", "args >= 0",
+                                      "1 == [1]", "[1] == 1", "[1] != [1]"])
+    def test_a_list_on_either_side_of_a_comparison_raises(self, empty_wave, expr):
+        op = expr.split()[1]
+        with pytest.raises(TypeMismatchError,
+                           match=f"^statement 1 \\(BEGIN\\): cannot compare list values with '{op}'$"):
+            run_script(f"BEGIN: {{ v = {expr}; }}", empty_wave)
+
     def test_logical_operators_return_ints(self, empty_wave):
         _, env = run_script("BEGIN: { a = 2 && 3; b = 0 || 7; c = 0 && 1; }", empty_wave)
         assert env.variables["a"] == 1

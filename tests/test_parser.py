@@ -200,6 +200,13 @@ class TestErrors:
         assert exc.value.line == 1
         assert exc.value.col == 14
 
+    @pytest.mark.parametrize("source", ['BEGIN: { x = "abcdefgh"', r'BEGIN: { x = "\t\t\t\t"'])
+    def test_end_of_input_after_a_string_is_past_its_closing_quote(self, source):
+        assert len(source) == 23
+        with pytest.raises(UnexpectedTokenError, match="^1:24: expected ';' after assignment, "
+                                                       "found 'end of input'$"):
+            parse_source(source)
+
 
 class TestDepthLimit:
     def test_max_depth_parses_runs_and_prints(self):

@@ -1,0 +1,233 @@
+"""The planned sweep against the dense one.
+
+execute() visits only the indexes where a statement's signal-only head
+can hold (interp._plan); visiting every statement at every index is the
+order it must agree with. Every test here runs a script both ways and
+requires the same output, the same final variables and the same error,
+context included: on random well-formed programs over small waveforms
+with x/z bits, late first changes and offsets past the trace, and on the
+cases the planner must get right or decline.
+"""
+
+import io
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from conftest import make_waveform  # noqa: E402
+from test_properties import PROGRAMS, PROPERTY, WAVE, bodies, top_exprs  # noqa: E402
+from wawk import ast, interp  # noqa: E402
+from wawk.errors import WawkRuntimeError, XZConversionError  # noqa: E402
+from wawk.interp import default_native_modules, execute  # noqa: E402
+from wawk.parser import MAX_DEPTH, parse_source  # noqa: E402
+
+WAVES = [
+    WAVE,
+    # one index; clk never changes, so it reads all x
+    make_waveform(1, {"clk": (1, []), "top.bus": (8, [(0, "00000001")]),
+                      "x": (2, [(0, "1x")])}),
+    # no change at index 0, z bits, a change at the last index
+    make_waveform(7, {
+        "clk": (1, [(2, "1"), (3, "0"), (4, "1"), (6, "z")]),
+        "top.bus": (8, [(1, "0000000z"), (4, "00000100"), (5, "00000000"), (6, "00000011")]),
+        "x": (2, [(0, "1x"), (3, "10")]),
+    }),
+    # two indexes: every offset of 2 or more lands outside the trace
+    make_waveform(2, {"clk": (1, [(0, "0"), (1, "1")]), "top.bus": (8, [(1, "00000101")])}),
+    make_waveform(0, {"clk": (1, []), "top.bus": (8, [])}),
+]
+
+
+def outcome(program, wave, args=(), modules=None):
+    """What one run shows: stdout, then the final variables or the error."""
+    out = io.StringIO()
+    try:
+        env = execute(program, wave, args=args, out=out, modules=modules)
+    except WawkRuntimeError as err:
+        return out.getvalue(), (type(err), err.message, err.context)
+    return out.getvalue(), repr(env.variables)  # repr: a list may hold itself
+
+
+def agree(dense_sweep, program, waves, args=()):
+    """Run `program` over each of `waves` planned and dense, requiring the
+    same outcome; returns the planned outcomes."""
+    found = []
+    for wave in waves:
+        with dense_sweep():
+            dense = outcome(program, wave, args)
+        planned = outcome(program, wave, args)
+        assert planned == dense, (ast.to_source(program), wave.index_count)
+        found.append(planned)
+    return found
+
+
+# Conditions the planner can take: literals, signals and offsets through
+# operators, comparisons and arithmetic included, so one can raise. `x`
+# is a signal only until a body assigns it.
+PURE = st.recursive(
+    st.one_of(
+        st.builds(ast.IntLit, st.integers(0, 5)),
+        st.builds(ast.StrLit, st.sampled_from(["", "a"])),
+        st.builds(ast.Ident, st.sampled_from(["clk", "top.bus", "x"])),
+        st.builds(ast.OffsetRef, st.builds(ast.Ident, st.sampled_from(["clk", "top.bus"])),
+                  st.integers(-9, 9)),
+    ),
+    lambda inner: st.one_of(
+        st.builds(ast.Unary, st.sampled_from("!-"), inner),
+        st.builds(ast.Binary, st.sampled_from(sorted(ast.PRECEDENCE)), inner, inner),
+    ),
+    max_leaves=4,
+)
+HEADS = st.builds(
+    lambda first, rest: ast.Conditions((first, *rest)),
+    PURE, st.lists(st.one_of(PURE, top_exprs(MAX_DEPTH)), max_size=2))
+PLANNABLE = st.lists(
+    st.builds(ast.Statement, st.one_of(HEADS, HEADS, st.just(ast.Begin())), bodies(MAX_DEPTH)),
+    min_size=1, max_size=3,
+).map(lambda s: ast.Program(tuple(s)))
+
+
+@PROPERTY
+@given(PROGRAMS)
+def test_random_programs_run_the_same_planned_and_dense(dense_sweep, program):
+    agree(dense_sweep, program, WAVES)
+
+
+@PROPERTY
+@given(PLANNABLE)
+def test_random_signal_heads_run_the_same_planned_and_dense(dense_sweep, program):
+    agree(dense_sweep, program, WAVES)
+
+
+# --- the cases the planner must get right or decline ---
+
+SIG_SIGNALS = {
+    "s": (1, [(0, "0"), (1, "1"), (2, "0"), (4, "1")]),
+    "bus": (4, [(0, "0011"), (3, "0x00"), (5, "0001")]),
+}
+SIG = make_waveform(6, SIG_SIGNALS)
+
+
+@pytest.fixture
+def visited(monkeypatch):
+    """Per execute(), the (index, statement ordinals) pairs the sweep
+    visits, or None when it fell back to every statement at every index."""
+    runs = []
+    real = interp._plan
+
+    def spy(env, sweep):
+        plan = real(env, sweep)
+        if plan is None:
+            runs.append(None)
+            return None
+        plan = list(plan)
+        runs.append([(index, [stmt[0] for stmt in stmts]) for index, stmts in plan])
+        return iter(plan)
+
+    monkeypatch.setattr(interp, "_plan", spy)
+    return runs
+
+
+def run_both(dense_sweep, source, wave=SIG, args=()):
+    ((out, result),) = agree(dense_sweep, parse_source(source), [wave], args)
+    return out, result
+
+
+class TestPlan:
+    def test_only_indexes_where_the_head_holds_are_visited(self, dense_sweep, visited):
+        out, _ = run_both(dense_sweep, 's, !s@-1: { printf("%d ", INDEX); }')
+        assert out == "1 4 "
+        assert visited[-1] == [(1, [1]), (4, [1])]
+
+    def test_the_sweep_reads_the_cheapest_condition_first_without_changing_order(
+            self, dense_sweep, visited):
+        wave = make_waveform(8, {"clk": (1, [(i, "01"[i % 2]) for i in range(8)]),
+                                 "fire": (1, [(0, "0"), (5, "1"), (6, "0")])})
+        out, _ = run_both(dense_sweep, 'clk, fire: { printf("%d ", INDEX); }', wave)
+        assert out == "5 "
+        assert visited[-1] == [(5, [1])]
+
+    def test_a_head_name_assigned_in_a_sweep_body_stays_a_variable(self, dense_sweep, visited):
+        # s reads the signal until the body assigns it, then the variable
+        out, _ = run_both(dense_sweep, 's: { printf("%d ", INDEX); s = INDEX < 3; }')
+        assert out == "1 2 3 "
+        assert visited[-1] is None
+
+    def test_a_head_name_assigned_only_in_begin_stays_a_variable(self, dense_sweep, visited):
+        out, _ = run_both(dense_sweep, 'BEGIN: { s = 1; }\ns: { printf("%d ", INDEX); }')
+        assert out == "0 1 2 3 4 5 "
+        assert visited[-1] is None
+
+    def test_alias_in_a_sweep_body_visits_every_index(self, dense_sweep, visited):
+        # from index 0 on, s names bus, which holds where the signal s does not
+        wave = make_waveform(6, {**SIG_SIGNALS, "go": (1, [(0, "1"), (1, "0")])})
+        out, _ = run_both(dense_sweep, 'go: { alias(s, bus); }\ns: { printf("%d ", INDEX); }',
+                          wave)
+        assert out == "0 1 2 5 "
+        assert visited[-1] is None
+        run_both(dense_sweep, 'BEGIN: { alias(a, s); }\na: { printf("%d ", INDEX); }')
+        assert visited[-1] == [(1, [2]), (4, [2]), (5, [2])]
+
+    @pytest.mark.parametrize("head", ["INDEX > 3", "length([1]) == 1", "args", "nope"])
+    def test_a_first_condition_that_is_not_signal_only_visits_every_index(
+            self, dense_sweep, visited, head):
+        run_both(dense_sweep, f'{head}, s: {{ printf("%d ", INDEX); }}', args=["a"])
+        assert visited[-1] is None
+
+    def test_index_and_calls_after_a_signal_head_run_only_where_it_holds(
+            self, dense_sweep, visited):
+        modules = default_native_modules()
+        calls = []
+        modules["probe"] = {"bump": lambda args: calls.append(args[0]) or 1}
+        program = parse_source("BEGIN: { import(probe); }\n"
+                               "s, call(probe.bump, INDEX), INDEX > 1: { n = INDEX; }")
+        env = execute(program, SIG, out=io.StringIO(), modules=modules)
+        assert calls == [1, 4, 5]
+        assert env.variables["n"] == 5
+        assert visited[-1] == [(1, [2]), (4, [2]), (5, [2])]
+
+    def test_a_head_that_raises_at_a_later_index(self, dense_sweep):
+        _, error = run_both(dense_sweep, "bus + 1: { n = INDEX; }")
+        assert error[0] is XZConversionError
+        assert error[2] == "statement 1 at index 3"
+        # a false condition before it stops the sweep first
+        _, result = run_both(dense_sweep, "BEGIN: { n = 0; }\n!s@1, bus + 1: { n = n + 1; }")
+        assert result == "{'args': [], 'n': 3}"
+        _, error = run_both(dense_sweep, "bus + 1, !s@1: { n = INDEX; }")
+        assert error[2] == "statement 1 at index 3"
+
+    @pytest.mark.parametrize("k, expected", [
+        (6, ""), (-6, ""), (10**30, ""), (5, "0 "), (-5, "5 ")])
+    def test_offsets_at_and_past_the_trace_length(self, dense_sweep, k, expected):
+        out, _ = run_both(dense_sweep, f'bus@{k}: {{ printf("%d ", INDEX); }}')
+        assert out == expected
+        out, _ = run_both(dense_sweep, f'!bus@{k}: {{ printf("%d ", INDEX); }}')
+        assert len(out.split()) == 6 - len(expected.split())
+
+    def test_a_read_before_the_first_change_differs_from_one_before_the_trace(
+            self, dense_sweep):
+        # late@-1 is out of range at index 0, which compares as false, but
+        # all x at index 1, which cannot be compared
+        wave = make_waveform(6, {"late": (2, [(3, "01")])})
+        _, error = run_both(dense_sweep, "late@-1 == 0: { }", wave)
+        assert error[0] is XZConversionError
+        assert error[2] == "statement 1 at index 1"
+
+    def test_a_later_statement_assigns_what_an_earlier_one_reads(self, dense_sweep, visited):
+        # the @cpi pattern: at one index the first statement reads `start`
+        # before the second statement sets it
+        source = ('s, start: { printf("%d-%d ", start, INDEX); }\n'
+                  "s: { start = INDEX; }")
+        out, _ = run_both(dense_sweep, source)
+        assert out == "1-4 4-5 "
+        assert visited[-1] == [(1, [1, 2]), (4, [1, 2]), (5, [1, 2])]
+
+    def test_a_trace_of_one_index(self, dense_sweep, visited):
+        wave = make_waveform(1, {"s": (1, [(0, "1")])})
+        source = 's, !s@-1, !s@1: { printf("%d ", INDEX); }\n!s: { printf("never"); }'
+        out, _ = run_both(dense_sweep, source, wave)
+        assert out == "0 "
+        assert visited[-1] == [(0, [1])]
