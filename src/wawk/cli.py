@@ -11,8 +11,10 @@ script syntax error, bad spec).
 """
 
 import argparse
+import io
 import os
 import sys
+from contextlib import contextmanager
 from importlib import resources
 
 from .errors import ParseFailure, RunFailure, WawkSyntaxError
@@ -67,26 +69,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _open_text(path: str, encoding: str, errors: str = "strict"):
+    """The file at `path`, or stdin for "-", decoded from its bytes whatever
+    the locale's codec. Stdin stays open; a stdin with no bytes under it
+    (an in-process caller's StringIO) is taken as it is."""
+    if path != "-":
+        with open(path, "r", encoding=encoding, errors=errors) as f:
+            yield f
+    elif not hasattr(sys.stdin, "buffer"):
+        yield sys.stdin
+    else:
+        f = io.TextIOWrapper(sys.stdin.buffer, encoding=encoding, errors=errors)
+        try:
+            yield f
+        finally:
+            f.detach()
+
+
 def _fail(message: str, code: int) -> int:
     print(f"wawk: {message}", file=sys.stderr)
     return code
 
 
 def _cmd_run(opts) -> int:
-    script_name = opts.script
+    script_name = "<stdin>" if opts.script == "-" else opts.script
     if opts.script.startswith("@"):
         try:
             source = bundled_script(opts.script[1:])
         except FileNotFoundError:
             return _fail(f"no bundled script named {opts.script!r}", 2)
-    elif opts.script == "-":
-        if opts.vcd == "-":
-            return _fail("only one of the script and the VCD can come from stdin", 2)
-        script_name = "<stdin>"
-        source = sys.stdin.read()
+    elif opts.script == "-" and opts.vcd == "-":
+        return _fail("only one of the script and the VCD can come from stdin", 2)
     else:
         try:
-            with open(opts.script, "r", encoding="utf-8") as f:
+            with _open_text(opts.script, "utf-8") as f:
                 source = f.read()
         except (OSError, UnicodeDecodeError) as err:
             return _fail(f"cannot read script: {err}", 2)
@@ -97,7 +114,8 @@ def _cmd_run(opts) -> int:
 
     try:
         if opts.vcd == "-":
-            waveform = parse_vcd(sys.stdin)
+            with _open_text("-", "ascii", "replace") as f:  # as parse_vcd_file reads
+                waveform = parse_vcd(f)
         else:
             waveform = parse_vcd_file(opts.vcd)
     except OSError as err:
@@ -122,11 +140,8 @@ def _cmd_gen(opts) -> int:
             spec = table1_spec(opts.half_period, opts.dummy_signals)
         else:
             try:
-                if opts.specfile == "-":
-                    spec = parse_spec_file(sys.stdin.read())
-                else:
-                    with open(opts.specfile, "r", encoding="utf-8") as f:
-                        spec = parse_spec_file(f.read())
+                with _open_text(opts.specfile, "utf-8") as f:
+                    spec = parse_spec_file(f.read())
             except (OSError, UnicodeDecodeError) as err:
                 return _fail(f"cannot read spec: {err}", 2)
             spec.clock_half_period = opts.half_period

@@ -2,9 +2,13 @@
 
 Covers the plain-text subset that simulator frontends like Verilator and
 Icarus actually emit: $timescale/$scope/$var/$upscope/$enddefinitions
-headers, module scopes, wire/reg variables, `#` timestamps, scalar and
-binary vector changes, and transparent $dumpvars/$comment blocks. Real
-(`r`) changes and non-module scopes are rejected rather than guessed at.
+headers; module, begin, task, function and fork scopes; wire, reg,
+integer, logic, parameter, tri, supply0 and supply1 variables, with an
+optional range that may hold spaces (`[7 : 0]`); `#` timestamps; scalar
+and binary vector changes; $dumpvars, $dumpoff, $dumpon and $dumpall
+blocks, whose changes apply at the current index; and skipped
+$comment/$date/$version blocks. Real (`r`) changes, real variables and
+other scope types are rejected rather than guessed at.
 
 Every `#` directive opens a new index on the time axis, even if no change
 follows it; changes before the first `#` belong to index 0, and repeated
@@ -13,6 +17,13 @@ shorter than the declared width are left-extended with 0 for leading 0/1
 and with x/z for leading x/z, per the dump format's extension rule. A $var
 may be at most MAX_WIDTH (65,536) bits wide, and names that share an id
 code share one SignalSeries.
+
+The change region is read a line at a time. A line that is one scalar
+change (`1!`) is looked up whole in a table built from the header, and a
+line that is one timestamp (`#40`) is stepped directly; any other line,
+and every line inside a $comment-style block or after a vector that
+waits for its id code, goes through the token loop, which is the
+reference reading and raises every error.
 """
 
 from itertools import chain
@@ -30,10 +41,13 @@ from .value import SCALARS, Value
 from .waveform import SignalSeries, Waveform
 
 _TIME_UNITS = ("fs", "ps", "ns", "us", "ms", "s")
-_VAR_TYPES = ("wire", "reg")
+_SCOPE_TYPES = ("module", "begin", "task", "function", "fork")
+_VAR_TYPES = ("wire", "reg", "integer", "logic", "parameter", "tri", "supply0", "supply1")
 _SKIP_DIRECTIVES = ("$comment", "$date", "$version")
+_DUMP_BLOCKS = ("$dumpvars", "$dumpoff", "$dumpon", "$dumpall", "$end")
 # widest $var accepted: the smallest vector-length limit IEEE 1364 lets a tool set
 MAX_WIDTH = 65536
+_TABLE_WIDTH = 64
 
 
 class _Tokens:
@@ -75,6 +89,10 @@ def _decimal(text: str) -> int | None:
         return None
 
 
+def _is_range(text: str) -> bool:
+    return text.startswith("[") and text.endswith("]")
+
+
 def _parse_timescale(parts: list[str], line: int) -> tuple[int, str]:
     text = "".join(parts)
     digits = text.rstrip("".join(_TIME_UNITS))
@@ -83,6 +101,29 @@ def _parse_timescale(parts: list[str], line: int) -> tuple[int, str]:
     if unit not in _TIME_UNITS or magnitude is None:
         raise MalformedHeaderError(f"invalid $timescale {' '.join(parts)!r}", line)
     return magnitude, unit
+
+
+def _widened(bits: str, width: int) -> Value:
+    """`bits` left-extended to `width`: with 0 after a leading 0 or 1, else
+    with the leading x or z."""
+    if len(bits) < width:
+        lead = bits[0]
+        bits = ("0" if lead in "01" else lead) * (width - len(bits)) + bits
+    return SCALARS[bits] if width == 1 else Value(bits)
+
+
+def _line_table(ids: dict[str, SignalSeries]) -> dict[str, tuple[Value, list, list]]:
+    """The text of each line that is one scalar change, such as "0!\\n",
+    mapped to the value it stores and the lists it goes into. An id code
+    wider than _TABLE_WIDTH bits gets no entries, as six values of up to
+    MAX_WIDTH bits would be built for a change dumpers rarely write; its
+    scalar changes take the token loop."""
+    return {
+        f"{c}{id_code}\n": (_widened(c.lower(), series.width), series.indexes, series.values)
+        for id_code, series in ids.items()
+        if series.width <= _TABLE_WIDTH
+        for c in "01xzXZ"
+    }
 
 
 class _Parser:
@@ -153,7 +194,7 @@ class _Parser:
         if len(parts) != 2:
             raise MalformedHeaderError(f"malformed $scope {' '.join(parts)!r}", self.tokens.line)
         scope_type, name = parts
-        if scope_type != "module":
+        if scope_type not in _SCOPE_TYPES:
             raise UnsupportedVcdFeatureError(
                 f"unsupported scope type {scope_type!r}", self.tokens.line
             )
@@ -161,8 +202,8 @@ class _Parser:
 
     def _parse_var(self) -> None:
         parts = self._until_end("$var")
-        # $var <type> <width> <id> <name> [<range>] $end
-        if len(parts) not in (4, 5):
+        # $var <type> <width> <id> <name> [<range>] $end; the range may hold spaces
+        if len(parts) < 4 or (len(parts) > 5 and not _is_range("".join(parts[4:]))):
             raise MalformedHeaderError(f"malformed $var {' '.join(parts)!r}", self.tokens.line)
         var_type, width_text, id_code, short_name = parts[:4]
         if var_type not in _VAR_TYPES:
@@ -175,7 +216,7 @@ class _Parser:
         if width > MAX_WIDTH:
             message = f"$var width {width_text} is over the limit of {MAX_WIDTH} bits"
             raise MalformedHeaderError(message, self.tokens.line)
-        if len(parts) == 5 and not (parts[4].startswith("[") and parts[4].endswith("]")):
+        if len(parts) == 5 and not _is_range(parts[4]):
             raise MalformedHeaderError(
                 f"unexpected trailing token {parts[4]!r} in $var", self.tokens.line
             )
@@ -195,24 +236,23 @@ class _Parser:
     def parse_changes(self) -> Waveform:
         timestamps: list[int] = []
         ids = self.ids
+        table = _line_table(ids)
         vector_bits: str | None = None
         skipping = False  # inside a $comment-style block
+        # no block open and no vector waiting: the line table applies (not to
+        # the rest of the $enddefinitions line, the first one read here)
+        fast = False
         cur = 0  # index of the latest '#', and 0 before the first one
 
         def store(bits: str, id_code: str, line: int) -> None:
             series = ids.get(id_code)
             if series is None:
                 raise UnknownIdCodeError(f"undeclared id code {id_code!r}", line)
-            width = series.width
-            if len(bits) > width:
+            if len(bits) > series.width:
                 raise WidthMismatchError(
-                    f"{len(bits)}-bit value for {width}-bit id code {id_code!r}", line
+                    f"{len(bits)}-bit value for {series.width}-bit id code {id_code!r}", line
                 )
-            if len(bits) < width:
-                lead = bits[0]
-                fill = "0" if lead in "01" else lead
-                bits = fill * (width - len(bits)) + bits
-            value = SCALARS[bits] if width == 1 else Value(bits)
+            value = _widened(bits, series.width)
             indexes = series.indexes
             if indexes and indexes[-1] == cur:
                 series.values[-1] = value  # same-index rewrite: last one wins
@@ -221,6 +261,22 @@ class _Parser:
                 series.values.append(value)
 
         for line, raw in self.tokens.lines():
+            if fast:  # a whole-line scalar change, or a timestamp that increases
+                hit = table.get(raw)
+                if hit is not None:
+                    value, indexes, values = hit
+                    if indexes and indexes[-1] == cur:
+                        values[-1] = value
+                    else:
+                        indexes.append(cur)
+                        values.append(value)
+                    continue
+                if raw[0] == "#" and raw[-1] == "\n":
+                    t = _decimal(raw[1:-1])
+                    if t is not None and (not timestamps or t > timestamps[-1]):
+                        cur = len(timestamps)
+                        timestamps.append(t)
+                        continue
             for tok in raw.split():
                 if skipping:
                     if tok == "$end":
@@ -254,8 +310,8 @@ class _Parser:
                     raise UnsupportedVcdFeatureError(
                         f"real-number change {tok!r} is not supported", line
                     )
-                elif tok == "$dumpvars" or tok == "$end":
-                    pass  # initial-value block is transparent
+                elif tok in _DUMP_BLOCKS:
+                    pass  # a dump block's changes apply at the current index
                 elif tok in _SKIP_DIRECTIVES:
                     skipping = True
                 elif c == "$":
@@ -264,6 +320,7 @@ class _Parser:
                     )
                 else:
                     raise VcdError(f"unrecognized token {tok!r} in change region", line)
+            fast = bool(table) and not skipping and vector_bits is None
         if vector_bits is not None:
             raise VcdError("vector value at end of file has no id code", line)
         if skipping:

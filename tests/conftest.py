@@ -3,7 +3,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from wawk import interp
+from wawk import interp, vcd
 from wawk.interp import execute
 from wawk.parser import parse_source
 from wawk.value import Value
@@ -93,3 +93,18 @@ def dense_sweep():
             yield
 
     return dense
+
+
+@pytest.fixture(scope="session")
+def token_path():
+    """A context manager under which parse_vcd() reads every line of the
+    change region through the token loop, the reading the line table must
+    agree with."""
+
+    @contextmanager
+    def tokens_only():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vcd, "_line_table", lambda ids: {})
+            yield
+
+    return tokens_only

@@ -337,6 +337,62 @@ class TestRun:
                          "parse_vcd_file", "execute"]
 
 
+class TestStdin:
+    """`-` decodes the bytes under stdin the way the same file is decoded,
+    whatever codec the locale or PYTHONIOENCODING gives sys.stdin."""
+
+    @pytest.fixture(params=["locale", "PYTHONIOENCODING=utf-8"])
+    def env(self, request):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        if request.param != "locale":
+            env["PYTHONIOENCODING"] = "utf-8"
+        return env
+
+    @staticmethod
+    def _run(args, env, stdin_path):
+        with open(stdin_path, "rb") as stdin:
+            return _run_wawk(args, env=env, stdin=stdin, capture_output=True)
+
+    def test_script_not_utf8_exits_2(self, tmp_path, small_vcd, env):
+        # the locale's codec let stdin through, or raised a traceback
+        script = tmp_path / "s.wawk"
+        script.write_bytes(b'BEGIN: { printf("hi\\n"); }\n\xff\n')
+        message = ("wawk: cannot read script: 'utf-8' codec can't decode byte 0xff "
+                   "in position 27: invalid start byte\n")
+        from_stdin = self._run(["run", "-", str(small_vcd)], env, script)
+        from_file = _run_wawk(["run", str(script), str(small_vcd)], env=env,
+                              capture_output=True)
+        assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) == (2, "", message)
+        assert (from_file.returncode, from_file.stdout, from_file.stderr) == (2, "", message)
+
+    def test_vcd_bytes_read_as_from_a_file(self, tmp_path, env):
+        # stdin gave '!\udcff\udcfe' (or a traceback), a file gives '!\ufffd\ufffd'
+        script = tmp_path / "s.wawk"
+        script.write_text("BEGIN: { }\n")
+        vcd = tmp_path / "t.vcd"
+        vcd.write_bytes(b"$var wire 1 ! a $end\n$enddefinitions $end\n#0\n1!\xff\xfe\n")
+        from_stdin = self._run(["run", str(script), "-"], env, vcd)
+        from_file = _run_wawk(["run", str(script), str(vcd)], env=env, capture_output=True)
+        assert (from_stdin.returncode, from_stdin.stdout) == (2, "")
+        assert from_stdin.stderr == from_file.stderr.replace(str(vcd), "-")
+        if "PYTHONIOENCODING" in env:
+            assert from_stdin.stderr == "wawk: -: line 4: undeclared id code '!\ufffd\ufffd'\n"
+
+    def test_spec_not_utf8_exits_2(self, tmp_path, env):
+        spec = tmp_path / "bad.spec"
+        spec.write_bytes(b"00000033 3\n\xff\n")
+        proc = self._run(["gen", "spec", "-", "-"], env, spec)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", (
+            "wawk: cannot read spec: 'utf-8' codec can't decode byte 0xff in position 11: "
+            "invalid start byte\n"))
+
+    def test_well_formed_vcd_on_stdin(self, tmp_path, small_vcd, env):
+        script = tmp_path / "s.wawk"
+        script.write_text(SMALL_SCRIPT)
+        proc = self._run(["run", str(script), "-"], env, small_vcd)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "add\naddi\n", "")
+
+
 class TestUsage:
     def test_no_arguments(self, capsys):
         assert main([]) == 2

@@ -2,8 +2,9 @@
 return a result or raise ParseFailure, never another exception; every
 token of a script that lexes sits at the line and column of its text,
 with only whitespace and comments between tokens; a well-formed dump
-reads the way a model written here says, and a generated trace reads
-back as its ground truth; and a well-formed program prints to source
+reads the way a model written here says, the VCD reader's line table
+reads any dump, or fails on it, exactly as its token loop does, and a
+generated trace reads back as its ground truth; and a well-formed program prints to source
 that parses back to it, and runs raising nothing but WawkError."""
 
 import functools
@@ -203,6 +204,70 @@ def test_well_formed_dumps_read_as_the_model_says(dump):
         assert [series.value_at(k).bits for k in range(wave.index_count)] == expected[name]
         for m, j in enumerate(var_ids):
             assert (wave.series(name) is wave.series(f"top.s{m}")) == (i == j)
+
+
+# --- the line table against the token loop ---
+# Id codes include "1!", so "b10" then "1!" is a vector whose id code looks
+# like a scalar change; "#+" becomes the next increasing timestamp and "#="
+# the last one again; line ends mix "\n" and "\r\n", and the last line may
+# have none.
+
+CHANGE_IDS = ["!", "%", "1!", "#"]
+
+
+@st.composite
+def change_dumps(draw):
+    widths = draw(st.lists(st.integers(1, 5), min_size=4, max_size=4))
+    var_ids = [0] + draw(st.lists(st.integers(0, 3), max_size=4))
+    ids = [CHANGE_IDS[i] for i in sorted(set(var_ids))]
+    scalar = st.tuples(st.sampled_from("01xzXZ"), st.sampled_from(ids)).map("".join)
+    vector = st.tuples(st.text("01xzXZ", min_size=1, max_size=3), st.sampled_from(ids))
+    line = st.one_of(
+        scalar,
+        st.sampled_from(["#+", "#="]),
+        vector.map(lambda v: "b{} {}".format(*v)),
+        vector.map(lambda v: "b{}\n{}".format(*v)),  # the id code on the next line
+        st.lists(scalar, min_size=2, max_size=3).map(" ".join),
+        st.lists(st.one_of(scalar, st.just("#9")), max_size=3).map(
+            lambda inner: "\n".join(["$comment", *inner, "$end"])),
+        st.sampled_from(["$dumpvars", "$dumpoff", "$dumpon", "$dumpall", "$end",
+                         "$comment 1! $end", " 1!", "1!  ", "", "#0", "#3", "#x", "#",
+                         "1?", "b111111 !", "r1 !", "hello", "$comment"]),
+    )
+    lines = [f"$var wire {widths[i]} {CHANGE_IDS[i]} s{n} $end" for n, i in enumerate(var_ids)]
+    lines.append(draw(st.sampled_from(["$enddefinitions $end", "$enddefinitions $end 1!"])))
+    text = "\n".join(lines) + "\n"
+    stamp = 0
+    for part in draw(st.lists(line, max_size=30)):
+        if part in ("#+", "#="):  # the next timestamp, or the last one again
+            stamp += draw(st.integers(1, 3)) if part == "#+" else 0
+            part = f"#{stamp}"
+        text += part + draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return text.rstrip("\r\n") + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+def _reading(text):
+    """What parse_vcd makes of `text`: the error's class and message, or
+    the time axis and, per name, its width, changes and the first name
+    that shares its id code."""
+    try:
+        wave = parse_vcd(io.StringIO(text))
+    except ParseFailure as err:
+        return type(err), str(err)
+    signals = wave.signals
+    return wave.timestamps, {
+        name: (s.width, s.indexes, [v.bits for v in s.values],
+               min(n for n in signals if signals[n] is s))
+        for name, s in signals.items()
+    }
+
+
+@settings(PROPERTY, max_examples=500)
+@given(change_dumps())
+def test_line_table_reads_as_the_token_loop(token_path, text):
+    with token_path():
+        expected = _reading(text)
+    assert _reading(text) == expected
 
 
 # --- generated traces ---

@@ -10,6 +10,8 @@ from wawk.errors import (
     VcdError,
     WidthMismatchError,
 )
+from wawk.tracegen import generate, table1_spec
+from wawk import vcd
 from wawk.vcd import parse_vcd
 
 BASIC = """\
@@ -181,7 +183,7 @@ class TestErrors:
             parse(text)
 
     def test_non_module_scope_rejected(self):
-        text = "$scope begin blk $end\n$enddefinitions $end\n"
+        text = "$scope interface blk $end\n$enddefinitions $end\n"
         with pytest.raises(UnsupportedVcdFeatureError):
             parse(text)
 
@@ -191,7 +193,7 @@ class TestErrors:
             parse(text)
 
     def test_unknown_directive_rejected(self):
-        text = "$var wire 1 ! a $end\n$enddefinitions $end\n#0\n$dumpoff\n"
+        text = "$var wire 1 ! a $end\n$enddefinitions $end\n#0\n$dumpports\n"
         with pytest.raises(UnsupportedVcdFeatureError):
             parse(text)
 
@@ -277,3 +279,73 @@ $comment mid-stream note $end
         inside = parse(BASIC)
         outside = parse(BASIC.replace("$dumpvars\n", "").replace("$end\n#5", "#5"))
         assert inside.series("top.clk").value_at(0) == outside.series("top.clk").value_at(0)
+
+    def test_dumpoff_goes_all_x_and_dumpon_restores(self):
+        text = BASIC + "#30\n$dumpoff\nx!\nbx \"\n$end\n#40\n$dumpon\n1!\nb11 \"\n$end\n"
+        wave = parse(text)
+        assert wave.series("top.clk").value_at(4).bits == "x"
+        assert wave.series("top.bus").value_at(4).bits == "x" * 8
+        assert wave.series("top.clk").value_at(5).bits == "1"
+        assert wave.series("top.bus").value_at(5).bits == "00000011"
+
+    def test_dumpall_changes_apply_at_the_current_index(self):
+        text = BASIC + "#30\n0!\n$dumpall\n1!\nb1 \"\n$end\n"
+        wave = parse(text)
+        assert wave.series("top.clk").value_at(4).bits == "1"
+        assert wave.series("top.bus").value_at(4).bits == "00000001"
+
+
+class TestHeaderSubset:
+    @pytest.mark.parametrize("scope_type", ["begin", "task", "function", "fork"])
+    def test_ieee_scope_types(self, scope_type):
+        text = (f"$scope module top $end\n$scope {scope_type} blk $end\n"
+                "$var wire 1 ! a $end\n$upscope $end\n$upscope $end\n"
+                "$enddefinitions $end\n#0\n1!\n")
+        assert parse(text).series("top.blk.a").value_at(0).bits == "1"
+
+    @pytest.mark.parametrize("var_type",
+                             ["integer", "logic", "parameter", "tri", "supply0", "supply1"])
+    def test_var_types(self, var_type):
+        text = f"$var {var_type} 4 ! a $end\n$enddefinitions $end\n#0\nb101 !\n#1\n1!\n"
+        series = parse(text).series("a")
+        assert [series.value_at(i).bits for i in range(2)] == ["0101", "0001"]
+
+    @pytest.mark.parametrize("rng", ["[7 : 0]", "[7: 0]", "[7 :0]", "[ 7:0 ]"])
+    def test_range_with_spaces(self, rng):
+        text = f"$var wire 8 # d {rng} $end\n$enddefinitions $end\n#0\nb11 #\n"
+        assert parse(text).series("d").value_at(0).bits == "00000011"
+
+    def test_spaced_text_that_is_not_a_range_stays_malformed(self):
+        text = "$var wire 8 # d [7:0] extra $end\n$enddefinitions $end\n"
+        with pytest.raises(MalformedHeaderError, match="line 1: malformed \\$var"):
+            parse(text)
+
+
+def test_scalar_lines_skip_the_token_loop():
+    # a line table with the wrong keys still reads correctly, through the
+    # token loop; count the lines that reach it (the loop splits each one)
+    text, _ = generate(table1_spec(dummy_signals=4))
+    split = []
+
+    class Line(str):
+        def split(self, *args):
+            split.append(str(self))
+            return super().split(*args)
+
+    wave = parse_vcd([Line(raw) for raw in io.StringIO(text)])
+    head, _, changes = text.partition("$enddefinitions $end\n")
+    header_lines = head.count("\n") + 1
+    assert split[:header_lines] == io.StringIO(text).readlines()[:header_lines]
+    reached = split[header_lines:]
+    assert reached == [raw for raw in io.StringIO(changes) if raw[0] in "$b"]
+    assert len(reached) < wave.index_count // 10
+
+
+def test_wide_ids_stay_out_of_the_line_table():
+    # six values of 65,536 bits per id: 200 such ids took 75 MB and a second
+    text = "$var wire 65536 ! a $end\n$var wire 64 % b $end\n$enddefinitions $end\n#0\n1!\n"
+    wave = parse(text)
+    assert wave.series("a").value_at(0).bits == "0" * 65535 + "1"
+    parser = vcd._Parser(io.StringIO(text))
+    parser.parse_header()
+    assert sorted(vcd._line_table(parser.ids)) == [f"{c}%\n" for c in "01XZxz"]
