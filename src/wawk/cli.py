@@ -72,13 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
 @contextmanager
 def _open_text(path: str, encoding: str, errors: str = "strict"):
     """The file at `path`, or stdin for "-", decoded from its bytes whatever
-    the locale's codec. Stdin stays open; a stdin with no bytes under it
-    (an in-process caller's StringIO) is taken as it is."""
+    the locale's codec. Stdin stays open."""
     if path != "-":
         with open(path, "r", encoding=encoding, errors=errors) as f:
             yield f
-    elif not hasattr(sys.stdin, "buffer"):
-        yield sys.stdin
     else:
         f = io.TextIOWrapper(sys.stdin.buffer, encoding=encoding, errors=errors)
         try:

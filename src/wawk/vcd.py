@@ -18,12 +18,12 @@ and with x/z for leading x/z, per the dump format's extension rule. A $var
 may be at most MAX_WIDTH (65,536) bits wide, and names that share an id
 code share one SignalSeries.
 
-The change region is read a line at a time. A line that is one scalar
-change (`1!`) is looked up whole in a table built from the header, and a
-line that is one timestamp (`#40`) is stepped directly; any other line,
-and every line inside a $comment-style block or after a vector that
-waits for its id code, goes through the token loop, which is the
-reference reading and raises every error.
+The change region is read a line at a time. A line that sets a 1-bit id
+code to 0 or 1 (`1!`) is looked up whole in a table built from the
+header, and a line that is one timestamp (`#40`) is stepped directly;
+any other line, and every line inside a $comment-style block or after a
+vector that waits for its id code, goes through the token loop, which is
+the reference reading and raises every error.
 """
 
 from itertools import chain
@@ -47,7 +47,6 @@ _SKIP_DIRECTIVES = ("$comment", "$date", "$version")
 _DUMP_BLOCKS = ("$dumpvars", "$dumpoff", "$dumpon", "$dumpall", "$end")
 # widest $var accepted: the smallest vector-length limit IEEE 1364 lets a tool set
 MAX_WIDTH = 65536
-_TABLE_WIDTH = 64
 
 
 class _Tokens:
@@ -103,26 +102,14 @@ def _parse_timescale(parts: list[str], line: int) -> tuple[int, str]:
     return magnitude, unit
 
 
-def _widened(bits: str, width: int) -> Value:
-    """`bits` left-extended to `width`: with 0 after a leading 0 or 1, else
-    with the leading x or z."""
-    if len(bits) < width:
-        lead = bits[0]
-        bits = ("0" if lead in "01" else lead) * (width - len(bits)) + bits
-    return SCALARS[bits] if width == 1 else Value(bits)
-
-
-def _line_table(ids: dict[str, SignalSeries]) -> dict[str, tuple[Value, list, list]]:
-    """The text of each line that is one scalar change, such as "0!\\n",
-    mapped to the value it stores and the lists it goes into. An id code
-    wider than _TABLE_WIDTH bits gets no entries, as six values of up to
-    MAX_WIDTH bits would be built for a change dumpers rarely write; its
-    scalar changes take the token loop."""
+def _line_table(ids: dict[str, SignalSeries]) -> dict[str, SignalSeries]:
+    """The text of each line that sets a 1-bit id code to 0 or 1, such as
+    "0!\\n", mapped to that id code's series."""
     return {
-        f"{c}{id_code}\n": (_widened(c.lower(), series.width), series.indexes, series.values)
+        f"{c}{id_code}\n": series
         for id_code, series in ids.items()
-        if series.width <= _TABLE_WIDTH
-        for c in "01xzXZ"
+        if series.width == 1
+        for c in "01"
     }
 
 
@@ -248,11 +235,16 @@ class _Parser:
             series = ids.get(id_code)
             if series is None:
                 raise UnknownIdCodeError(f"undeclared id code {id_code!r}", line)
-            if len(bits) > series.width:
+            width = series.width
+            if len(bits) > width:
                 raise WidthMismatchError(
-                    f"{len(bits)}-bit value for {series.width}-bit id code {id_code!r}", line
+                    f"{len(bits)}-bit value for {width}-bit id code {id_code!r}", line
                 )
-            value = _widened(bits, series.width)
+            if len(bits) < width:
+                lead = bits[0]
+                fill = "0" if lead in "01" else lead
+                bits = fill * (width - len(bits)) + bits
+            value = SCALARS[bits] if width == 1 else Value(bits)
             indexes = series.indexes
             if indexes and indexes[-1] == cur:
                 series.values[-1] = value  # same-index rewrite: last one wins
@@ -262,14 +254,15 @@ class _Parser:
 
         for line, raw in self.tokens.lines():
             if fast:  # a whole-line scalar change, or a timestamp that increases
-                hit = table.get(raw)
-                if hit is not None:
-                    value, indexes, values = hit
+                series = table.get(raw)
+                if series is not None:
+                    value = SCALARS[raw[0]]
+                    indexes = series.indexes
                     if indexes and indexes[-1] == cur:
-                        values[-1] = value
+                        series.values[-1] = value
                     else:
                         indexes.append(cur)
-                        values.append(value)
+                        series.values.append(value)
                     continue
                 if raw[0] == "#" and raw[-1] == "\n":
                     t = _decimal(raw[1:-1])

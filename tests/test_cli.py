@@ -49,6 +49,12 @@ def _run_wawk(args, **kwargs):
                           text=True, timeout=60, **kwargs)
 
 
+def _stdin(data: bytes):
+    """A stand-in for sys.stdin with `data` under it, read through
+    `.buffer` as the CLI reads a real stdin."""
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
 SMALL_SCRIPT = """\
 BEGIN: { import(extern); }
 TOP.servant_sim.dut.cpu.clk, TOP.servant_sim.dut.cpu.i_ibus_ack: {
@@ -125,7 +131,7 @@ class TestGen:
         assert "$enddefinitions" in out.read_text()
 
     def test_spec_from_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("00000033 3\n00000013 2\n"))
+        monkeypatch.setattr("sys.stdin", _stdin(b"00000033 3\n00000013 2\n"))
         assert main(["gen", "spec", "-", "-"]) == 0
         out = capsys.readouterr().out
         assert out == generate(TraceSpec(((0x33, 3), (0x13, 2))))[0]
@@ -159,7 +165,7 @@ class TestRun:
         assert capsys.readouterr().out == "add\naddi\n"
 
     def test_script_from_stdin(self, small_vcd, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(SMALL_SCRIPT))
+        monkeypatch.setattr("sys.stdin", _stdin(SMALL_SCRIPT.encode()))
         assert main(["run", "-", str(small_vcd)]) == 0
         assert capsys.readouterr().out == "add\naddi\n"
 
@@ -233,13 +239,15 @@ class TestRun:
         assert main(["run", str(script), str(vcd)]) == 2
 
     def test_non_ascii_digits_on_stdin_are_malformed(self, tmp_path, capsys, monkeypatch):
-        # files are read as ASCII, stdin is not: '²' passed isdigit() and broke int()
+        # stdin is read as ASCII, as files are: '²' (two UTF-8 bytes) reads as
+        # two replacement characters, never as a digit that breaks int()
         script = tmp_path / "s.wawk"
         script.write_text("BEGIN: { }")
-        monkeypatch.setattr("sys.stdin", io.StringIO(
-            "$timescale \u00b2ns $end\n$enddefinitions $end\n"))
+        monkeypatch.setattr("sys.stdin", _stdin(
+            "$timescale \u00b2ns $end\n$enddefinitions $end\n".encode()))
         assert main(["run", str(script), "-"]) == 2
-        assert capsys.readouterr().err == "wawk: -: line 1: invalid $timescale '\u00b2ns'\n"
+        assert capsys.readouterr().err == (
+            "wawk: -: line 1: invalid $timescale '\ufffd\ufffdns'\n")
 
     def test_runtime_error_exits_1(self, tmp_path, small_vcd, capsys):
         script = tmp_path / "s.wawk"

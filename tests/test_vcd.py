@@ -11,7 +11,6 @@ from wawk.errors import (
     WidthMismatchError,
 )
 from wawk.tracegen import generate, table1_spec
-from wawk import vcd
 from wawk.vcd import parse_vcd
 
 BASIC = """\
@@ -340,12 +339,3 @@ def test_scalar_lines_skip_the_token_loop():
     assert reached == [raw for raw in io.StringIO(changes) if raw[0] in "$b"]
     assert len(reached) < wave.index_count // 10
 
-
-def test_wide_ids_stay_out_of_the_line_table():
-    # six values of 65,536 bits per id: 200 such ids took 75 MB and a second
-    text = "$var wire 65536 ! a $end\n$var wire 64 % b $end\n$enddefinitions $end\n#0\n1!\n"
-    wave = parse(text)
-    assert wave.series("a").value_at(0).bits == "0" * 65535 + "1"
-    parser = vcd._Parser(io.StringIO(text))
-    parser.parse_header()
-    assert sorted(vcd._line_table(parser.ids)) == [f"{c}%\n" for c in "01XZxz"]
