@@ -90,6 +90,8 @@ def _fail(message: str, code: int) -> int:
 
 
 def _cmd_run(opts) -> int:
+    if opts.all and opts.script_args:
+        return _fail("--all and explicit script arguments are mutually exclusive", 2)
     script_name = "<stdin>" if opts.script == "-" else opts.script
     if opts.script.startswith("@"):
         try:
@@ -120,8 +122,6 @@ def _cmd_run(opts) -> int:
     except ParseFailure as err:
         return _fail(f"{opts.vcd}: {err}", 2)
 
-    if opts.all and opts.script_args:
-        return _fail("--all and explicit script arguments are mutually exclusive", 2)
     runs = [[m] for m in MNEMONICS] if opts.all else [list(opts.script_args)]
     try:
         for args in runs:

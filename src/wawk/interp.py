@@ -9,11 +9,13 @@ the command-line argument list.
 The sweep visits only the indexes where a statement can fire, which
 gives the same output, variables and errors as visiting every one (see
 _plan). A statement's head, its leading conditions that read only
-signals and literals, is constant between the indexes where one of its
-signals changes, so it is evaluated once per such stretch, and the
-statement is visited only in the stretches where the head can hold.
-When a statement's first condition reads anything else, or a sweep
-statement calls `alias`, every statement is visited at every index.
+signals and literals, is bound once after BEGIN into a function of the
+index (_bind). It is constant between the indexes where one of its
+signals changes, so it is tested once per such stretch; the statement is
+visited only where its head can hold, and where the head held without
+raising the visit does not evaluate it again. When a statement's first
+condition reads anything else, or a sweep statement calls `alias`, every
+statement is visited at every index.
 
 Value domain: Python ints, strings, lists, four-state logic Values, and
 two absence markers. UNBOUND is what reading a never-assigned variable
@@ -30,15 +32,15 @@ list appends the right operand in place and yields the list; `/` is
 integer division truncating toward zero; `average` rounds half up.
 
 Expression dispatch is a dict keyed on the node class rather than
-match/case: the sweep evaluates conditions at up to every index, so this
-is the hottest loop in the package.
+match/case: it runs bodies and the conditions after a head at up to every
+index. Heads are bound once instead, and not evaluated again where proven.
 """
 
 import heapq
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import fields, is_dataclass
-from itertools import chain, groupby, repeat, starmap
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import IO, Iterator, Sequence
 
@@ -249,6 +251,47 @@ _CMP = {
 }
 
 
+def _operate(op: str, left: object, right: object) -> object:
+    """`left op right` for an operator other than '&&' and '||', its
+    operands evaluated."""
+    cmp = _CMP.get(op)
+    if cmp is None:
+        if op == "+" and isinstance(left, list):
+            if right is UNBOUND or right is OUT_OF_RANGE:
+                raise TypeMismatchError("cannot append an absent value to a list")
+            left.append(right)
+            return left
+        lhs = _as_int(left, op)
+        rhs = _as_int(right, op)
+        if op == "+":
+            return lhs + rhs
+        if op == "-":
+            return lhs - rhs
+        if op == "*":
+            return lhs * rhs
+        if rhs == 0:
+            raise DivisionByZeroError(f"{_shown(lhs)} / 0")
+        q = abs(lhs) // abs(rhs)
+        return -q if (lhs < 0) != (rhs < 0) else q
+    if left is UNBOUND or left is OUT_OF_RANGE or right is UNBOUND or right is OUT_OF_RANGE:
+        return UNBOUND  # falsy: comparisons degrade, they do not raise
+    if isinstance(left, Value):
+        left = left.to_int()
+    if isinstance(right, Value):
+        right = right.to_int()
+    cls = left.__class__
+    if (cls is int or cls is str) and right.__class__ is cls:
+        return cmp(left, right)  # the common case; below, find what is wrong
+    if isinstance(left, str) != isinstance(right, str):
+        raise TypeMismatchError(
+            f"cannot compare {_type_name(left)} with {_type_name(right)} using {op!r}"
+        )
+    for operand in (left, right):
+        if not isinstance(operand, (int, str)) or isinstance(operand, bool):
+            raise TypeMismatchError(f"cannot compare {_type_name(operand)} values with {op!r}")
+    return cmp(left, right)
+
+
 class Environment:
     """All mutable state of one script run, and the evaluator that runs it.
     Returned by execute() so callers can inspect final variable values."""
@@ -345,47 +388,7 @@ class Environment:
             if _truthy(self.eval(node.left, cond)):
                 return 1
             return int(_truthy(self.eval(node.right, cond)))
-        left = self.eval(node.left, cond)
-        right = self.eval(node.right, cond)
-        cmp = _CMP.get(op)
-        if cmp is not None:
-            return self._compare(op, cmp, left, right)
-        if op == "+" and isinstance(left, list):
-            if right is UNBOUND or right is OUT_OF_RANGE:
-                raise TypeMismatchError("cannot append an absent value to a list")
-            left.append(right)
-            return left
-        lhs = _as_int(left, op)
-        rhs = _as_int(right, op)
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if rhs == 0:
-            raise DivisionByZeroError(f"{_shown(lhs)} / 0")
-        q = abs(lhs) // abs(rhs)
-        return -q if (lhs < 0) != (rhs < 0) else q
-
-    def _compare(self, op: str, cmp, left: object, right: object) -> object:
-        if left is UNBOUND or left is OUT_OF_RANGE or right is UNBOUND or right is OUT_OF_RANGE:
-            return UNBOUND  # falsy: comparisons degrade, they do not raise
-        if isinstance(left, Value):
-            left = left.to_int()
-        if isinstance(right, Value):
-            right = right.to_int()
-        cls = left.__class__
-        if (cls is int or cls is str) and right.__class__ is cls:
-            return cmp(left, right)  # the common case; below, find what is wrong
-        if isinstance(left, str) != isinstance(right, str):
-            raise TypeMismatchError(
-                f"cannot compare {_type_name(left)} with {_type_name(right)} using {op!r}"
-            )
-        for operand in (left, right):
-            if not isinstance(operand, (int, str)) or isinstance(operand, bool):
-                raise TypeMismatchError(f"cannot compare {_type_name(operand)} values with {op!r}")
-        return cmp(left, right)
+        return _operate(op, self.eval(node.left, cond), self.eval(node.right, cond))
 
     def _e_subscript(self, node: ast.Subscript, cond: bool) -> object:
         base = self.eval(node.base, cond)
@@ -506,14 +509,24 @@ def _walk(node) -> Iterator:
                 yield from _walk(item)
 
 
-def _reads(node, env: Environment, assigned: set) -> list | None:
-    """The (SignalSeries, offset) pairs a pure condition reads, or None
-    when `node` is not pure: it must read only signals, `sig@k` and
-    literals through operators, and a plain name counts as a signal only
-    if it is no variable now and no sweep body assigns it."""
+def _bind_binary(op: str, left, right):
+    if op == "&&":
+        return lambda index: int(_truthy(right(index))) if _truthy(left(index)) else 0
+    if op == "||":
+        return lambda index: 1 if _truthy(left(index)) else int(_truthy(right(index)))
+    return lambda index: _operate(op, left(index), right(index))
+
+
+def _bind(node, env: Environment, assigned: set) -> tuple | None:
+    """The pure condition `node` as a function of the index, giving what
+    Environment.eval(node, True) gives there, and the (SignalSeries,
+    offset) pairs it reads. None when `node` is not pure: it reads only
+    signals, `sig@k` and literals through operators, and a plain name is
+    a signal only if it is no variable now and no sweep body assigns it."""
     cls = node.__class__
     if cls is ast.IntLit or cls is ast.StrLit:
-        return []
+        value = node.value
+        return (lambda index: value), []
     if cls is ast.Ident or cls is ast.OffsetRef:
         if cls is ast.OffsetRef:  # reads a signal even where a variable has its name
             name, k = node.signal.name, node.offset
@@ -522,13 +535,31 @@ def _reads(node, env: Environment, assigned: set) -> list | None:
         else:
             name, k = node.name, 0
         series = env.waveform.signals.get(env.aliases.get(name, name))
-        return None if series is None else [(series, k)]
+        if series is None:
+            return None
+        value_at, count = series.value_at, env.count
+        if k == 0:
+            return value_at, [(series, k)]
+
+        def sample(index: int) -> object:  # as Environment.sample reads it
+            target = index + k
+            return value_at(target) if 0 <= target < count else OUT_OF_RANGE
+
+        return sample, [(series, k)]
     if cls is ast.Unary:
-        return _reads(node.operand, env, assigned)
+        bound = _bind(node.operand, env, assigned)
+        if bound is None:
+            return None
+        operand, reads = bound
+        if node.op == "!":
+            return (lambda index: int(not _truthy(operand(index)))), reads
+        return (lambda index: -_as_int(operand(index), "-")), reads
     if cls is ast.Binary:
-        left = _reads(node.left, env, assigned)
-        right = _reads(node.right, env, assigned)
-        return None if left is None or right is None else left + right
+        left = _bind(node.left, env, assigned)
+        right = _bind(node.right, env, assigned)
+        if left is None or right is None:
+            return None
+        return _bind_binary(node.op, left[0], right[0]), left[1] + right[1]
     return None
 
 
@@ -555,36 +586,34 @@ def _cuts(indexes: list, k: int, count: int, lo: int, hi: int) -> Iterator[int]:
         yield count - k
 
 
-def _holds(planner: Environment, condition) -> bool:
-    try:
-        return _truthy(planner.eval(condition, True))
-    except WawkRuntimeError:
-        return True  # the sweep evaluates it here and raises the same error
-
-
-def _narrow(planner: Environment, condition, reads: list, stretches) -> Iterator:
-    """The parts of `stretches`, (start, end) pairs, where `condition` can
-    hold, adjacent parts joined: each stretch is cut where a signal the
-    condition reads can change, and the condition is evaluated once per
-    piece."""
-    count = planner.count
-    start = end = None
-    for lo, hi in stretches:
+def _narrow(test, reads: list, count: int, pieces, unproven: tuple) -> Iterator:
+    """The parts of `pieces`, (start, end, statement) triples, where the
+    bound head condition `test` can hold, adjacent parts with the same
+    statement joined. Each piece is cut where a signal `test` reads can
+    change, and `test` is called once per part. Where it raised, the part
+    takes the `unproven` statement, which evaluates every condition and
+    so raises the same error in the sweep."""
+    start = end = joined = None
+    for lo, hi, statement in pieces:
         a = lo
         cuts = heapq.merge(*(_cuts(series.indexes, k, count, lo, hi) for series, k in reads))
         for b in chain(cuts, (hi,)):
             if b == a:
                 continue
-            planner.index = a
-            if _holds(planner, condition):
-                if a != end:
+            try:
+                visit = statement if _truthy(test(a)) else None
+            except WawkRuntimeError:
+                visit = unproven
+            if visit is not None:
+                if a == end and visit is joined:
+                    end = b
+                else:
                     if start is not None:
-                        yield start, end
-                    start = a
-                end = b
+                        yield start, end, joined
+                    start, end, joined = a, b, visit
             a = b
     if start is not None:
-        yield start, end
+        yield start, end, joined
 
 
 def _plan(env: Environment, sweep: list) -> Iterator | None:
@@ -592,14 +621,15 @@ def _plan(env: Environment, sweep: list) -> Iterator | None:
     source order, skipping every index where no statement can fire; None
     when every statement must be visited at every index.
 
-    A statement's head is its leading pure conditions (see _reads), up to
-    and including the first that can raise. Between the cuts of its
-    signals each head condition is constant, so a stretch where one is
-    false holds no visit: the sweep would stop at that condition or at an
-    earlier false one without raising. The head is narrowed starting from
-    its condition whose signals change least. The conditions are
-    evaluated in an Environment of their own, so the sweep's index and
-    variables are never touched."""
+    A statement's head is its leading pure conditions (see _bind), up to
+    and including the first that can raise, each bound once. Between the
+    cuts of its signals each head condition is constant, so a stretch
+    where one is false holds no visit: the sweep would stop at that
+    condition or at an earlier false one without raising. The head is
+    narrowed starting from its condition whose signals change least.
+    Where every head condition held without raising, the visit carries
+    only the conditions after the head, so a proven head is not evaluated
+    again."""
     assigned = set()
     for _, conditions, body in sweep:
         for node in chain.from_iterable(map(_walk, conditions + body)):
@@ -607,28 +637,30 @@ def _plan(env: Environment, sweep: list) -> Iterator | None:
                 return None
             if node.__class__ is ast.Assign:
                 assigned.add(node.name)
-    planner = Environment(env.waveform, modules=env.modules)
-    planner.aliases = env.aliases
     streams = []
-    for position, (_, conditions, _) in enumerate(sweep):
+    for statement in sweep:
+        ordinal, conditions, body = statement
         head = []
         for condition in conditions:
-            reads = _reads(condition, env, assigned)
-            if reads is None:
+            bound = _bind(condition, env, assigned)
+            if bound is None:
                 break
-            head.append((sum(len(series.indexes) for series, _ in reads), condition, reads))
+            test, reads = bound
+            head.append((sum(len(series.indexes) for series, _ in reads), test, reads))
             if _can_raise(condition):
                 break
         if not head:
             return None
-        stretches = [(0, env.count)]
-        for _, condition, reads in sorted(head, key=itemgetter(0)):
-            stretches = _narrow(planner, condition, reads, stretches)
-        indexes = chain.from_iterable(starmap(range, stretches))
-        streams.append(zip(indexes, repeat(position)))
+        pieces = [(0, env.count, (ordinal, conditions[len(head):], body))]
+        for _, test, reads in sorted(head, key=itemgetter(0)):
+            pieces = _narrow(test, reads, env.count, pieces, statement)
+        streams.append(chain.from_iterable(
+            zip(range(start, end), repeat(visit)) for start, end, visit in pieces
+        ))
+    # merge keeps equal indexes in the order of the streams: source order
     return (
-        (index, [sweep[position] for _, position in group])
-        for index, group in groupby(heapq.merge(*streams), itemgetter(0))
+        (index, [visit for _, visit in group])
+        for index, group in groupby(heapq.merge(*streams, key=itemgetter(0)), itemgetter(0))
     )
 
 

@@ -188,9 +188,13 @@ class TestRun:
         assert "jal: avg=68 min=68 max=70" in lines
         assert "addi: 35" in lines
 
-    def test_all_conflicts_with_args(self, table1_vcd, capsys):
+    def test_all_conflicts_with_args(self, table1_vcd, tmp_path, capsys):
         assert main(["run", "@cpi", str(table1_vcd), "sra", "--all"]) == 2
         assert "wawk:" in capsys.readouterr().err
+        # a usage error, found before any file is read
+        assert main(["run", "@cpi", str(tmp_path / "missing.vcd"), "sra", "--all"]) == 2
+        assert capsys.readouterr().err == (
+            "wawk: --all and explicit script arguments are mutually exclusive\n")
 
     def test_unknown_bundled_name(self, small_vcd, capsys):
         assert main(["run", "@nope", str(small_vcd)]) == 2

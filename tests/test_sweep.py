@@ -6,7 +6,9 @@ order it must agree with. Every test here runs a script both ways and
 requires the same output, the same final variables and the same error,
 context included: on random well-formed programs over small waveforms
 with x/z bits, late first changes and offsets past the trace, and on the
-cases the planner must get right or decline.
+cases the planner must get right or decline. The heads the planner binds
+(interp._bind) must read as the tree walker reads them, and a head the
+plan proved is not walked again.
 """
 
 import io
@@ -21,7 +23,7 @@ from conftest import make_waveform  # noqa: E402
 from test_properties import PROGRAMS, PROPERTY, WAVE, bodies, top_exprs  # noqa: E402
 from wawk import ast, interp  # noqa: E402
 from wawk.errors import WawkRuntimeError, XZConversionError  # noqa: E402
-from wawk.interp import default_native_modules, execute  # noqa: E402
+from wawk.interp import Environment, default_native_modules, execute  # noqa: E402
 from wawk.parser import MAX_DEPTH, parse_source  # noqa: E402
 
 WAVES = [
@@ -66,13 +68,13 @@ def agree(dense_sweep, program, waves, args=()):
 
 # Conditions the planner can take: literals, signals and offsets through
 # operators, comparisons and arithmetic included, so one can raise. `x`
-# is a signal only until a body assigns it.
+# is a signal only until a body assigns it; `x@k` reads the signal even then.
 PURE = st.recursive(
     st.one_of(
         st.builds(ast.IntLit, st.integers(0, 5)),
         st.builds(ast.StrLit, st.sampled_from(["", "a"])),
         st.builds(ast.Ident, st.sampled_from(["clk", "top.bus", "x"])),
-        st.builds(ast.OffsetRef, st.builds(ast.Ident, st.sampled_from(["clk", "top.bus"])),
+        st.builds(ast.OffsetRef, st.builds(ast.Ident, st.sampled_from(["clk", "top.bus", "x"])),
                   st.integers(-9, 9)),
     ),
     lambda inner: st.one_of(
@@ -88,6 +90,35 @@ PLANNABLE = st.lists(
     st.builds(ast.Statement, st.one_of(HEADS, HEADS, st.just(ast.Begin())), bodies(MAX_DEPTH)),
     min_size=1, max_size=3,
 ).map(lambda s: ast.Program(tuple(s)))
+
+
+def reading(read, index):
+    """What `read` gives at `index`: its value, or its error's class and
+    message."""
+    try:
+        value = read(index)
+    except WawkRuntimeError as err:
+        return type(err), err.message
+    return type(value), value
+
+
+@PROPERTY
+@given(PURE)
+def test_the_binder_reads_as_the_tree_walker(node):
+    for wave in WAVES:
+        env = Environment(wave)
+        bound = interp._bind(node, env, set())
+        if bound is None:  # it names a signal this wave lacks
+            assert not {"clk", "top.bus", "x"} <= wave.signals.keys()
+            continue
+        bound_read, _ = bound
+
+        def walked_read(index):
+            env.index = index
+            return env.eval(node, True)
+
+        for index in range(wave.index_count):
+            assert reading(bound_read, index) == reading(walked_read, index), (node, index)
 
 
 @PROPERTY
@@ -231,3 +262,38 @@ class TestPlan:
         out, _ = run_both(dense_sweep, source, wave)
         assert out == "0 "
         assert visited[-1] == [(0, [1])]
+
+
+@pytest.fixture
+def conditions_walked(monkeypatch):
+    """The nodes Environment.eval is called on in condition context."""
+    nodes = []
+    real = Environment.eval
+
+    def spy(self, node, cond):
+        if cond:
+            nodes.append(node)
+        return real(self, node, cond)
+
+    monkeypatch.setattr(Environment, "eval", spy)
+    return nodes
+
+
+class TestBoundHeads:
+    def test_a_proven_head_is_not_evaluated_again(self, conditions_walked):
+        env = execute(parse_source("BEGIN: { n = 0; }\ns != s@-1: { n = n + 1; }"), SIG,
+                      out=io.StringIO())
+        assert env.variables["n"] == 3
+        assert conditions_walked == []
+
+    def test_only_the_conditions_after_the_head_are_walked(self, conditions_walked, visited):
+        # the @cpi shape: `op` is assigned by a body, so the head stops before it
+        wave = make_waveform(8, {"clk": (1, [(i, "01"[i % 2]) for i in range(8)]),
+                                 "fire": (1, [(0, "0"), (1, "1"), (2, "0"), (5, "1"), (6, "0")])})
+        program = parse_source('clk, !fire, fire@2, op == args[0]: { n = INDEX; }\n'
+                               'clk, fire: { op = args[0]; }')
+        env = execute(program, wave, args=["a"], out=io.StringIO())
+        assert env.variables["n"] == 3
+        assert visited[-1] == [(1, [2]), (3, [1]), (5, [2])]
+        tail = {id(node) for node in interp._walk(program.statements[0].trigger.exprs[3])}
+        assert conditions_walked and all(id(node) in tail for node in conditions_walked)
