@@ -15,7 +15,8 @@ signals changes, so it is tested once per such stretch; the statement is
 visited only where its head can hold, and where the head held without
 raising the visit does not evaluate it again. When a statement's first
 condition reads anything else, or a sweep statement calls `alias`, every
-statement is visited at every index.
+statement is visited at every index. A plan is kept beside its waveform
+from its second run on, and `--all` reads it instead of narrowing again.
 
 Value domain: Python ints, strings, lists, four-state logic Values, and
 two absence markers. UNBOUND is what reading a never-assigned variable
@@ -38,6 +39,7 @@ index. Heads are bound once instead, and not evaluated again where proven.
 
 import heapq
 import sys
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import fields, is_dataclass
 from itertools import chain, groupby, repeat
@@ -61,7 +63,7 @@ from .errors import (
 )
 from .riscv import decode as _decode_word
 from .value import Value
-from .waveform import SignalSeries, Waveform
+from .waveform import Waveform
 
 
 class _Marker:
@@ -311,7 +313,6 @@ class Environment:
         self.imported: set[str] = set()
         self.count = waveform.index_count
         self.index: int | None = None  # set only during the sweep
-        self.series_cache: dict[str, SignalSeries] = {}
 
     # --- name and signal resolution ---
 
@@ -323,11 +324,8 @@ class Environment:
             raise WawkRuntimeError(
                 f"signal {name!r} can only be read during the index sweep"
             )
-        series = self.series_cache.get(name)
-        if series is None:
-            # raises UnknownSignalError
-            series = self.waveform.series(self.aliases.get(name, name))
-            self.series_cache[name] = series
+        # raises UnknownSignalError
+        series = self.waveform.series(self.aliases.get(name, name))
         target = index + offset
         if 0 <= target < self.count:
             return series.value_at(target)
@@ -353,10 +351,7 @@ class Environment:
     def eval(self, node, cond: bool) -> object:
         return _EVAL[node.__class__](self, node, cond)
 
-    def _e_int(self, node: ast.IntLit, cond: bool) -> int:
-        return node.value
-
-    def _e_str(self, node: ast.StrLit, cond: bool) -> str:
+    def _e_literal(self, node: ast.IntLit | ast.StrLit, cond: bool) -> int | str:
         return node.value
 
     def _e_list(self, node: ast.ListLit, cond: bool) -> list:
@@ -484,8 +479,8 @@ class Environment:
 
 
 _EVAL = {
-    ast.IntLit: Environment._e_int,
-    ast.StrLit: Environment._e_str,
+    ast.IntLit: Environment._e_literal,
+    ast.StrLit: Environment._e_literal,
     ast.ListLit: Environment._e_list,
     ast.Ident: Environment._e_ident,
     ast.CurrentIndex: Environment._e_index,
@@ -596,7 +591,8 @@ def _narrow(test, reads: list, count: int, pieces, unproven: tuple) -> Iterator:
     start = end = joined = None
     for lo, hi, statement in pieces:
         a = lo
-        cuts = heapq.merge(*(_cuts(series.indexes, k, count, lo, hi) for series, k in reads))
+        streams = [_cuts(series.indexes, k, count, lo, hi) for series, k in reads]
+        cuts = streams[0] if len(streams) == 1 else heapq.merge(*streams)
         for b in chain(cuts, (hi,)):
             if b == a:
                 continue
@@ -616,6 +612,10 @@ def _narrow(test, reads: list, count: int, pieces, unproven: tuple) -> Iterator:
         yield start, end, joined
 
 
+# waveform -> {sweep key: False once seen, then its visits}; see _plan
+_PLANS = weakref.WeakKeyDictionary()
+
+
 def _plan(env: Environment, sweep: list) -> Iterator | None:
     """The sweep's visits as (index, statements) pairs, in index and then
     source order, skipping every index where no statement can fire; None
@@ -629,7 +629,12 @@ def _plan(env: Environment, sweep: list) -> Iterator | None:
     narrowed starting from its condition whose signals change least.
     Where every head condition held without raising, the visit carries
     only the conditions after the head, so a proven head is not evaluated
-    again."""
+    again.
+
+    The visits depend only on each statement and the (series, offset)
+    reads of its bound head conditions, their key beside the waveform.
+    The first run with a key keeps nothing, since a script run once never
+    reads its visits again; the second keeps them for every later run."""
     assigned = set()
     for _, conditions, body in sweep:
         for node in chain.from_iterable(map(_walk, conditions + body)):
@@ -637,7 +642,7 @@ def _plan(env: Environment, sweep: list) -> Iterator | None:
                 return None
             if node.__class__ is ast.Assign:
                 assigned.add(node.name)
-    streams = []
+    streams, key = [], []
     for statement in sweep:
         ordinal, conditions, body = statement
         head = []
@@ -651,17 +656,28 @@ def _plan(env: Environment, sweep: list) -> Iterator | None:
                 break
         if not head:
             return None
+        key.append((statement, tuple(tuple(reads) for _, _, reads in head)))
         pieces = [(0, env.count, (ordinal, conditions[len(head):], body))]
         for _, test, reads in sorted(head, key=itemgetter(0)):
             pieces = _narrow(test, reads, env.count, pieces, statement)
         streams.append(chain.from_iterable(
             zip(range(start, end), repeat(visit)) for start, end, visit in pieces
         ))
-    # merge keeps equal indexes in the order of the streams: source order
-    return (
+    # merge keeps equal indexes in the order of the streams: source order;
+    # nothing is narrowed until the visits are read
+    visits = (
         (index, [visit for _, visit in group])
         for index, group in groupby(heapq.merge(*streams, key=itemgetter(0)), itemgetter(0))
     )
+    plans = _PLANS.setdefault(env.waveform, {})
+    key = tuple(key)
+    kept = plans.get(key)
+    if kept is None:
+        plans[key] = False
+        return visits
+    if kept is False:
+        kept = plans[key] = list(visits)
+    return iter(kept)
 
 
 def execute(
@@ -675,17 +691,17 @@ def execute(
     env = Environment(waveform, args, out, modules)
     numbered = list(enumerate(program.statements, start=1))
 
-    def run_block(ordinal: int, where: str, body: tuple) -> None:
-        try:
-            env.exec_body(body)
-        except WawkRuntimeError as err:
-            if err.context is None:
-                err.context = f"statement {ordinal}{where}"
-            raise
+    def run_blocks(kind: type, where: str) -> None:
+        for ordinal, stmt in numbered:
+            if isinstance(stmt.trigger, kind):
+                try:
+                    env.exec_body(stmt.body)
+                except WawkRuntimeError as err:
+                    if err.context is None:
+                        err.context = f"statement {ordinal} ({where})"
+                    raise
 
-    for ordinal, stmt in numbered:
-        if isinstance(stmt.trigger, ast.Begin):
-            run_block(ordinal, " (BEGIN)", stmt.body)
+    run_blocks(ast.Begin, "BEGIN")
 
     sweep = [
         (ordinal, stmt.trigger.exprs, stmt.body)
@@ -714,9 +730,7 @@ def execute(
                     raise
         env.index = None
 
-    for ordinal, stmt in numbered:
-        if isinstance(stmt.trigger, ast.End):
-            run_block(ordinal, " (END)", stmt.body)
+    run_blocks(ast.End, "END")
     return env
 
 

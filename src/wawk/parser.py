@@ -108,10 +108,7 @@ class _Parser:
         elif self.accept("END"):
             trigger = ast.End()
         else:
-            exprs = [self.expr()]
-            while self.accept(","):
-                exprs.append(self.expr())
-            trigger = ast.Conditions(tuple(exprs))
+            trigger = ast.Conditions(self.expr_list())
         self.expect(":", "after statement trigger")
         body = self.block()
         return ast.Statement(trigger, body, line=tok.line)
@@ -187,6 +184,13 @@ class _Parser:
         self.peak = max(outer, self.peak)
         return node
 
+    def expr_list(self, close: str | None = None) -> tuple:
+        """Comma-separated expressions: one or more, or none before `close`."""
+        items = [] if close is not None and self.check(close) else [self.expr()]
+        while items and self.accept(","):
+            items.append(self.expr())
+        return tuple(items)
+
     def unary(self):
         if self.peek().kind in ("!", "-"):
             tok = self.advance()
@@ -211,14 +215,10 @@ class _Parser:
                 if not isinstance(node, ast.Ident):
                     self.fail("only a named function can be called", self.peek())
                 self.enter(self.advance())
-                args = []
-                if not self.check(")"):
-                    args.append(self.expr())
-                    while self.accept(","):
-                        args.append(self.expr())
+                args = self.expr_list(")")
                 self.expect(")", "after call arguments")
                 self.depth -= 1
-                node = ast.Call(node.name, tuple(args))
+                node = ast.Call(node.name, args)
             else:
                 return node
 
@@ -249,14 +249,10 @@ class _Parser:
             return ast.CurrentIndex()
         if tok.kind == "[":
             self.enter(self.advance())
-            items = []
-            if not self.check("]"):
-                items.append(self.expr())
-                while self.accept(","):
-                    items.append(self.expr())
+            items = self.expr_list("]")
             self.expect("]", "after list literal")
             self.depth -= 1
-            return ast.ListLit(tuple(items))
+            return ast.ListLit(items)
         if tok.kind == "(":
             self.enter(self.advance())
             node = self.expr()

@@ -124,11 +124,9 @@ class GroundTruth:
         ]
 
     def measured_mnemonics(self) -> list[str]:
-        seen = []
-        for ins in self.instructions:
-            if ins.formula_value is not None and ins.mnemonic not in seen:
-                seen.append(ins.mnemonic)
-        return seen
+        """Each measured mnemonic once, in trace order."""
+        return list(dict.fromkeys(
+            ins.mnemonic for ins in self.instructions if ins.formula_value is not None))
 
     def stats(self, mnemonic: str) -> tuple[int, int, int] | None:
         """(average, min, max) of the measured values, or None if the
@@ -175,18 +173,12 @@ def generate(spec: TraceSpec) -> tuple[str, GroundTruth]:
         a += 2 * (cycles + 1)
     index_count = a
 
-    instructions = []
     last = len(spec.instructions) - 1
-    for k, (word, cycles) in enumerate(spec.instructions):
-        instructions.append(
-            Instruction(
-                word=word,
-                mnemonic=decode(word),
-                cycles=cycles,
-                ack_index=rises[k],
-                formula_value=cycles if k != last else None,
-            )
-        )
+    instructions = [
+        Instruction(word, decode(word), cycles, ack_index=rises[k],
+                    formula_value=cycles if k != last else None)
+        for k, (word, cycles) in enumerate(spec.instructions)
+    ]
     truth = GroundTruth(
         half_period=half,
         index_count=index_count,

@@ -5,6 +5,8 @@ first. Conversion to int is only defined when every bit is 0 or 1; anything
 else must surface as an explicit runtime error, never a silent guess.
 """
 
+from functools import cache
+
 from .errors import XZConversionError
 
 _BIT_CHARS = frozenset("01xz")
@@ -48,12 +50,8 @@ class Value:
 # the four one-bit values are shared singletons.
 SCALARS = {b: Value(b) for b in "01xz"}
 
-_ALL_X_CACHE: dict[int, Value] = {}
 
-
+@cache
 def all_x(width: int) -> Value:
     """The undefined value a signal holds before its first recorded change."""
-    v = _ALL_X_CACHE.get(width)
-    if v is None:
-        v = _ALL_X_CACHE[width] = Value("x" * width)
-    return v
+    return Value("x" * width)

@@ -114,7 +114,8 @@ def test_a1_canned_trace_report(criterion):
         for mnemonic in SILENT:
             assert got[mnemonic] == "", mnemonic
         assert sum(1 for line in got.values() if line) == 36
-        info["note"] = "36 report lines exact"
+        info["note"] = ("36 report lines exact; 41 runs over one wave, "
+                        "the third on reading the kept plan")
 
 
 def test_a2_randomized_cross_validation(criterion, dense_sweep):

@@ -188,6 +188,21 @@ class TestRun:
         assert "jal: avg=68 min=68 max=70" in lines
         assert "addi: 35" in lines
 
+    @pytest.mark.parametrize("source", [
+        's: { printf("%d ", INDEX); }\ngo: { alias(s, bus); }',
+        'go: { alias(s, bus); }\ns: { printf("%d ", INDEX); }'])
+    def test_an_alias_made_in_the_sweep_applies_from_the_next_read(
+            self, tmp_path, capsys, source):
+        # s is high at index 0 only, bus at every index; go aliases s to bus at 0
+        vcd = tmp_path / "alias.vcd"
+        vcd.write_text('$var wire 1 ! s $end\n$var wire 4 " bus $end\n'
+                       "$var wire 1 # go $end\n$enddefinitions $end\n"
+                       '#0\n1!\nb0001 "\n1#\n#1\n0!\n0#\n#2\n#3\n')
+        script = tmp_path / "alias.wawk"
+        script.write_text(source)
+        assert main(["run", str(script), str(vcd)]) == 0
+        assert capsys.readouterr().out == "0 1 2 3 "
+
     def test_all_conflicts_with_args(self, table1_vcd, tmp_path, capsys):
         assert main(["run", "@cpi", str(table1_vcd), "sra", "--all"]) == 2
         assert "wawk:" in capsys.readouterr().err

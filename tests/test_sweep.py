@@ -11,7 +11,9 @@ cases the planner must get right or decline. The heads the planner binds
 plan proved is not walked again.
 """
 
+import gc
 import io
+import weakref
 
 import pytest
 
@@ -22,9 +24,13 @@ from hypothesis import strategies as st  # noqa: E402
 from conftest import make_waveform  # noqa: E402
 from test_properties import PROGRAMS, PROPERTY, WAVE, bodies, top_exprs  # noqa: E402
 from wawk import ast, interp  # noqa: E402
+from wawk.cli import bundled_script  # noqa: E402
 from wawk.errors import WawkRuntimeError, XZConversionError  # noqa: E402
 from wawk.interp import Environment, default_native_modules, execute  # noqa: E402
 from wawk.parser import MAX_DEPTH, parse_source  # noqa: E402
+from wawk.riscv import MNEMONICS  # noqa: E402
+from wawk.tracegen import generate, table1_spec  # noqa: E402
+from wawk.vcd import parse_vcd  # noqa: E402
 
 WAVES = [
     WAVE,
@@ -54,14 +60,16 @@ def outcome(program, wave, args=(), modules=None):
 
 
 def agree(dense_sweep, program, waves, args=()):
-    """Run `program` over each of `waves` planned and dense, requiring the
-    same outcome; returns the planned outcomes."""
+    """Run `program` over each of `waves` dense, then planned three times:
+    at the plan's first sight, as it is kept, and from the kept plan. All
+    four must give the same outcome; returns the planned outcomes."""
     found = []
     for wave in waves:
         with dense_sweep():
             dense = outcome(program, wave, args)
-        planned = outcome(program, wave, args)
-        assert planned == dense, (ast.to_source(program), wave.index_count)
+        for _ in range(3):
+            planned = outcome(program, wave, args)
+            assert planned == dense, (ast.to_source(program), wave.index_count)
         found.append(planned)
     return found
 
@@ -297,3 +305,97 @@ class TestBoundHeads:
         assert visited[-1] == [(1, [2]), (3, [1]), (5, [2])]
         tail = {id(node) for node in interp._walk(program.statements[0].trigger.exprs[3])}
         assert conditions_walked and all(id(node) in tail for node in conditions_walked)
+
+
+# go high at 0-4; s high at 1, 4 and 5; bus defined at 0-2 and 5, with an x at 3-4
+REUSE_SIGNALS = {
+    "go": (1, [(0, "1"), (5, "0")]),
+    "s": (1, [(0, "0"), (1, "1"), (2, "0"), (4, "1")]),
+    "bus": (4, [(0, "0011"), (3, "0x00"), (5, "0001")]),
+}
+
+
+def reuse_wave():
+    return make_waveform(6, REUSE_SIGNALS)
+
+
+class TestPlanReuse:
+    """A plan is kept beside its waveform from the second run with the
+    same statements and head reads on; every run must read as a run of
+    the same script over a freshly made waveform."""
+
+    def test_all_mnemonics_over_one_wave_narrow_in_the_first_two_runs_only(
+            self, monkeypatch):
+        text, _ = generate(table1_spec())
+        source = bundled_script("cpi")
+        fresh = [outcome(parse_source(source), parse_vcd(io.StringIO(text)), [m])
+                 for m in MNEMONICS]
+        narrowed = []
+        real = interp._narrow
+
+        def spy(*args):  # counts the runs that read a narrowing
+            narrowed[-1] += 1
+            yield from real(*args)
+
+        monkeypatch.setattr(interp, "_narrow", spy)
+        wave = parse_vcd(io.StringIO(text))
+        program = parse_source(source)
+        for mnemonic, expected in zip(MNEMONICS, fresh):
+            narrowed.append(0)
+            assert outcome(program, wave, [mnemonic]) == expected, mnemonic
+        assert [n > 0 for n in narrowed] == [True, True] + [False] * (len(MNEMONICS) - 2)
+        assert sum(1 for out, _ in fresh if out) == 36
+
+    def test_begin_decides_the_head_by_the_arguments(self):
+        # "v": s is a variable, so the head is `go` alone; "a" and "b" bind
+        # the same three conditions, with t naming bus or s
+        program = parse_source(
+            'BEGIN: { if (args[0] == "v") s = 1;\n'
+            '         if (args[0] == "b") alias(t, s); else alias(t, bus); }\n'
+            'go, s, t: { printf("%d ", INDEX); }')
+        expected = {"v": "0 1 2 ", "a": "1 ", "b": "1 4 "}
+        wave = reuse_wave()
+        for _ in range(3):
+            for arg, out in expected.items():
+                got = outcome(program, wave, [arg])
+                assert got == outcome(program, reuse_wave(), [arg]), arg
+                assert got[0] == out, arg
+
+    def test_programs_that_share_heads_keep_their_own_plans(self):
+        sources = ['s, !s@-1: { printf("%d ", INDEX); }',
+                   's, !s@-1: { printf("%d,", INDEX); }',
+                   's, !s@-1, INDEX > 2: { n = INDEX; }',
+                   'BEGIN: { n = 0; }\ns, !s@-1: { n = n + INDEX; }']
+        expected = [("1 4 ", "{'args': []}"), ("1,4,", "{'args': []}"),
+                    ("", "{'args': [], 'n': 4}"), ("", "{'args': [], 'n': 5}")]
+        wave = reuse_wave()
+        for _ in range(3):
+            for source, result in zip(sources, expected):
+                got = outcome(parse_source(source), wave)
+                assert got == outcome(parse_source(source), reuse_wave()) == result, source
+
+    def test_the_dense_sweep_ignores_a_kept_plan(self, dense_sweep, conditions_walked):
+        program = parse_source("s: { n = INDEX; }")
+        wave = reuse_wave()
+        for _ in range(3):
+            assert outcome(program, wave) == ("", "{'args': [], 'n': 5}")
+        assert conditions_walked == []
+        with dense_sweep():
+            assert outcome(program, wave) == ("", "{'args': [], 'n': 5}")
+        assert len(conditions_walked) == wave.index_count
+
+    def test_a_plan_is_kept_from_its_second_run_and_dies_with_its_waveform(self):
+        program = parse_source("s: { n = INDEX; }")
+        wave = reuse_wave()
+        outcome(program, wave)
+        assert list(interp._PLANS[wave].values()) == [False]
+        outcome(program, wave)
+        (kept,) = interp._PLANS[wave].values()
+        assert [(index, [ordinal for ordinal, _, _ in visits]) for index, visits in kept] == [
+            (1, [1]), (4, [1]), (5, [1])]
+        held = weakref.ref(wave)
+        before = len(interp._PLANS)
+        del wave
+        gc.collect()
+        assert held() is None
+        assert len(interp._PLANS) == before - 1
