@@ -7,7 +7,6 @@ from .errors import ParseFailure, RunFailure, WawkError
 from .interp import execute, run_source
 from .parser import parse_source
 from .riscv import decode
-from .tracegen import generate
 from .value import Value
 from .vcd import parse_vcd, parse_vcd_file
 from .waveform import Waveform
@@ -28,3 +27,12 @@ __all__ = [
     "parse_vcd_file",
     "run_source",
 ]
+
+
+def __getattr__(name: str):
+    # the trace generator is imported on first use, not by every `wawk run`
+    if name == "generate":
+        from .tracegen import generate
+
+        return generate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,6 @@ from .errors import ParseFailure, RunFailure, WawkSyntaxError
 from .interp import execute
 from .parser import parse_source
 from .riscv import MNEMONICS, decode
-from .tracegen import generate, parse_spec_file, table1_spec
 from .vcd import parse_vcd, parse_vcd_file
 
 
@@ -132,6 +131,8 @@ def _cmd_run(opts) -> int:
 
 
 def _cmd_gen(opts) -> int:
+    from .tracegen import generate, parse_spec_file, table1_spec
+
     try:
         if opts.generator == "table1":
             spec = table1_spec(opts.half_period, opts.dummy_signals)

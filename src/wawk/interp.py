@@ -10,13 +10,16 @@ The sweep visits only the indexes where a statement can fire, which
 gives the same output, variables and errors as visiting every one (see
 _plan). A statement's head, its leading conditions that read only
 signals and literals, is bound once after BEGIN into a function of the
-index (_bind). It is constant between the indexes where one of its
-signals changes, so it is tested once per such stretch; the statement is
-visited only where its head can hold, and where the head held without
-raising the visit does not evaluate it again. When a statement's first
-condition reads anything else, or a sweep statement calls `alias`, every
-statement is visited at every index. A plan is kept beside its waveform
-from its second run on, and `--all` reads it instead of narrowing again.
+index (_bind). Each head condition is constant between the indexes where
+a signal it reads changes, and the planner reads each stretch's values by
+their position in the signal's change list and tests each distinct tuple
+of them once (_narrow). The statement is visited only where its head can
+hold, and where the head held without raising the visit does not evaluate
+it again. The visits are gathered a window of indexes at a time (_gather).
+When a statement's first condition reads anything else, or a sweep
+statement calls `alias`, every statement is visited at every index. A
+plan is kept beside its waveform from its second run on, and `--all`
+reads it instead of narrowing again.
 
 Value domain: Python ints, strings, lists, four-state logic Values, and
 two absence markers. UNBOUND is what reading a never-assigned variable
@@ -37,12 +40,14 @@ match/case: it runs bodies and the conditions after a head at up to every
 index. Heads are bound once instead, and not evaluated again where proven.
 """
 
-import heapq
+import math
+import re
 import sys
 import weakref
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import fields, is_dataclass
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import IO, Iterator, Sequence
 
@@ -78,6 +83,10 @@ class _Marker:
 
 UNBOUND = _Marker("unbound")
 OUT_OF_RANGE = _Marker("out-of-range")
+
+
+def _read(series, index: int, count: int) -> object:
+    return series.value_at(index) if 0 <= index < count else OUT_OF_RANGE
 
 
 def _shown(n: int) -> str:
@@ -182,58 +191,46 @@ def _builtin_average(args: list) -> int:
 
 
 def _format(fmt: str, values: list) -> str:
-    out: list[str] = []
-    vi = 0
-    i = 0
-    n = len(fmt)
-    while i < n:
-        ch = fmt[i]
-        if ch != "%":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= n:
-            raise FormatError("format string ends with a lone '%'")
-        spec = fmt[i + 1]
-        i += 2
+    taken = 0
+
+    def directive(m: re.Match) -> str:
+        nonlocal taken
+        spec = m[1]
         if spec == "%":
-            out.append("%")
-            continue
-        if vi >= len(values):
-            raise FormatArityMismatchError(
-                f"format string needs more than {len(values)} value(s)"
-            )
-        v = values[vi]
-        vi += 1
+            return "%"
+        if not spec:
+            raise FormatError("format string ends with a lone '%'")
+        if taken >= len(values):
+            raise FormatArityMismatchError(f"format string needs more than {len(values)} value(s)")
+        v = values[taken]
+        taken += 1
         if spec == "d":
             if isinstance(v, Value):
                 v = v.to_int()
             if isinstance(v, bool) or not isinstance(v, int):
                 raise FormatTypeMismatchError(f"%d needs an integer, got {_type_name(v)}")
             try:
-                out.append(str(v))
+                return str(v)
             except ValueError:  # past sys.get_int_max_str_digits()
                 raise FormatError("%d value has too many digits to print") from None
-        elif spec == "s":
+        if spec == "s":
             if not isinstance(v, str):
                 raise FormatTypeMismatchError(f"%s needs a string, got {_type_name(v)}")
-            out.append(v)
-        elif spec == "b":
-            if isinstance(v, Value):
-                out.append(v.bits)
-            elif isinstance(v, bool) or not isinstance(v, int):
-                raise FormatTypeMismatchError(f"%b needs a logic value, got {_type_name(v)}")
-            elif v < 0:
-                raise FormatTypeMismatchError("%b needs a non-negative integer")
-            else:
-                out.append(format(v, "b"))
-        else:
+            return v
+        if spec != "b":
             raise FormatError(f"unknown format directive '%{spec}'")
-    if vi != len(values):
-        raise FormatArityMismatchError(
-            f"format string consumed {vi} of {len(values)} value(s)"
-        )
-    return "".join(out)
+        if isinstance(v, Value):
+            return v.bits
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise FormatTypeMismatchError(f"%b needs a logic value, got {_type_name(v)}")
+        if v < 0:
+            raise FormatTypeMismatchError("%b needs a non-negative integer")
+        return format(v, "b")
+
+    out = re.sub(r"%(.?)", directive, fmt, flags=re.S)
+    if taken != len(values):
+        raise FormatArityMismatchError(f"format string consumed {taken} of {len(values)} value(s)")
+    return out
 
 
 _BUILTINS = {
@@ -321,15 +318,9 @@ class Environment:
         `offset`; OUT_OF_RANGE when that lands outside the trace."""
         index = self.index
         if index is None:
-            raise WawkRuntimeError(
-                f"signal {name!r} can only be read during the index sweep"
-            )
-        # raises UnknownSignalError
-        series = self.waveform.series(self.aliases.get(name, name))
-        target = index + offset
-        if 0 <= target < self.count:
-            return series.value_at(target)
-        return OUT_OF_RANGE
+            raise WawkRuntimeError(f"signal {name!r} can only be read during the index sweep")
+        series = self.waveform.series(self.aliases.get(name, name))  # or UnknownSignalError
+        return _read(series, index + offset, self.count)
 
     def resolve(self, name: str, cond: bool) -> object:
         if name in self.variables:
@@ -532,15 +523,8 @@ def _bind(node, env: Environment, assigned: set) -> tuple | None:
         series = env.waveform.signals.get(env.aliases.get(name, name))
         if series is None:
             return None
-        value_at, count = series.value_at, env.count
-        if k == 0:
-            return value_at, [(series, k)]
-
-        def sample(index: int) -> object:  # as Environment.sample reads it
-            target = index + k
-            return value_at(target) if 0 <= target < count else OUT_OF_RANGE
-
-        return sample, [(series, k)]
+        count = env.count
+        return (lambda index: _read(series, index + k, count)), [(series, k)]
     if cls is ast.Unary:
         bound = _bind(node.operand, env, assigned)
         if bound is None:
@@ -570,46 +554,97 @@ def _can_raise(node) -> bool:
     return False
 
 
-def _cuts(indexes: list, k: int, count: int, lo: int, hi: int) -> Iterator[int]:
-    """The indexes in (lo, hi), ascending, where `sig@k` can change: where
-    the read enters and leaves the trace, and `sig`'s changes less k."""
-    if lo < -k < hi:
-        yield -k
-    for j in range(bisect_right(indexes, lo + k), bisect_left(indexes, min(hi + k, count))):
-        yield indexes[j] - k
+def _cuts(r: int, series, k: int, count: int, lo: int, hi: int) -> list:
+    """The cuts in (lo, hi), ascending, of read number `r`, `sig@k`, as
+    (b, r, value) triples: from index b on, the read gives `value`. It
+    enters the trace at -k with sig's value at 0, takes each of sig's
+    changes at that change's index less k, and leaves the trace at count - k."""
+    indexes, values = series.indexes, series.values
+    cuts = [(-k, r, series.value_at(0))] if lo < -k < hi else []
+    changes = range(bisect_right(indexes, lo + k), bisect_left(indexes, min(hi + k, count)))
+    cuts += [(indexes[j] - k, r, values[j]) for j in changes]
     if lo < count - k < hi:
-        yield count - k
+        cuts.append((count - k, r, OUT_OF_RANGE))
+    return cuts
 
 
 def _narrow(test, reads: list, count: int, pieces, unproven: tuple) -> Iterator:
     """The parts of `pieces`, (start, end, statement) triples, where the
     bound head condition `test` can hold, adjacent parts with the same
-    statement joined. Each piece is cut where a signal `test` reads can
-    change, and `test` is called once per part. Where it raised, the part
-    takes the `unproven` statement, which evaluates every condition and
-    so raises the same error in the sweep."""
+    statement joined. A piece is read up to _SPAN changes of each read at
+    a time and cut where a read of `test` can change (see _cuts). `test`
+    runs once per distinct tuple of values read; where it raised, the part
+    takes the `unproven` statement, which evaluates every condition and so
+    raises the same error in the sweep."""
+    # keyed by the ids of the values read: sound only because each stays
+    # alive while narrowing runs, held by a series, all_x's cache or a marker
+    memo = {}  # -> held (True), not held (False) or raised (None)
     start = end = joined = None
-    for lo, hi, statement in pieces:
-        a = lo
-        streams = [_cuts(series.indexes, k, count, lo, hi) for series, k in reads]
-        cuts = streams[0] if len(streams) == 1 else heapq.merge(*streams)
-        for b in chain(cuts, (hi,)):
-            if b == a:
-                continue
-            try:
-                visit = statement if _truthy(test(a)) else None
-            except WawkRuntimeError:
-                visit = unproven
-            if visit is not None:
-                if a == end and visit is joined:
-                    end = b
-                else:
-                    if start is not None:
-                        yield start, end, joined
-                    start, end, joined = a, b, visit
-            a = b
+    for lo, last, statement in pieces:
+        while lo < last:
+            hi = last  # or the _SPAN-th change of a read after lo, if sooner
+            if last - lo > _SPAN:  # a shorter piece holds few cuts anyway
+                for series, k in reads:
+                    j = bisect_right(series.indexes, lo + k) + _SPAN
+                    if j < len(series.indexes):
+                        hi = min(hi, series.indexes[j] - k)
+            current = [_read(series, lo + k, count) for series, k in reads] + [None]
+            cuts = []
+            for r, (series, k) in enumerate(reads):
+                cuts += _cuts(r, series, k, count, lo, hi)
+            cuts.sort(key=itemgetter(0))
+            cuts.append((hi, -1, None))  # writes the slot after the reads
+            a = lo
+            for b, r, value in cuts:
+                if b != a:
+                    key = tuple(map(id, current))
+                    held = memo.get(key, memo)
+                    if held is memo:
+                        try:
+                            held = memo[key] = _truthy(test(a))
+                        except WawkRuntimeError:
+                            held = memo[key] = None
+                    visit = statement if held else None if held is False else unproven
+                    if visit is not None:
+                        if a == end and visit is joined:
+                            end = b
+                        else:
+                            if start is not None:
+                                yield start, end, joined
+                            start, end, joined = a, b, visit
+                    a = b
+                current[r] = value
+            lo = hi
     if start is not None:
         yield start, end, joined
+
+
+_SPAN = 16  # changes per read whose cuts a pending narrowing holds
+_WINDOW = 256  # indexes whose visits the gatherer holds
+_DONE = (math.inf, math.inf, None)
+
+
+def _gather(streams: list) -> Iterator:
+    """The visits of `streams`, one iterator of ascending (start, end,
+    visit) pieces per statement in source order, as (index, visits) pairs
+    in index and then source order. Each round buckets the visits of the
+    _WINDOW indexes from the lowest one a pending piece reaches, so nothing
+    is narrowed before it is read and no more than a window is held."""
+    pending = [[*next(pieces, _DONE), pieces] for pieces in streams]
+    while (lo := min(p[0] for p in pending)) < math.inf:
+        hi = lo + _WINDOW
+        buckets = defaultdict(list)
+        for p in pending:
+            start, end, visit, pieces = p
+            while start < hi:
+                for index in range(start, min(end, hi)):
+                    buckets[index].append(visit)
+                if end > hi:
+                    start = hi
+                    break
+                start, end, visit = next(pieces, _DONE)
+            p[:3] = start, end, visit
+        yield from sorted(buckets.items())
 
 
 # waveform -> {sweep key: False once seen, then its visits}; see _plan
@@ -626,7 +661,8 @@ def _plan(env: Environment, sweep: list) -> Iterator | None:
     cuts of its signals each head condition is constant, so a stretch
     where one is false holds no visit: the sweep would stop at that
     condition or at an earlier false one without raising. The head is
-    narrowed starting from its condition whose signals change least.
+    narrowed starting from its condition whose signals change least, and
+    no further than the visits are read (see _gather).
     Where every head condition held without raising, the visit carries
     only the conditions after the head, so a proven head is not evaluated
     again.
@@ -660,15 +696,8 @@ def _plan(env: Environment, sweep: list) -> Iterator | None:
         pieces = [(0, env.count, (ordinal, conditions[len(head):], body))]
         for _, test, reads in sorted(head, key=itemgetter(0)):
             pieces = _narrow(test, reads, env.count, pieces, statement)
-        streams.append(chain.from_iterable(
-            zip(range(start, end), repeat(visit)) for start, end, visit in pieces
-        ))
-    # merge keeps equal indexes in the order of the streams: source order;
-    # nothing is narrowed until the visits are read
-    visits = (
-        (index, [visit for _, visit in group])
-        for index, group in groupby(heapq.merge(*streams, key=itemgetter(0)), itemgetter(0))
-    )
+        streams.append(pieces)
+    visits = _gather(streams)
     plans = _PLANS.setdefault(env.waveform, {})
     key = tuple(key)
     kept = plans.get(key)

@@ -19,63 +19,29 @@ MNEMONICS = (
     "ecall", "ebreak",
 )
 
-_BRANCH = {0b000: "beq", 0b001: "bne", 0b100: "blt", 0b101: "bge", 0b110: "bltu", 0b111: "bgeu"}
-_LOAD = {0b000: "lb", 0b001: "lh", 0b010: "lw", 0b100: "lbu", 0b101: "lhu"}
-_STORE = {0b000: "sb", 0b001: "sh", 0b010: "sw"}
-_OP_IMM = {0b000: "addi", 0b010: "slti", 0b011: "sltiu", 0b100: "xori", 0b110: "ori", 0b111: "andi"}
-_OP = {
-    (0b0000000, 0b000): "add",
-    (0b0100000, 0b000): "sub",
-    (0b0000000, 0b001): "sll",
-    (0b0000000, 0b010): "slt",
-    (0b0000000, 0b011): "sltu",
-    (0b0000000, 0b100): "xor",
-    (0b0000000, 0b101): "srl",
-    (0b0100000, 0b101): "sra",
-    (0b0000000, 0b110): "or",
-    (0b0000000, 0b111): "and",
+# opcode -> its mnemonic, or a table keyed by funct3, or by (funct3, funct7)
+_OPCODES = {
+    0x37: "lui", 0x17: "auipc", 0x6F: "jal", 0x67: {0: "jalr"},
+    0x63: {0: "beq", 1: "bne", 4: "blt", 5: "bge", 6: "bltu", 7: "bgeu"},
+    0x03: {0: "lb", 1: "lh", 2: "lw", 4: "lbu", 5: "lhu"},
+    0x23: {0: "sb", 1: "sh", 2: "sw"},
+    0x13: {0: "addi", 2: "slti", 3: "sltiu", 4: "xori", 6: "ori", 7: "andi",
+           (1, 0): "slli", (5, 0): "srli", (5, 0x20): "srai"},
+    0x33: {(0, 0): "add", (0, 0x20): "sub", (1, 0): "sll", (2, 0): "slt", (3, 0): "sltu",
+           (4, 0): "xor", (5, 0): "srl", (5, 0x20): "sra", (6, 0): "or", (7, 0): "and"},
+    0x0F: {0: "fence"},
 }
+# the word above the opcode for ecall and ebreak: rd, funct3 and rs1 zero, imm12 0 or 1
+_SYSTEM = {0: "ecall", 1 << 13: "ebreak"}
 
 
 def decode(word: int) -> str:
     word &= 0xFFFFFFFF
     opcode = word & 0x7F
-    funct3 = (word >> 12) & 0x7
-    if opcode == 0x37:
-        return "lui"
-    if opcode == 0x17:
-        return "auipc"
-    if opcode == 0x6F:
-        return "jal"
-    if opcode == 0x67:
-        return "jalr" if funct3 == 0 else "unknown"
-    if opcode == 0x63:
-        return _BRANCH.get(funct3, "unknown")
-    if opcode == 0x03:
-        return _LOAD.get(funct3, "unknown")
-    if opcode == 0x23:
-        return _STORE.get(funct3, "unknown")
-    if opcode == 0x13:
-        if funct3 == 0b001:
-            return "slli" if (word >> 25) == 0 else "unknown"
-        if funct3 == 0b101:
-            funct7 = word >> 25
-            if funct7 == 0b0000000:
-                return "srli"
-            if funct7 == 0b0100000:
-                return "srai"
-            return "unknown"
-        return _OP_IMM[funct3]
-    if opcode == 0x33:
-        return _OP.get((word >> 25, funct3), "unknown")
-    if opcode == 0x0F:
-        return "fence" if funct3 == 0 else "unknown"
     if opcode == 0x73:
-        if funct3 == 0 and (word >> 7) & 0x1FFF == 0:
-            imm12 = word >> 20
-            if imm12 == 0:
-                return "ecall"
-            if imm12 == 1:
-                return "ebreak"
-        return "unknown"
-    return "unknown"
+        return _SYSTEM.get(word >> 7, "unknown")
+    table = _OPCODES.get(opcode, "unknown")
+    if isinstance(table, str):
+        return table
+    funct3 = (word >> 12) & 0x7
+    return table.get(funct3) or table.get((funct3, word >> 25), "unknown")

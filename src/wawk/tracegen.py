@@ -210,11 +210,7 @@ def generate(spec: TraceSpec) -> tuple[str, GroundTruth]:
     lines.extend("$upscope $end" for _ in SCOPE_PATH)
     lines.append("$enddefinitions $end")
 
-    lines.append("#0")
-    lines.append("$dumpvars")
-    lines.append(f"1{clk_id}")
-    lines.append(f'0{ack_id}')
-    lines.append(f"bx {rdt_id}")
+    lines += ["#0", "$dumpvars", f"1{clk_id}", f"0{ack_id}", f"bx {rdt_id}"]
     lines.extend(f"0{dummy_id}" for dummy_id in dummy_ids)
     lines.append("$end")
 

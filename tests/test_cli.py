@@ -449,6 +449,24 @@ class TestUsage:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "addi\n"
 
+    def test_the_trace_generator_is_imported_only_when_used(self, tmp_path):
+        # a fresh interpreter: this process has imported wawk.tracegen already
+        check = ("import sys, wawk.cli\n"
+                 "print('wawk.tracegen' in sys.modules)\n"
+                 "from wawk import generate\n"
+                 "import wawk\n"
+                 "print(generate is sys.modules['wawk.tracegen'].generate, wawk.__all__)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", check], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "True " + str([
+            "ParseFailure", "RunFailure", "Value", "Waveform", "WawkError", "decode",
+            "execute", "generate", "parse_source", "parse_vcd", "parse_vcd_file",
+            "run_source"])]
+
     @pytest.mark.skipif(not _wawk_distribution_installed(),
                         reason="no installed 'wawk' distribution "
                                "(importlib.metadata.PackageNotFoundError)")

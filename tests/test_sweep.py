@@ -6,9 +6,11 @@ order it must agree with. Every test here runs a script both ways and
 requires the same output, the same final variables and the same error,
 context included: on random well-formed programs over small waveforms
 with x/z bits, late first changes and offsets past the trace, and on the
-cases the planner must get right or decline. The heads the planner binds
-(interp._bind) must read as the tree walker reads them, and a head the
-plan proved is not walked again.
+cases the planner must get right or decline, also with the planner's
+spans and windows shrunk to one or two. The heads the planner binds
+(interp._bind) must read as the tree walker reads them, one narrowing
+(interp._narrow) must read as its head evaluated at every index, and a
+head the plan proved is not walked again.
 """
 
 import gc
@@ -141,6 +143,114 @@ def test_random_signal_heads_run_the_same_planned_and_dense(dense_sweep, program
     agree(dense_sweep, program, WAVES)
 
 
+@pytest.mark.parametrize("window", [1, 2])
+@PROPERTY
+@given(program=PROGRAMS)
+def test_random_programs_run_the_same_in_narrow_windows(dense_sweep, window, program):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interp, "_WINDOW", window)
+        patch.setattr(interp, "_SPAN", window)
+        agree(dense_sweep, program, WAVES)
+
+
+@pytest.mark.parametrize("window", [1, 2])
+@PROPERTY
+@given(program=PLANNABLE)
+def test_random_signal_heads_run_the_same_in_narrow_windows(dense_sweep, window, program):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interp, "_WINDOW", window)
+        patch.setattr(interp, "_SPAN", window)
+        agree(dense_sweep, program, WAVES)
+
+
+# --- narrowing one head condition ---
+
+HELD, UNPROVEN = ("held",), ("unproven",)
+
+
+def narrowed(node, wave, pieces):
+    """What interp._narrow makes of the pure condition `node` over
+    `pieces`, and what it should make, both as {index: visit}; None when
+    `node` names a signal the wave lacks. The parts must be ascending and
+    apart, and adjacent parts must differ."""
+    bound = interp._bind(node, Environment(wave), set())
+    if bound is None:
+        return None
+    test, reads = bound
+    parts = list(interp._narrow(test, reads, wave.index_count, iter(pieces), UNPROVEN))
+    for (_, end, visit), (start, _, after) in zip(parts, parts[1:]):
+        assert end < start or (end == start and visit is not after), parts
+    assert all(start < end for start, end, _ in parts), parts
+    got = {index: visit for start, end, visit in parts for index in range(start, end)}
+    expected = {}
+    for start, end, statement in pieces:
+        for index in range(start, end):
+            try:
+                if interp._truthy(test(index)):
+                    expected[index] = statement
+            except WawkRuntimeError:
+                expected[index] = UNPROVEN
+    return got, expected
+
+
+@st.composite
+def pieces_of(draw, count):
+    """Ascending (start, end, statement) pieces over range(count), apart
+    or adjacent, each holding HELD or UNPROVEN, as a narrowing passes on."""
+    cuts = sorted(draw(st.sets(st.integers(0, count), max_size=6)) | {0, count})
+    return [(start, end, draw(st.sampled_from([HELD, HELD, UNPROVEN])))
+            for start, end in zip(cuts, cuts[1:]) if draw(st.booleans())]
+
+
+@pytest.mark.parametrize("span", [1, 2, None])
+@PROPERTY
+@given(node=PURE, data=st.data())
+def test_narrowing_reads_as_the_head_at_every_index(span, node, data):
+    with pytest.MonkeyPatch.context() as patch:
+        if span:
+            patch.setattr(interp, "_SPAN", span)
+        for wave in WAVES:
+            found = narrowed(node, wave, data.draw(pieces_of(wave.index_count)))
+            if found is not None:
+                got, expected = found
+                assert got == expected, (ast.to_source(ast.Program((ast.Statement(
+                    ast.Conditions((node,)), ()),))), wave.index_count)
+
+
+NARROW_WAVE = make_waveform(5, {
+    "s": (1, [(0, "1"), (1, "0"), (3, "1")]),
+    "x": (2, [(0, "1x"), (2, "10")]),
+})
+
+
+@pytest.mark.parametrize("source, held", [
+    ("1", [0, 1, 2, 3, 4]),  # reads nothing
+    ('""', []),
+    ("s@-2", [2]),  # enters at 2, where its first change, at 0, also cuts
+    ("s != s", []),  # one series read twice
+    ("x != x", None),  # ... raising while x has an x bit
+    ("s@5 || s@-5 || !s@9", [0, 1, 2, 3, 4]),  # past both ends
+    ("s@4 || s@-4", [0, 4]),  # at both ends
+])
+def test_narrowing_examples(source, held):
+    (statement,) = parse_source(f"{source}: {{ }}").statements
+    (node,) = statement.trigger.exprs
+    got, expected = narrowed(node, NARROW_WAVE, [(0, 5, HELD)])
+    assert got == expected
+    if held is not None:
+        assert got == dict.fromkeys(held, HELD)
+    else:
+        assert got == {0: UNPROVEN, 1: UNPROVEN}
+
+
+def test_the_memo_is_kept_per_head_condition():
+    # s and !s read the same values; each narrowing asks its own test
+    for source, held in [("s", [0, 3, 4]), ("!s", [1, 2]), ("s", [0, 3, 4])]:
+        (statement,) = parse_source(f"{source}: {{ }}").statements
+        got, _ = narrowed(statement.trigger.exprs[0], NARROW_WAVE, [(0, 5, HELD)])
+        assert got == dict.fromkeys(held, HELD)
+
+
 # --- the cases the planner must get right or decline ---
 
 SIG_SIGNALS = {
@@ -263,6 +373,30 @@ class TestPlan:
         out, _ = run_both(dense_sweep, source)
         assert out == "1-4 4-5 "
         assert visited[-1] == [(1, [1, 2]), (4, [1, 2]), (5, [1, 2])]
+
+    def test_a_wave_longer_than_the_window(self, dense_sweep, visited):
+        # `long` holds over more than two windows, then nothing fires for
+        # more than a window before `blip`; the count is no multiple of it
+        w = interp._WINDOW
+        count = 5 * w + 3
+        signals = {"long": (1, [(0, "0"), (1, "1"), (2 * w + 2, "0")]),
+                   "blip": (1, [(0, "0"), (count - 2, "1"), (count - 1, "0")]),
+                   "clk": (1, [(i, "01"[i % 2]) for i in range(count)])}
+        source = ('long: { n = n + 1; }\n'
+                  'blip || long@-1 && !long: { printf("%d ", INDEX); }\n'
+                  'clk, long || blip: { m = m + 1; }')
+        program = parse_source("BEGIN: { n = 0; m = 0; }\n" + source)
+        (result,) = agree(dense_sweep, program, [make_waveform(count, signals)])
+        fired = [*range(1, 2 * w + 2), count - 2]  # where `long || blip` holds
+        assert result == (f"{2 * w + 2} {count - 2} ",
+                          f"{{'args': [], 'n': {2 * w + 1}, 'm': {sum(i % 2 for i in fired)}}}")
+        expected = ([(i, [2, 4] if i % 2 else [2]) for i in range(1, 2 * w + 2)]
+                    + [(2 * w + 2, [3]), (count - 2, [3, 4] if (count - 2) % 2 else [3])])
+        assert visited[-3:] == [expected] * 3
+        empty = {name: (width, []) for name, (width, _) in signals.items()}
+        assert agree(dense_sweep, program, [make_waveform(0, empty)]) == [
+            ("", "{'args': [], 'n': 0, 'm': 0}")]
+        assert visited[-1] == []
 
     def test_a_trace_of_one_index(self, dense_sweep, visited):
         wave = make_waveform(1, {"s": (1, [(0, "1")])})
