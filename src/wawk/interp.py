@@ -1,4 +1,4 @@
-"""Tree-walking interpreter for analysis scripts.
+"""Interpreter for analysis scripts.
 
 Execution model: BEGIN bodies run once, then every non-BEGIN/END
 statement is evaluated at every index of the waveform in source order
@@ -6,20 +6,24 @@ statement is evaluated at every index of the waveform in source order
 once. Variables are global and dynamically typed; `args` is pre-bound to
 the command-line argument list.
 
+Every expression and action body is compiled once per run into a
+function of the sweep index (_compile). A name is resolved at each read,
+except in a sweep where nothing can change the signal it reads. The tree
+walker this replaced is the tests' reference evaluator.
+
 The sweep visits only the indexes where a statement can fire, which
 gives the same output, variables and errors as visiting every one (see
-_plan). A statement's head, its leading conditions that read only
-signals and literals, is bound once after BEGIN into a function of the
-index (_bind). Each head condition is constant between the indexes where
-a signal it reads changes, and the planner reads each stretch's values by
-their position in the signal's change list and tests each distinct tuple
-of them once (_narrow). The statement is visited only where its head can
-hold, and where the head held without raising the visit does not evaluate
-it again. The visits are gathered a window of indexes at a time (_gather).
-When a statement's first condition reads anything else, or a sweep
-statement calls `alias`, every statement is visited at every index. A
-plan is kept beside its waveform from its second run on, and `--all`
-reads it instead of narrowing again.
+_plan). A statement's head is its leading conditions that read only
+fixed signals and literals. Each head condition is constant between the
+indexes where a signal it reads changes, and the planner reads each
+stretch's values by their position in the signal's change list and tests
+each distinct tuple of them once (_narrow). The statement is visited only
+where its head can hold, and where the head held without raising the
+visit does not evaluate it again. The visits are gathered a window of
+indexes at a time (_gather). When a statement's first condition reads
+anything else, or a sweep statement calls `alias`, every statement is
+visited at every index. A plan is kept beside its waveform from its
+second run on, and `--all` reads it instead of narrowing again.
 
 Value domain: Python ints, strings, lists, four-state logic Values, and
 two absence markers. UNBOUND is what reading a never-assigned variable
@@ -34,10 +38,6 @@ Logic values convert to ints only when fully defined; x/z bits raise.
 Truthiness of a logic value is "fully defined and non-zero". `+` on a
 list appends the right operand in place and yields the list; `/` is
 integer division truncating toward zero; `average` rounds half up.
-
-Expression dispatch is a dict keyed on the node class rather than
-match/case: it runs bodies and the conditions after a head at up to every
-index. Heads are bound once instead, and not evaluated again where proven.
 """
 
 import math
@@ -292,8 +292,9 @@ def _operate(op: str, left: object, right: object) -> object:
 
 
 class Environment:
-    """All mutable state of one script run, and the evaluator that runs it.
-    Returned by execute() so callers can inspect final variable values."""
+    """All mutable state of one script run, and the special forms that
+    change it. Returned by execute() so callers can inspect final
+    variable values."""
 
     def __init__(
         self,
@@ -309,24 +310,23 @@ class Environment:
         self.modules = modules if modules is not None else default_native_modules()
         self.imported: set[str] = set()
         self.count = waveform.index_count
-        self.index: int | None = None  # set only during the sweep
 
     # --- name and signal resolution ---
 
-    def sample(self, name: str, offset: int) -> object:
-        """Signal `name` (or an alias of one) at the current index plus
-        `offset`; OUT_OF_RANGE when that lands outside the trace."""
-        index = self.index
+    def sample(self, name: str, index: int | None, offset: int) -> object:
+        """Signal `name` (or an alias of one) at `index` plus `offset`;
+        OUT_OF_RANGE when that lands outside the trace. `index` is None
+        outside the sweep."""
         if index is None:
             raise WawkRuntimeError(f"signal {name!r} can only be read during the index sweep")
         series = self.waveform.series(self.aliases.get(name, name))  # or UnknownSignalError
         return _read(series, index + offset, self.count)
 
-    def resolve(self, name: str, cond: bool) -> object:
+    def resolve(self, name: str, index: int | None, cond: bool) -> object:
         if name in self.variables:
             return self.variables[name]
         if name in self.aliases or name in self.waveform.signals:
-            return self.sample(name, 0)
+            return self.sample(name, index, 0)
         if name in self.modules:
             raise TypeMismatchError(f"{name!r} is a native module, not a value")
         if "." in name:
@@ -335,83 +335,7 @@ class Environment:
             return UNBOUND
         raise UnknownNameError(f"unbound variable {name!r}")
 
-    # --- expression evaluation ---
-    # cond=True marks condition context, where unbound variables read as
-    # the falsy UNBOUND instead of raising.
-
-    def eval(self, node, cond: bool) -> object:
-        return _EVAL[node.__class__](self, node, cond)
-
-    def _e_literal(self, node: ast.IntLit | ast.StrLit, cond: bool) -> int | str:
-        return node.value
-
-    def _e_list(self, node: ast.ListLit, cond: bool) -> list:
-        return [self.eval(e, cond) for e in node.items]
-
-    def _e_ident(self, node: ast.Ident, cond: bool) -> object:
-        return self.resolve(node.name, cond)
-
-    def _e_index(self, node: ast.CurrentIndex, cond: bool) -> int:
-        if self.index is None:
-            raise WawkRuntimeError("INDEX is only defined during the index sweep")
-        return self.index
-
-    def _e_offset(self, node: ast.OffsetRef, cond: bool) -> object:
-        return self.sample(node.signal.name, node.offset)
-
-    def _e_unary(self, node: ast.Unary, cond: bool) -> int:
-        if node.op == "!":
-            return int(not _truthy(self.eval(node.operand, cond)))
-        return -_as_int(self.eval(node.operand, cond), "-")
-
-    def _e_binary(self, node: ast.Binary, cond: bool) -> object:
-        op = node.op
-        if op == "&&":
-            if not _truthy(self.eval(node.left, cond)):
-                return 0
-            return int(_truthy(self.eval(node.right, cond)))
-        if op == "||":
-            if _truthy(self.eval(node.left, cond)):
-                return 1
-            return int(_truthy(self.eval(node.right, cond)))
-        return _operate(op, self.eval(node.left, cond), self.eval(node.right, cond))
-
-    def _e_subscript(self, node: ast.Subscript, cond: bool) -> object:
-        base = self.eval(node.base, cond)
-        index = self.eval(node.index, cond)
-        if not isinstance(base, list):
-            raise TypeMismatchError(f"cannot subscript {_type_name(base)}")
-        if isinstance(index, Value):
-            index = index.to_int()
-        if isinstance(index, bool) or not isinstance(index, int):
-            raise TypeMismatchError(f"list index must be an integer, got {_type_name(index)}")
-        if not 0 <= index < len(base):
-            raise WawkRuntimeError(
-                f"list index {_shown(index)} out of range for length {len(base)}"
-            )
-        return base[index]
-
-    # --- calls ---
-
-    def _e_call(self, node: ast.Call, cond: bool) -> object:
-        func = node.func
-        arg_nodes = node.args
-        if func == "alias":
-            return self._form_alias(arg_nodes)
-        if func == "import":
-            return self._form_import(arg_nodes)
-        if func == "call":
-            return self._form_call(arg_nodes, cond)
-        if func == "printf":
-            args = [self.eval(a, cond) for a in arg_nodes]
-            if not args or not isinstance(args[0], str):
-                raise TypeMismatchError("printf needs a format string first")
-            self.out.write(_format(args[0], args[1:]))
-            return UNBOUND
-        builtin = _BUILTINS.get(func)
-        if builtin is None:
-            raise UnknownFunctionError(f"unknown function {func!r}")
-        return builtin([self.eval(a, cond) for a in arg_nodes])
+    # --- special forms: they read their arguments as names ---
 
     def _form_alias(self, arg_nodes: tuple) -> object:
         if len(arg_nodes) != 2 or not all(isinstance(a, ast.Ident) for a in arg_nodes):
@@ -436,7 +360,8 @@ class Environment:
         self.imported.add(name)
         return UNBOUND
 
-    def _form_call(self, arg_nodes: tuple, cond: bool) -> object:
+    def _call_target(self, arg_nodes: tuple):
+        """The native function that `call` names by its first argument."""
         if not arg_nodes or not isinstance(arg_nodes[0], ast.Ident):
             raise TypeMismatchError("call needs a module.function name first")
         full = arg_nodes[0].name
@@ -448,39 +373,20 @@ class Environment:
         fn = self.modules[module].get(func)
         if fn is None:
             raise UnknownFunctionError(f"module {module!r} has no function {func!r}")
-        return fn([self.eval(a, cond) for a in arg_nodes[1:]])
-
-    # --- statements ---
-
-    def exec_body(self, body: tuple) -> None:
-        variables = self.variables
-        for stmt in body:
-            cls = stmt.__class__
-            if cls is ast.Assign:
-                variables[stmt.name] = self.eval(stmt.value, False)
-            elif cls is ast.ExprStmt:
-                self.eval(stmt.expr, False)
-            elif cls is ast.If:
-                if _truthy(self.eval(stmt.cond, True)):
-                    self.exec_body(stmt.then)
-                elif stmt.orelse:
-                    self.exec_body(stmt.orelse)
-            else:
-                raise TypeError(f"cannot execute {stmt!r}")
+        return fn
 
 
-_EVAL = {
-    ast.IntLit: Environment._e_literal,
-    ast.StrLit: Environment._e_literal,
-    ast.ListLit: Environment._e_list,
-    ast.Ident: Environment._e_ident,
-    ast.CurrentIndex: Environment._e_index,
-    ast.OffsetRef: Environment._e_offset,
-    ast.Unary: Environment._e_unary,
-    ast.Binary: Environment._e_binary,
-    ast.Subscript: Environment._e_subscript,
-    ast.Call: Environment._e_call,
-}
+def _subscript(base: object, index: object) -> object:
+    """`base[index]`, its operands evaluated."""
+    if not isinstance(base, list):
+        raise TypeMismatchError(f"cannot subscript {_type_name(base)}")
+    if isinstance(index, Value):
+        index = index.to_int()
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise TypeMismatchError(f"list index must be an integer, got {_type_name(index)}")
+    if not 0 <= index < len(base):
+        raise WawkRuntimeError(f"list index {_shown(index)} out of range for length {len(base)}")
+    return base[index]
 
 
 def _walk(node) -> Iterator:
@@ -495,51 +401,129 @@ def _walk(node) -> Iterator:
                 yield from _walk(item)
 
 
-def _bind_binary(op: str, left, right):
-    if op == "&&":
-        return lambda index: int(_truthy(right(index))) if _truthy(left(index)) else 0
-    if op == "||":
-        return lambda index: 1 if _truthy(left(index)) else int(_truthy(right(index)))
-    return lambda index: _operate(op, left(index), right(index))
+def _compile(node, env: Environment, cond: bool, assigned: set | None) -> tuple:
+    """The expression or action statement `node` as a function of the
+    sweep index (None in BEGIN and END). `cond` marks condition context,
+    where an unbound name reads as the falsy UNBOUND.
 
-
-def _bind(node, env: Environment, assigned: set) -> tuple | None:
-    """The pure condition `node` as a function of the index, giving what
-    Environment.eval(node, True) gives there, and the (SignalSeries,
-    offset) pairs it reads. None when `node` is not pure: it reads only
-    signals, `sig@k` and literals through operators, and a plain name is
-    a signal only if it is no variable now and no sweep body assigns it."""
+    `assigned`, the names sweep bodies assign, is given only in a sweep
+    where no statement calls alias. There `sig@k`, and a plain name neither
+    in it nor a variable now, are fixed to the signal they read; any other
+    name is resolved at each call, so an assignment or alias acts at once.
+    With the function come the (SignalSeries, offset) pairs `node` reads
+    when it is pure, reading only literals and fixed signals through
+    operators; None otherwise, and wherever nothing is fixed."""
     cls = node.__class__
     if cls is ast.IntLit or cls is ast.StrLit:
         value = node.value
-        return (lambda index: value), []
+        return (lambda index: value), None if assigned is None else []
     if cls is ast.Ident or cls is ast.OffsetRef:
-        if cls is ast.OffsetRef:  # reads a signal even where a variable has its name
-            name, k = node.signal.name, node.offset
-        elif node.name in env.variables or node.name in assigned:
-            return None
-        else:
-            name, k = node.name, 0
-        series = env.waveform.signals.get(env.aliases.get(name, name))
-        if series is None:
-            return None
-        count = env.count
-        return (lambda index: _read(series, index + k, count)), [(series, k)]
+        offset = cls is ast.OffsetRef  # reads a signal even where a variable has its name
+        name, k = (node.signal.name, node.offset) if offset else (node.name, 0)
+        if assigned is not None and (offset or name not in assigned and name not in env.variables):
+            series = env.waveform.signals.get(env.aliases.get(name, name))
+            if series is not None:
+                count = env.count
+                return (lambda index: _read(series, index + k, count)), [(series, k)]
+        if offset:
+            return (lambda index: env.sample(name, index, k)), None
+        resolve = env.resolve
+        return (lambda index: resolve(name, index, cond)), None
     if cls is ast.Unary:
-        bound = _bind(node.operand, env, assigned)
-        if bound is None:
-            return None
-        operand, reads = bound
+        operand, reads = _compile(node.operand, env, cond, assigned)
         if node.op == "!":
             return (lambda index: int(not _truthy(operand(index)))), reads
         return (lambda index: -_as_int(operand(index), "-")), reads
     if cls is ast.Binary:
-        left = _bind(node.left, env, assigned)
-        right = _bind(node.right, env, assigned)
-        if left is None or right is None:
-            return None
-        return _bind_binary(node.op, left[0], right[0]), left[1] + right[1]
-    return None
+        op = node.op
+        left, left_reads = _compile(node.left, env, cond, assigned)
+        right, right_reads = _compile(node.right, env, cond, assigned)
+        reads = None if left_reads is None or right_reads is None else left_reads + right_reads
+        if op == "&&":
+            return (lambda index: int(_truthy(right(index))) if _truthy(left(index)) else 0), reads
+        if op == "||":
+            return (lambda index: 1 if _truthy(left(index)) else int(_truthy(right(index)))), reads
+        return (lambda index: _operate(op, left(index), right(index))), reads
+    if cls is ast.CurrentIndex:
+        def current(index):
+            if index is None:
+                raise WawkRuntimeError("INDEX is only defined during the index sweep")
+            return index
+
+        return current, None
+    if cls is ast.ListLit:
+        items = [_compile(item, env, cond, assigned)[0] for item in node.items]
+        return (lambda index: [item(index) for item in items]), None
+    if cls is ast.Subscript:
+        base = _compile(node.base, env, cond, assigned)[0]
+        at = _compile(node.index, env, cond, assigned)[0]
+        return (lambda index: _subscript(base(index), at(index))), None
+    if cls is ast.Call:
+        func, arg_nodes = node.func, node.args
+        if func == "alias":
+            return (lambda index: env._form_alias(arg_nodes)), None
+        if func == "import":
+            return (lambda index: env._form_import(arg_nodes)), None
+        args = [_compile(a, env, cond, assigned)[0] for a in arg_nodes]
+        if func == "call":  # the target is looked up before the arguments are read
+            args = args[1:]
+            return (lambda index: env._call_target(arg_nodes)([arg(index) for arg in args])), None
+        if func == "printf":
+            def printf(index):
+                values = [arg(index) for arg in args]
+                if not values or not isinstance(values[0], str):
+                    raise TypeMismatchError("printf needs a format string first")
+                env.out.write(_format(values[0], values[1:]))
+                return UNBOUND
+
+            return printf, None
+        builtin = _BUILTINS.get(func)
+        if builtin is None:
+            def unknown(index):
+                raise UnknownFunctionError(f"unknown function {func!r}")
+
+            return unknown, None
+        return (lambda index: builtin([arg(index) for arg in args])), None
+    if cls is ast.ExprStmt:
+        return _compile(node.expr, env, False, assigned)[0], None
+    if cls is ast.Assign:
+        name, variables = node.name, env.variables
+        value = _compile(node.value, env, False, assigned)[0]
+
+        def assign(index):
+            variables[name] = value(index)
+
+        return assign, None
+    if cls is ast.If:
+        test = _compile(node.cond, env, True, assigned)[0]
+        then = _compile_body(node.then, env, assigned)
+        orelse = _compile_body(node.orelse, env, assigned)
+        return (lambda index: (then if _truthy(test(index)) else orelse)(index)), None
+    raise TypeError(f"cannot run {node!r}")
+
+
+def _compile_body(body: tuple, env: Environment, assigned: set | None):
+    """The action `body` as one function of the sweep index (see _compile)."""
+    steps = [_compile(stmt, env, False, assigned)[0] for stmt in body]
+
+    def run(index):
+        for step in steps:
+            step(index)
+
+    return run
+
+
+def _assigned(statements) -> set | None:
+    """The names the bodies of `statements` assign; None when one of them
+    calls alias, so no signal read can be fixed."""
+    assigned = set()
+    for statement in statements:
+        for node in chain.from_iterable(map(_walk, statement.trigger.exprs + statement.body)):
+            if node.__class__ is ast.Call and node.func == "alias":
+                return None
+            if node.__class__ is ast.Assign:
+                assigned.add(node.name)
+    return assigned
 
 
 def _can_raise(node) -> bool:
@@ -652,50 +636,39 @@ _PLANS = weakref.WeakKeyDictionary()
 
 
 def _plan(env: Environment, sweep: list) -> Iterator | None:
-    """The sweep's visits as (index, statements) pairs, in index and then
+    """The sweep's visits as (index, visits) pairs, in index and then
     source order, skipping every index where no statement can fire; None
     when every statement must be visited at every index.
 
-    A statement's head is its leading pure conditions (see _bind), up to
-    and including the first that can raise, each bound once. Between the
-    cuts of its signals each head condition is constant, so a stretch
-    where one is false holds no visit: the sweep would stop at that
-    condition or at an earlier false one without raising. The head is
-    narrowed starting from its condition whose signals change least, and
-    no further than the visits are read (see _gather).
-    Where every head condition held without raising, the visit carries
-    only the conditions after the head, so a proven head is not evaluated
-    again.
+    A statement's head is its leading pure conditions (see _compile), up
+    to and including the first that can raise. Between the cuts of its
+    signals each head condition is constant, so a stretch where one is
+    false holds no visit: the sweep would stop at that condition or at an
+    earlier false one without raising. The head is narrowed starting from
+    its condition whose signals change least, and no further than the
+    visits are read (see _gather). A visit is (ordinal, proven): the
+    statement, and how many of its conditions held without raising, all
+    of the head or none, so a proven head is not evaluated again.
 
-    The visits depend only on each statement and the (series, offset)
-    reads of its bound head conditions, their key beside the waveform.
+    The visits depend only on the statements, their ordinals and the
+    (series, offset) reads of their heads, their key beside the waveform.
     The first run with a key keeps nothing, since a script run once never
     reads its visits again; the second keeps them for every later run."""
-    assigned = set()
-    for _, conditions, body in sweep:
-        for node in chain.from_iterable(map(_walk, conditions + body)):
-            if node.__class__ is ast.Call and node.func == "alias":
-                return None
-            if node.__class__ is ast.Assign:
-                assigned.add(node.name)
     streams, key = [], []
-    for statement in sweep:
-        ordinal, conditions, body = statement
+    for ordinal, statement, conditions, _ in sweep:
         head = []
-        for condition in conditions:
-            bound = _bind(condition, env, assigned)
-            if bound is None:
+        for node, (test, reads) in zip(statement.trigger.exprs, conditions):
+            if reads is None:
                 break
-            test, reads = bound
             head.append((sum(len(series.indexes) for series, _ in reads), test, reads))
-            if _can_raise(condition):
+            if _can_raise(node):
                 break
         if not head:
             return None
-        key.append((statement, tuple(tuple(reads) for _, _, reads in head)))
-        pieces = [(0, env.count, (ordinal, conditions[len(head):], body))]
+        key.append((ordinal, statement, tuple(tuple(reads) for _, _, reads in head)))
+        pieces, unproven = [(0, env.count, (ordinal, len(head)))], (ordinal, 0)
         for _, test, reads in sorted(head, key=itemgetter(0)):
-            pieces = _narrow(test, reads, env.count, pieces, statement)
+            pieces = _narrow(test, reads, env.count, pieces, unproven)
         streams.append(pieces)
     visits = _gather(streams)
     plans = _PLANS.setdefault(env.waveform, {})
@@ -724,7 +697,7 @@ def execute(
         for ordinal, stmt in numbered:
             if isinstance(stmt.trigger, kind):
                 try:
-                    env.exec_body(stmt.body)
+                    _compile_body(stmt.body, env, None)(None)
                 except WawkRuntimeError as err:
                     if err.context is None:
                         err.context = f"statement {ordinal} ({where})"
@@ -732,32 +705,34 @@ def execute(
 
     run_blocks(ast.Begin, "BEGIN")
 
-    sweep = [
-        (ordinal, stmt.trigger.exprs, stmt.body)
-        for ordinal, stmt in numbered
-        if isinstance(stmt.trigger, ast.Conditions)
-    ]
-    if sweep:
+    swept = [(ordinal, stmt) for ordinal, stmt in numbered
+             if isinstance(stmt.trigger, ast.Conditions)]
+    if swept:
+        assigned = _assigned(stmt for _, stmt in swept)
+        sweep = [(ordinal, stmt, [_compile(c, env, True, assigned) for c in stmt.trigger.exprs],
+                  _compile_body(stmt.body, env, assigned)) for ordinal, stmt in swept]
+        runs = {  # a visit -> the statement's conditions after those proven, and its body
+            (ordinal, proven): (ordinal, [test for test, _ in conditions[proven:]], body)
+            for ordinal, _, conditions, body in sweep
+            for proven in range(len(conditions) + 1)
+        }
         visits = _plan(env, sweep)
         if visits is None:
-            visits = zip(range(env.count), repeat(sweep))
-        evaluate = env.eval
+            visits = zip(range(env.count), repeat([(ordinal, 0) for ordinal, _ in swept]))
         truthy = _truthy
-        exec_body = env.exec_body
         for index, statements in visits:
-            env.index = index
-            for ordinal, conditions, body in statements:
+            for visit in statements:
+                ordinal, conditions, body = runs[visit]
                 try:
                     for condition in conditions:
-                        if not truthy(evaluate(condition, True)):
+                        if not truthy(condition(index)):
                             break
                     else:
-                        exec_body(body)
+                        body(index)
                 except WawkRuntimeError as err:
                     if err.context is None:
                         err.context = f"statement {ordinal} at index {index}"
                     raise
-        env.index = None
 
     run_blocks(ast.End, "END")
     return env

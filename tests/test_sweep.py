@@ -1,20 +1,24 @@
-"""The planned sweep against the dense one.
+"""The compiled, planned sweep against the dense one and the reference.
 
-execute() visits only the indexes where a statement's signal-only head
-can hold (interp._plan); visiting every statement at every index is the
-order it must agree with. Every test here runs a script both ways and
-requires the same output, the same final variables and the same error,
-context included: on random well-formed programs over small waveforms
-with x/z bits, late first changes and offsets past the trace, and on the
-cases the planner must get right or decline, also with the planner's
-spans and windows shrunk to one or two. The heads the planner binds
-(interp._bind) must read as the tree walker reads them, one narrowing
-(interp._narrow) must read as its head evaluated at every index, and a
-head the plan proved is not walked again.
+execute() compiles every expression once per run (interp._compile) and
+visits only the indexes where a statement's signal-only head can hold
+(interp._plan); visiting every statement at every index is the order it
+must agree with. Every test here runs a script both ways and requires
+the same output, the same final variables and the same error, context
+included: on random well-formed programs over small waveforms with x/z
+bits, late first changes and offsets past the trace, and on the cases
+the planner must get right or decline, also with the planner's spans and
+windows shrunk to one or two. Planned and dense runs share the compiler,
+so random programs and random expressions are also run through the tree
+walker in reference_eval.py, which shares none of it. One narrowing
+(interp._narrow) must read as its head evaluated at every index, a head
+the plan proved is not evaluated again, and a kept plan holds nothing of
+the run that made it.
 """
 
 import gc
 import io
+import sys
 import weakref
 
 import pytest
@@ -23,11 +27,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import reference_eval  # noqa: E402
 from conftest import make_waveform  # noqa: E402
 from test_properties import PROGRAMS, PROPERTY, WAVE, bodies, top_exprs  # noqa: E402
 from wawk import ast, interp  # noqa: E402
 from wawk.cli import bundled_script  # noqa: E402
-from wawk.errors import WawkRuntimeError, XZConversionError  # noqa: E402
+from wawk.errors import DivisionByZeroError, WawkRuntimeError, XZConversionError  # noqa: E402
 from wawk.interp import Environment, default_native_modules, execute  # noqa: E402
 from wawk.parser import MAX_DEPTH, parse_source  # noqa: E402
 from wawk.riscv import MNEMONICS  # noqa: E402
@@ -51,11 +56,11 @@ WAVES = [
 ]
 
 
-def outcome(program, wave, args=(), modules=None):
+def outcome(program, wave, args=(), modules=None, run=execute):
     """What one run shows: stdout, then the final variables or the error."""
     out = io.StringIO()
     try:
-        env = execute(program, wave, args=args, out=out, modules=modules)
+        env = run(program, wave, args=args, out=out, modules=modules)
     except WawkRuntimeError as err:
         return out.getvalue(), (type(err), err.message, err.context)
     return out.getvalue(), repr(env.variables)  # repr: a list may hold itself
@@ -101,34 +106,75 @@ PLANNABLE = st.lists(
     min_size=1, max_size=3,
 ).map(lambda s: ast.Program(tuple(s)))
 
+# Programs where what a name reads changes during a run: BEGIN and sweep
+# bodies assign signal names and alias names to signals.
+NAMED = st.recursive(
+    st.one_of(
+        st.builds(ast.IntLit, st.integers(0, 2)),
+        st.builds(ast.Ident, st.sampled_from(["clk", "x", "y", "top.bus"])),
+        st.builds(ast.OffsetRef, st.builds(ast.Ident, st.sampled_from(["clk", "x"])),
+                  st.integers(-1, 1)),
+    ),
+    lambda inner: st.builds(ast.Binary, st.sampled_from(["&&", "||", "==", "+"]), inner, inner),
+    max_leaves=3,
+)
+ALIAS = st.builds(lambda short, target: ast.ExprStmt(ast.Call("alias", (short, target))),
+                  st.builds(ast.Ident, st.sampled_from(["x", "y"])),
+                  st.builds(ast.Ident, st.sampled_from(["clk", "top.bus"])))
+NAMES_ASSIGNED = st.sampled_from(["clk", "x"])
+ASSIGN = st.builds(ast.Assign, NAMES_ASSIGNED, NAMED)
+PRINT_INDEX = ast.ExprStmt(ast.Call("printf", (ast.StrLit("%d "), ast.CurrentIndex())))
+RENAMINGS = st.builds(
+    lambda begin, sweep: ast.Program((ast.Statement(ast.Begin(), tuple(begin)), *sweep)),
+    st.lists(st.one_of(ALIAS, st.builds(ast.Assign, NAMES_ASSIGNED,
+                                        st.builds(ast.IntLit, st.integers(0, 2)))), max_size=2),
+    st.lists(st.builds(ast.Statement,
+                       st.lists(NAMED, min_size=1, max_size=2).map(
+                           lambda conditions: ast.Conditions(tuple(conditions))),
+                       st.lists(st.one_of(ASSIGN, ASSIGN, st.just(PRINT_INDEX), ALIAS),
+                                min_size=1, max_size=3).map(tuple)),
+             min_size=1, max_size=3),
+)
+
 
 def reading(read, index):
     """What `read` gives at `index`: its value, or its error's class and
-    message."""
+    message. repr, since a list may hold itself."""
     try:
         value = read(index)
     except WawkRuntimeError as err:
         return type(err), err.message
-    return type(value), value
+    return type(value), repr(value)
+
+
+def state(env):
+    """An environment with a few variables, the extern module imported."""
+    env.variables.update(y=2, l=[1, 0])
+    env.imported.add("extern")
+    return env
 
 
 @PROPERTY
-@given(PURE)
-def test_the_binder_reads_as_the_tree_walker(node):
+@given(st.one_of(PURE, top_exprs(MAX_DEPTH)))
+def test_compiled_expressions_read_as_the_reference(node):
+    # fixed as in a sweep of one statement with `node` as its condition
+    fixing = interp._assigned([ast.Statement(ast.Conditions((node,)), ())])
     for wave in WAVES:
-        env = Environment(wave)
-        bound = interp._bind(node, env, set())
-        if bound is None:  # it names a signal this wave lacks
-            assert not {"clk", "top.bus", "x"} <= wave.signals.keys()
-            continue
-        bound_read, _ = bound
+        for cond in (True, False):
+            for assigned, indexes in ((fixing, range(wave.index_count)), (None, [None])):
+                env = state(Environment(wave, ["a"], io.StringIO()))
+                compiled, _ = interp._compile(node, env, cond, assigned)
+                walker = state(reference_eval.Walker(wave, ["a"], io.StringIO()))
 
-        def walked_read(index):
-            env.index = index
-            return env.eval(node, True)
+                def walked(index):
+                    walker.index = index
+                    return walker.eval(node, cond)
 
-        for index in range(wave.index_count):
-            assert reading(bound_read, index) == reading(walked_read, index), (node, index)
+                for index in indexes:
+                    assert reading(compiled, index) == reading(walked, index), (node, index)
+                assert env.out.getvalue() == walker.out.getvalue()
+                assert repr(env.variables) == repr(walker.variables)
+                assert env.aliases == walker.aliases
 
 
 @PROPERTY
@@ -141,6 +187,19 @@ def test_random_programs_run_the_same_planned_and_dense(dense_sweep, program):
 @given(PLANNABLE)
 def test_random_signal_heads_run_the_same_planned_and_dense(dense_sweep, program):
     agree(dense_sweep, program, WAVES)
+
+
+# by name: a failing example's report would print a strategy's whole repr
+REFERENCE_PROGRAMS = {"any": PROGRAMS, "signal_heads": PLANNABLE, "renamings": RENAMINGS}
+
+
+@pytest.mark.parametrize("kind", list(REFERENCE_PROGRAMS))
+@PROPERTY
+@given(data=st.data())
+def test_random_programs_run_as_the_reference(dense_sweep, kind, data):
+    program = data.draw(REFERENCE_PROGRAMS[kind])
+    expected = [outcome(program, wave, run=reference_eval.execute) for wave in WAVES]
+    assert agree(dense_sweep, program, WAVES) == expected, ast.to_source(program)
 
 
 @pytest.mark.parametrize("window", [1, 2])
@@ -173,10 +232,9 @@ def narrowed(node, wave, pieces):
     `pieces`, and what it should make, both as {index: visit}; None when
     `node` names a signal the wave lacks. The parts must be ascending and
     apart, and adjacent parts must differ."""
-    bound = interp._bind(node, Environment(wave), set())
-    if bound is None:
+    test, reads = interp._compile(node, Environment(wave), True, set())
+    if reads is None:
         return None
-    test, reads = bound
     parts = list(interp._narrow(test, reads, wave.index_count, iter(pieces), UNPROVEN))
     for (_, end, visit), (start, _, after) in zip(parts, parts[1:]):
         assert end < start or (end == start and visit is not after), parts
@@ -408,16 +466,24 @@ class TestPlan:
 
 @pytest.fixture
 def conditions_walked(monkeypatch):
-    """The nodes Environment.eval is called on in condition context."""
+    """The statement conditions the sweep evaluates, one node per call:
+    the compiled functions that execute() itself calls. The planner's
+    own tests of a head are not counted."""
     nodes = []
-    real = Environment.eval
+    real = interp._compile
+    sweep = interp.execute.__code__
 
-    def spy(self, node, cond):
-        if cond:
-            nodes.append(node)
-        return real(self, node, cond)
+    def spy(node, env, cond, assigned):
+        compiled, reads = real(node, env, cond, assigned)
 
-    monkeypatch.setattr(Environment, "eval", spy)
+        def counted(index):
+            if sys._getframe(1).f_code is sweep:
+                nodes.append(node)
+            return compiled(index)
+
+        return counted, reads
+
+    monkeypatch.setattr(interp, "_compile", spy)
     return nodes
 
 
@@ -437,8 +503,7 @@ class TestBoundHeads:
         env = execute(program, wave, args=["a"], out=io.StringIO())
         assert env.variables["n"] == 3
         assert visited[-1] == [(1, [2]), (3, [1]), (5, [2])]
-        tail = {id(node) for node in interp._walk(program.statements[0].trigger.exprs[3])}
-        assert conditions_walked and all(id(node) in tail for node in conditions_walked)
+        assert conditions_walked == [program.statements[0].trigger.exprs[3]]
 
 
 # go high at 0-4; s high at 1, 4 and 5; bus defined at 0-2 and 5, with an x at 3-4
@@ -499,9 +564,13 @@ class TestPlanReuse:
         sources = ['s, !s@-1: { printf("%d ", INDEX); }',
                    's, !s@-1: { printf("%d,", INDEX); }',
                    's, !s@-1, INDEX > 2: { n = INDEX; }',
-                   'BEGIN: { n = 0; }\ns, !s@-1: { n = n + INDEX; }']
+                   'BEGIN: { n = 0; }\ns, !s@-1: { n = n + INDEX; }',
+                   's, !s@-1: { n = 1 / 0; }',
+                   'BEGIN: { }\ns, !s@-1: { n = 1 / 0; }']  # the same statement, second
         expected = [("1 4 ", "{'args': []}"), ("1,4,", "{'args': []}"),
-                    ("", "{'args': [], 'n': 4}"), ("", "{'args': [], 'n': 5}")]
+                    ("", "{'args': [], 'n': 4}"), ("", "{'args': [], 'n': 5}"),
+                    ("", (DivisionByZeroError, "1 / 0", "statement 1 at index 1")),
+                    ("", (DivisionByZeroError, "1 / 0", "statement 2 at index 1"))]
         wave = reuse_wave()
         for _ in range(3):
             for source, result in zip(sources, expected):
@@ -525,11 +594,23 @@ class TestPlanReuse:
         assert list(interp._PLANS[wave].values()) == [False]
         outcome(program, wave)
         (kept,) = interp._PLANS[wave].values()
-        assert [(index, [ordinal for ordinal, _, _ in visits]) for index, visits in kept] == [
-            (1, [1]), (4, [1]), (5, [1])]
+        # (statement ordinal, conditions proven): the head of one held
+        assert kept == [(1, [(1, 1)]), (4, [(1, 1)]), (5, [(1, 1)])]
         held = weakref.ref(wave)
         before = len(interp._PLANS)
         del wave
         gc.collect()
         assert held() is None
         assert len(interp._PLANS) == before - 1
+
+    def test_a_kept_plan_runs_with_the_state_of_the_run_that_reads_it(self):
+        program = parse_source('BEGIN: { n = 0; }\n'
+                               's: { printf("%s%d ", args[0], INDEX); n = n + INDEX; }')
+        wave = reuse_wave()
+        earlier = [io.StringIO(), io.StringIO()]
+        for arg, out in zip("ab", earlier):
+            execute(program, wave, args=[arg], out=out)
+        (kept,) = interp._PLANS[wave].values()
+        assert kept
+        assert outcome(program, wave, ["c"]) == ("c1 c4 c5 ", "{'args': ['c'], 'n': 10}")
+        assert [out.getvalue() for out in earlier] == ["a1 a4 a5 ", "b1 b4 b5 "]
