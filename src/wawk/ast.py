@@ -1,11 +1,14 @@
 """Syntax tree for analysis scripts, plus a source printer.
 
-Nodes compare structurally; source positions are carried for error
-messages but excluded from equality so a printed-and-reparsed tree equals
-the original.
+A node is an immutable named tuple under the `Node` mixin, built by
+`_node` in one line. Nodes compare structurally but exactly by class:
+`Ident("a")` equals neither `StrLit("a")` nor the tuple `("a",)`, and
+hashes follow equality. Source positions are carried for error messages
+but left out of equality and hashing, so a printed-and-reparsed tree
+equals the original. Every node is truthy, even one without fields.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 # How tightly each binary operator binds, loosest first; all associate
 # left. The parser and the printer both read this table.
@@ -13,114 +16,56 @@ PRECEDENCE = {"||": 0, "&&": 1, "==": 2, "!=": 2, "<": 2, "<=": 2, ">": 2, ">=":
               "+": 3, "-": 3, "*": 4, "/": 4}
 _UNARY = 5  # '!' and '-' bind tighter than every binary operator
 
+
+class Node:
+    """Equality, hashing and truth for the node classes below. Only the
+    first `_compared` fields count (None: all of them)."""
+
+    __slots__ = ()
+    _compared = None
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and self[:self._compared] == other[:self._compared]
+
+    def __ne__(self, other):  # tuple.__ne__ would come first otherwise
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.__class__, self[:self._compared]))
+
+    def __bool__(self):
+        return True
+
+
+def _node(name: str, fields: str, compared: int | None = None, defaults=None) -> type:
+    base = namedtuple(name, fields, defaults=defaults)
+    return type(name, (Node, base), {"__slots__": (), "_compared": compared})
+
+
 # --- expressions ---
-
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True)
-class StrLit:
-    value: str
-
-
-@dataclass(frozen=True)
-class ListLit:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class Ident:
-    name: str
-
-
-@dataclass(frozen=True)
-class CurrentIndex:
-    """The INDEX builtin: position of the sweep on the time axis."""
-
-
-@dataclass(frozen=True)
-class OffsetRef:
-    signal: Ident
-    offset: int
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str  # '!' or '-'
-    operand: object
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # arithmetic, comparison, '&&', '||'
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Subscript:
-    base: object
-    index: object
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
-
+IntLit = _node("IntLit", "value")
+StrLit = _node("StrLit", "value")
+ListLit = _node("ListLit", "items")
+Ident = _node("Ident", "name")
+CurrentIndex = _node("CurrentIndex", "")  # INDEX: the sweep's position on the time axis
+OffsetRef = _node("OffsetRef", "signal offset")  # signal is an Ident
+Unary = _node("Unary", "op operand")  # op is '!' or '-'
+Binary = _node("Binary", "op left right")  # arithmetic, comparison, '&&', '||'
+Subscript = _node("Subscript", "base index")
+Call = _node("Call", "func args")
 
 # --- statements ---
-
-
-@dataclass(frozen=True)
-class Assign:
-    name: str
-    value: object
-
-
-@dataclass(frozen=True)
-class ExprStmt:
-    expr: object
-
-
-@dataclass(frozen=True)
-class If:
-    cond: object
-    then: tuple
-    orelse: tuple  # empty when there is no else branch
-
+Assign = _node("Assign", "name value")
+ExprStmt = _node("ExprStmt", "expr")
+If = _node("If", "cond then orelse")  # orelse is empty when there is no else branch
 
 # --- top level ---
-
-
-@dataclass(frozen=True)
-class Begin:
-    pass
-
-
-@dataclass(frozen=True)
-class End:
-    pass
-
-
-@dataclass(frozen=True)
-class Conditions:
-    exprs: tuple  # comma list; all must hold, evaluated left to right
-
-
-@dataclass(frozen=True)
-class Statement:
-    trigger: object  # Begin | End | Conditions
-    body: tuple
-    line: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Program:
-    statements: tuple
+Begin = _node("Begin", "")
+End = _node("End", "")
+Conditions = _node("Conditions", "exprs")  # comma list; all must hold, left to right
+# trigger is Begin, End or Conditions; line is not compared
+Statement = _node("Statement", "trigger body line", compared=2, defaults=(0,))
+Program = _node("Program", "statements")
 
 
 # --- printing ---

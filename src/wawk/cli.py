@@ -142,8 +142,8 @@ def _cmd_gen(opts) -> int:
                     spec = parse_spec_file(f.read())
             except (OSError, UnicodeDecodeError) as err:
                 return _fail(f"cannot read spec: {err}", 2)
-            spec.clock_half_period = opts.half_period
-            spec.dummy_signals = opts.dummy_signals
+            spec = spec._replace(clock_half_period=opts.half_period,
+                                 dummy_signals=opts.dummy_signals)
         text, _ = generate(spec)
     except ParseFailure as err:
         return _fail(str(err), 2)

@@ -46,7 +46,6 @@ import sys
 import weakref
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import fields, is_dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import IO, Iterator, Sequence
@@ -390,14 +389,12 @@ def _subscript(base: object, index: object) -> object:
 
 
 def _walk(node) -> Iterator:
-    """`node` and every syntax node below it. Fields are read one by one:
-    vars() would give each node a dict, and attribute reads from such
-    a node are slower in every later sweep."""
+    """`node` and every syntax node below it. Nodes are tuples too, so
+    only a plain tuple is a field that holds several children."""
     yield node
-    for field in fields(node):
-        child = getattr(node, field.name)
-        for item in child if isinstance(child, tuple) else (child,):
-            if is_dataclass(item):
+    for child in node:
+        for item in child if child.__class__ is tuple else (child,):
+            if isinstance(item, ast.Node):
                 yield from _walk(item)
 
 

@@ -25,7 +25,7 @@ start, or at the `.` before a later part.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import IllegalCharacterError, UnterminatedStringError
 
@@ -53,14 +53,9 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-    value: object = None  # decoded payload for INT and STRING
-    width: int = 0  # length of the source text, quotes and escapes included
+# value is the decoded payload for INT and STRING; width is the length of
+# the source text, quotes and escapes included
+Token = namedtuple("Token", "kind text line col value width", defaults=(None, 0))
 
 
 def tokenize(source: str) -> list[Token]:

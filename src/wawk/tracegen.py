@@ -29,7 +29,7 @@ The final instruction has no following ack, so it is never measured
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import InvalidSpecError
 from .riscv import MNEMONICS, decode
@@ -50,35 +50,22 @@ def _dummy_period(j: int) -> int:
     return j + 3
 
 
-@dataclass
-class TraceSpec:
-    """What to generate: (instruction word, cycle count) pairs plus
-    trace shaping knobs."""
+# What to generate: (instruction word, cycle count) pairs plus trace
+# shaping knobs.
+TraceSpec = namedtuple("TraceSpec", "instructions clock_half_period dummy_signals",
+                       defaults=(1, 0))
 
-    instructions: tuple[tuple[int, int], ...]
-    clock_half_period: int = 1
-    dummy_signals: int = 0
-
-
-@dataclass(frozen=True)
-class Instruction:
-    word: int
-    mnemonic: str
-    cycles: int
-    ack_index: int
-    # what the spacing measurement reports for this instruction, or None
-    # for the final instruction, which no later ack closes
-    formula_value: int | None
+# formula_value is what the spacing measurement reports for the
+# instruction, or None for the final instruction, which no later ack closes
+Instruction = namedtuple("Instruction", "word mnemonic cycles ack_index formula_value")
 
 
-@dataclass
-class GroundTruth:
-    half_period: int
-    index_count: int
-    dummy_signals: int
-    instructions: list[Instruction]
-    _rises: list[int] = field(repr=False, default_factory=list)
-    _words: list[int] = field(repr=False, default_factory=list)
+class GroundTruth(namedtuple(
+        "GroundTruth", "half_period index_count dummy_signals instructions rises words")):
+    """What a generated trace holds; `rises` and `words` give each
+    instruction's ack index and word."""
+
+    __slots__ = ()
 
     def timestamp_of(self, index: int) -> int:
         return index * self.half_period
@@ -102,14 +89,14 @@ class GroundTruth:
         if name == CLOCK_SIGNAL:
             return "1" if index % 2 == 0 else "0"
         if name == ACK_SIGNAL:
-            pos = bisect_right(self._rises, index) - 1
-            high = pos >= 0 and index <= self._rises[pos] + 1
+            pos = bisect_right(self.rises, index) - 1
+            high = pos >= 0 and index <= self.rises[pos] + 1
             return "1" if high else "0"
         if name == RDT_SIGNAL:
-            pos = bisect_right(self._rises, index) - 1
+            pos = bisect_right(self.rises, index) - 1
             if pos < 0:
                 return "x" * 32
-            return format(self._words[pos], "032b")
+            return format(self.words[pos], "032b")
         if name.startswith(dummy_signal_name(0)[: -len("0")]):
             j = int(name.rsplit("dbg", 1)[1])
             if j < self.dummy_signals:
@@ -184,8 +171,8 @@ def generate(spec: TraceSpec) -> tuple[str, GroundTruth]:
         index_count=index_count,
         dummy_signals=spec.dummy_signals,
         instructions=instructions,
-        _rises=rises,
-        _words=[word for word, _ in spec.instructions],
+        rises=rises,
+        words=[word for word, _ in spec.instructions],
     )
 
     ack_at: dict[int, str] = {}

@@ -32,6 +32,17 @@ def _declared_wawk_target():
     return scripts["wawk"]
 
 
+def _fresh_python(check, cwd):
+    """The output lines of `check` run by a new interpreter that imports
+    wawk from the source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", check], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def _wawk_distribution_installed():
     try:
         importlib.metadata.distribution("wawk")
@@ -456,16 +467,19 @@ class TestUsage:
                  "from wawk import generate\n"
                  "import wawk\n"
                  "print(generate is sys.modules['wawk.tracegen'].generate, wawk.__all__)\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", check], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["False", "True " + str([
+        assert _fresh_python(check, tmp_path) == ["False", "True " + str([
             "ParseFailure", "RunFailure", "Value", "Waveform", "WawkError", "decode",
             "execute", "generate", "parse_source", "parse_vcd", "parse_vcd_file",
             "run_source"])]
+
+    def test_the_cli_imports_neither_dataclasses_nor_inspect(self, tmp_path):
+        # against the modules loaded just before, so a `site` that loads
+        # either one itself does not count
+        check = ("import sys\n"
+                 "before = set(sys.modules)\n"
+                 "import wawk.cli\n"
+                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))\n")
+        assert _fresh_python(check, tmp_path) == ["[]"]
 
     @pytest.mark.skipif(not _wawk_distribution_installed(),
                         reason="no installed 'wawk' distribution "

@@ -7,6 +7,7 @@ from conftest import NESTINGS, make_waveform, nested_script, nested_statement
 from wawk import ast
 from wawk.cli import bundled_script
 from wawk.errors import ReservedKeywordError, UnexpectedTokenError
+from wawk import interp
 from wawk.interp import execute
 from wawk.parser import MAX_DEPTH, parse_source
 
@@ -281,6 +282,93 @@ class TestRoundTrip:
             tree = _random_program(rng)
             printed = ast.to_source(tree)
             assert parse_source(printed) == tree, printed
+
+
+NODE_CLASSES = [v for v in vars(ast).values()
+                if isinstance(v, type) and issubclass(v, ast.Node) and v is not ast.Node]
+
+
+def _filled(cls, value="x"):
+    """A `cls` node with every field set to `value`."""
+    return cls(*[value] * len(cls._fields))
+
+
+class TestNodes:
+    def test_equality_is_exact_by_class_and_never_with_a_plain_tuple(self):
+        for cls in NODE_CLASSES:
+            node = _filled(cls)
+            assert node == _filled(cls) and not node != _filled(cls)
+            assert node != tuple(node) and tuple(node) != node
+            assert not node == tuple(node)
+            for other in NODE_CLASSES:
+                if other is not cls:
+                    assert node != _filled(other) and not node == _filled(other)
+        assert ast.Ident("a") != ast.StrLit("a") != ("a",)
+        assert ast.Begin() != ast.End() != ast.CurrentIndex() != ()
+        assert ast.Unary("-", ast.Ident("a")) != ast.Unary("-", ast.StrLit("a"))
+
+    def test_hashes_follow_equality(self):
+        nodes = {_filled(cls): cls for cls in NODE_CLASSES}
+        assert len(nodes) == len(NODE_CLASSES)
+        for cls in NODE_CLASSES:
+            assert nodes[_filled(cls)] is cls
+            assert hash(_filled(cls, 7)) == hash(_filled(cls, 7))
+            assert tuple(_filled(cls)) not in nodes
+        source = bundled_script("cpi")
+        assert hash(parse_source(source)) == hash(parse_source(source))
+
+    def test_a_statement_compares_and_hashes_without_its_line(self):
+        one, seven = (ast.Statement(ast.Begin(), (), line) for line in (1, 7))
+        assert one == seven and not one != seven and hash(one) == hash(seven)
+        assert ast.Statement(ast.Begin(), ()).line == 0
+        assert one != ast.Statement(ast.End(), (), 1)
+        assert one != ast.Statement(ast.Begin(), (ast.ExprStmt(ast.IntLit(1)),), 1)
+        spaced = parse_source("\n\nBEGIN: { }\n\nEND: { }")
+        assert [s.line for s in spaced.statements] == [3, 5]
+        assert spaced == parse_source("BEGIN: { }\nEND: { }")
+        assert hash(spaced) == hash(parse_source("BEGIN: { }\nEND: { }"))
+
+    def test_every_node_is_truthy(self):
+        assert ast.Begin() and ast.End() and ast.CurrentIndex()
+        assert ast.ListLit(()) and ast.Conditions(()) and ast.Program(())
+
+    def test_a_node_cannot_be_changed(self):
+        for cls in NODE_CLASSES:
+            node = _filled(cls)
+            for name in cls._fields + ("other",):
+                with pytest.raises(AttributeError):
+                    setattr(node, name, "y")
+            assert node == _filled(cls)
+
+    def test_repr_names_the_class_and_its_fields(self):
+        node = ast.Binary("+", ast.IntLit(1), ast.Call("f", (ast.Ident("x"),)))
+        assert repr(node) == ("Binary(op='+', left=IntLit(value=1), "
+                              "right=Call(func='f', args=(Ident(name='x'),)))")
+        assert repr(ast.Begin()) == "Begin()"
+        assert repr(ast.Statement(ast.End(), (), 4)) == "Statement(trigger=End(), body=(), line=4)"
+
+    def test_every_node_kind_prints_and_is_walked(self):
+        source = ('BEGIN: { }\n'
+                  'a@-1, !b, c[0] + INDEX * 2: {\n'
+                  '  x = [1, "s"]; f(x); if (x) { y = 1; } else { y = 2; };\n'
+                  '}\n'
+                  'END: { }')
+        program = parse_source(source)
+        walked = list(interp._walk(program))
+        assert {node.__class__ for node in walked} == set(NODE_CLASSES)
+        assert len(walked) == 31
+        assert ast.to_source(program) == (
+            'BEGIN: { }\n\n'
+            'a@-1, !b, c[0] + INDEX * 2: {\n'
+            '  x = [1, "s"];\n'
+            '  f(x);\n'
+            '  if (x) {\n'
+            '    y = 1;\n'
+            '  } else {\n'
+            '    y = 2;\n'
+            '  };\n'
+            '}\n\n'
+            'END: { }\n')
 
 
 def _random_expr(rng, depth):

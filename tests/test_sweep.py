@@ -597,6 +597,7 @@ class TestPlanReuse:
         # (statement ordinal, conditions proven): the head of one held
         assert kept == [(1, [(1, 1)]), (4, [(1, 1)]), (5, [(1, 1)])]
         held = weakref.ref(wave)
+        gc.collect()  # so only this waveform can leave the map below
         before = len(interp._PLANS)
         del wave
         gc.collect()
