@@ -8,8 +8,11 @@ the command-line argument list.
 
 Every expression and action body is compiled once per run into a
 function of the sweep index (_compile). A name is resolved at each read,
-except in a sweep where nothing can change the signal it reads. The tree
-walker this replaced is the tests' reference evaluator.
+except in a sweep where nothing can change the signal it reads; such a
+read looks in the variables first, inline, as Environment.resolve does.
+`+`, `-` and `*` on two ints of class int skip _operate, which takes any
+other operands. The tree walker this replaced is the tests' reference
+evaluator.
 
 The sweep visits only the indexes where a statement can fire, which
 gives the same output, variables and errors as visiting every one (see
@@ -17,13 +20,14 @@ _plan). A statement's head is its leading conditions that read only
 fixed signals and literals. Each head condition is constant between the
 indexes where a signal it reads changes, and the planner reads each
 stretch's values by their position in the signal's change list and tests
-each distinct tuple of them once (_narrow). The statement is visited only
-where its head can hold, and where the head held without raising the
-visit does not evaluate it again. The visits are gathered a window of
-indexes at a time (_gather). When a statement's first condition reads
-anything else, or a sweep statement calls `alias`, every statement is
-visited at every index. A plan is kept beside its waveform from its
-second run on, and `--all` reads it instead of narrowing again.
+each distinct tuple of them once, keyed by the ids that its cuts carry
+(_narrow). The statement is visited only where its head can hold, and
+where the head held without raising the visit does not evaluate it
+again. The visits are gathered a window of indexes at a time (_gather).
+When a statement's first condition reads anything else, or a sweep
+statement calls `alias`, every statement is visited at every index. A
+plan is kept beside its waveform from its second run on, and `--all`
+reads it instead of narrowing again.
 
 Value domain: Python ints, strings, lists, four-state logic Values, and
 two absence markers. UNBOUND is what reading a never-assigned variable
@@ -47,7 +51,7 @@ import weakref
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import add, itemgetter, mul, sub
 from typing import IO, Iterator, Sequence
 
 from . import ast
@@ -239,6 +243,8 @@ _BUILTINS = {
     "length": lambda args: len(_need_list_arg("length", args)),
 }
 
+_ARITH = {"+": add, "-": sub, "*": mul}
+
 _CMP = {
     "==": lambda a, b: int(a == b),
     "!=": lambda a, b: int(a != b),
@@ -424,8 +430,9 @@ def _compile(node, env: Environment, cond: bool, assigned: set | None) -> tuple:
                 return (lambda index: _read(series, index + k, count)), [(series, k)]
         if offset:
             return (lambda index: env.sample(name, index, k)), None
-        resolve = env.resolve
-        return (lambda index: resolve(name, index, cond)), None
+        resolve, variables = env.resolve, env.variables  # resolve's first test, inline
+        return (lambda index: variables[name] if name in variables
+                else resolve(name, index, cond)), None
     if cls is ast.Unary:
         operand, reads = _compile(node.operand, env, cond, assigned)
         if node.op == "!":
@@ -440,6 +447,15 @@ def _compile(node, env: Environment, cond: bool, assigned: set | None) -> tuple:
             return (lambda index: int(_truthy(right(index))) if _truthy(left(index)) else 0), reads
         if op == "||":
             return (lambda index: 1 if _truthy(left(index)) else int(_truthy(right(index)))), reads
+        arith = _ARITH.get(op)
+        if arith is not None:
+            def arithmetic(index):
+                lhs, rhs = left(index), right(index)
+                if lhs.__class__ is int and rhs.__class__ is int:  # not bool, not a Value
+                    return arith(lhs, rhs)
+                return _operate(op, lhs, rhs)
+
+            return arithmetic, reads
         return (lambda index: _operate(op, left(index), right(index))), reads
     if cls is ast.CurrentIndex:
         def current(index):
@@ -537,15 +553,15 @@ def _can_raise(node) -> bool:
 
 def _cuts(r: int, series, k: int, count: int, lo: int, hi: int) -> list:
     """The cuts in (lo, hi), ascending, of read number `r`, `sig@k`, as
-    (b, r, value) triples: from index b on, the read gives `value`. It
+    (b, r, id(value)) triples: from index b on, the read gives `value`. It
     enters the trace at -k with sig's value at 0, takes each of sig's
     changes at that change's index less k, and leaves the trace at count - k."""
     indexes, values = series.indexes, series.values
-    cuts = [(-k, r, series.value_at(0))] if lo < -k < hi else []
+    cuts = [(-k, r, id(series.value_at(0)))] if lo < -k < hi else []
     changes = range(bisect_right(indexes, lo + k), bisect_left(indexes, min(hi + k, count)))
-    cuts += [(indexes[j] - k, r, values[j]) for j in changes]
+    cuts += [(indexes[j] - k, r, id(values[j])) for j in changes]
     if lo < count - k < hi:
-        cuts.append((count - k, r, OUT_OF_RANGE))
+        cuts.append((count - k, r, id(OUT_OF_RANGE)))
     return cuts
 
 
@@ -557,8 +573,9 @@ def _narrow(test, reads: list, count: int, pieces, unproven: tuple) -> Iterator:
     runs once per distinct tuple of values read; where it raised, the part
     takes the `unproven` statement, which evaluates every condition and so
     raises the same error in the sweep."""
-    # keyed by the ids of the values read: sound only because each stays
-    # alive while narrowing runs, held by a series, all_x's cache or a marker
+    # keyed by the ids of the values read, which the cuts carry: sound only
+    # because each value stays alive while narrowing runs, held by a series,
+    # all_x's cache or a marker
     memo = {}  # -> held (True), not held (False) or raised (None)
     start = end = joined = None
     for lo, last, statement in pieces:
@@ -569,16 +586,16 @@ def _narrow(test, reads: list, count: int, pieces, unproven: tuple) -> Iterator:
                     j = bisect_right(series.indexes, lo + k) + _SPAN
                     if j < len(series.indexes):
                         hi = min(hi, series.indexes[j] - k)
-            current = [_read(series, lo + k, count) for series, k in reads] + [None]
+            current = [id(_read(series, lo + k, count)) for series, k in reads] + [None]
             cuts = []
             for r, (series, k) in enumerate(reads):
                 cuts += _cuts(r, series, k, count, lo, hi)
             cuts.sort(key=itemgetter(0))
             cuts.append((hi, -1, None))  # writes the slot after the reads
             a = lo
-            for b, r, value in cuts:
+            for b, r, value_id in cuts:
                 if b != a:
-                    key = tuple(map(id, current))
+                    key = tuple(current)
                     held = memo.get(key, memo)
                     if held is memo:
                         try:
@@ -594,7 +611,7 @@ def _narrow(test, reads: list, count: int, pieces, unproven: tuple) -> Iterator:
                                 yield start, end, joined
                             start, end, joined = a, b, visit
                     a = b
-                current[r] = value
+                current[r] = value_id
             lo = hi
     if start is not None:
         yield start, end, joined

@@ -17,6 +17,7 @@ from wawk.tracegen import TraceSpec, generate, parse_spec_file, table1_spec
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_ROOT / "src"
+LINE_BUDGET = 2_600  # lines in src/wawk/*.py; a line added pays with one removed
 
 
 def _declared_wawk_target():
@@ -480,6 +481,13 @@ class TestUsage:
                  "import wawk.cli\n"
                  "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))\n")
         assert _fresh_python(check, tmp_path) == ["[]"]
+
+    def test_the_sources_stay_within_the_line_budget(self):
+        # lines as `wc -l src/wawk/*.py` counts them: newline bytes
+        lines = {path.name: path.read_bytes().count(b"\n")
+                 for path in (SRC_DIR / "wawk").glob("*.py")}
+        assert "interp.py" in lines
+        assert sum(lines.values()) <= LINE_BUDGET, lines
 
     @pytest.mark.skipif(not _wawk_distribution_installed(),
                         reason="no installed 'wawk' distribution "

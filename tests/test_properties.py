@@ -5,7 +5,8 @@ with only whitespace and comments between tokens; a well-formed dump
 reads the way a model written here says, the VCD reader's line table
 reads any dump, or fails on it, exactly as its token loop does, and a
 generated trace reads back as its ground truth; and a well-formed program prints to source
-that parses back to it, and runs raising nothing but WawkError."""
+that parses back to it, and runs raising nothing but WawkError; and most
+programs built to run to their END get there."""
 
 import functools
 import io
@@ -404,3 +405,99 @@ def test_well_formed_programs_reprint_and_raise_only_wawk_error(program):
         execute(program, WAVE, out=io.StringIO())
     except WawkError:
         pass
+
+
+# --- programs that run to their end ---
+# Most draws of PROGRAMS stop at an error in their first statement, so they
+# seldom reach what a sweep does later. RUNNING binds its variables in BEGIN
+# before they are read, reads signals only in the sweep, where arithmetic
+# takes them only through truth values, which neither x bits nor the
+# trace's edges can break, and divides seldom, so most draws run to their
+# END. What a name reads still changes as the sweep goes: a body may
+# assign `clk`, or alias it once to top.bus (`done` guards the alias), and
+# BEGIN may alias `a`, which conditions read as unbound until then.
+
+SIGNAL_READS = st.one_of(
+    st.builds(ast.Ident, st.sampled_from(["clk", "top.bus"])),
+    st.builds(ast.OffsetRef, st.builds(ast.Ident, st.sampled_from(["clk", "top.bus"])),
+              st.integers(-2, 2)),
+)
+
+
+def _truths(leaves):
+    """`leaves` under '!', '&&' and '||'; no value of a leaf makes them raise."""
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.builds(ast.Unary, st.just("!"), inner),
+        st.builds(ast.Binary, st.sampled_from(["&&", "||"]), inner, inner),
+    ), max_leaves=3)
+
+
+GUARDS = _truths(st.one_of(SIGNAL_READS, st.just(ast.Ident("a"))))
+BITS = _truths(SIGNAL_READS).map(  # 0 or 1: a bare signal read becomes !!sig
+    lambda t: t if t.__class__ in (ast.Unary, ast.Binary) else ast.Unary("!", ast.Unary("!", t)))
+INTS = st.recursive(
+    st.one_of(st.builds(ast.IntLit, st.integers(0, 3)),
+              st.builds(ast.Ident, st.sampled_from(["x", "y"])),
+              st.just(ast.CurrentIndex()),
+              st.just(ast.Call("length", (ast.Ident("l"),))),
+              BITS),
+    lambda inner: st.one_of(  # four in six draws neither multiply nor divide
+        *[st.builds(ast.Binary, st.sampled_from(["+", "-", "<", "==", "!="]), inner, inner)] * 4,
+        st.builds(ast.Binary, st.just("*"), inner, st.builds(ast.IntLit, st.integers(0, 3))),
+        st.builds(ast.Binary, st.just("/"), inner, inner),
+    ),
+    max_leaves=4,
+)
+ALIAS_ONCE = ast.If(ast.Unary("!", ast.Ident("done")),
+                    (ast.ExprStmt(ast.Call("alias", (ast.Ident("clk"), ast.Ident("top.bus")))),
+                     ast.Assign("done", ast.IntLit(1))), ())
+SWEEP_ACTIONS = st.one_of(
+    st.builds(ast.Assign, st.sampled_from(["x", "y"]), INTS),
+    st.builds(lambda v: ast.Assign("l", ast.Binary("+", ast.Ident("l"), v)), INTS),
+    st.builds(ast.Assign, st.just("clk"), BITS),
+    st.builds(lambda v: ast.ExprStmt(ast.Call("printf", (ast.StrLit("%d "), v))), INTS),
+    st.builds(lambda n: ast.ExprStmt(ast.Call("printf", (ast.StrLit("%b "), ast.Ident(n)))),
+              st.sampled_from(["clk", "top.bus"])),
+    st.just(ALIAS_ONCE),
+)
+SWEEP_BODIES = st.lists(st.one_of(
+    SWEEP_ACTIONS,
+    st.builds(ast.If, st.one_of(GUARDS, INTS), st.lists(SWEEP_ACTIONS, max_size=2).map(tuple),
+              st.lists(SWEEP_ACTIONS, max_size=1).map(tuple)),
+), min_size=1, max_size=2).map(tuple)
+BINDINGS = (ast.Assign("x", ast.IntLit(1)), ast.Assign("y", ast.IntLit(2)),
+            ast.Assign("l", ast.ListLit(())), ast.Assign("done", ast.IntLit(0)))
+BEGIN_EXTRAS = [ast.ExprStmt(ast.Call("alias", (ast.Ident("a"), ast.Ident(target))))
+                for target in ("clk", "top.bus")] + [ast.Assign("clk", ast.IntLit(1))]
+REPORT = ast.ExprStmt(ast.Call("printf", (ast.StrLit("%d %d %d %d\n"), ast.Ident("x"),
+                                          ast.Ident("y"), ast.Call("length", (ast.Ident("l"),)),
+                                          ast.Ident("done"))))
+RUNNING = st.builds(
+    lambda extras, sweep: ast.Program((ast.Statement(ast.Begin(), BINDINGS + tuple(extras)),
+                                       *sweep, ast.Statement(ast.End(), (REPORT,)))),
+    st.lists(st.sampled_from(BEGIN_EXTRAS), max_size=1),
+    st.lists(st.builds(ast.Statement,
+                       st.builds(lambda first, rest: ast.Conditions((first, *rest)),
+                                 GUARDS, st.lists(st.one_of(GUARDS, INTS), max_size=2)),
+                       SWEEP_BODIES),
+             min_size=1, max_size=3),
+)
+
+
+def test_most_running_programs_run_to_their_end():
+    ends = []
+
+    @PROPERTY
+    @given(RUNNING)
+    def run(program):
+        assert parse_source(ast.to_source(program)) == program
+        try:
+            execute(program, WAVE, out=io.StringIO())
+        except WawkError:
+            ends.append(False)
+        else:
+            ends.append(True)
+
+    run()
+    assert len(ends) >= 100
+    assert sum(ends) >= 0.6 * len(ends), f"{sum(ends)} of {len(ends)}"

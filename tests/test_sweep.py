@@ -10,10 +10,12 @@ bits, late first changes and offsets past the trace, and on the cases
 the planner must get right or decline, also with the planner's spans and
 windows shrunk to one or two. Planned and dense runs share the compiler,
 so random programs and random expressions are also run through the tree
-walker in reference_eval.py, which shares none of it. One narrowing
-(interp._narrow) must read as its head evaluated at every index, a head
-the plan proved is not evaluated again, and a kept plan holds nothing of
-the run that made it.
+walker in reference_eval.py, which shares none of it, and so is every
+kind of operand of the compiled int fast path of `+`, `-` and `*`. One
+narrowing (interp._narrow) must read as its head evaluated at every
+index and test each distinct input of the head once, a head the plan
+proved is not evaluated again, and a kept plan holds nothing of the run
+that made it.
 """
 
 import gc
@@ -29,10 +31,15 @@ from hypothesis import strategies as st  # noqa: E402
 
 import reference_eval  # noqa: E402
 from conftest import make_waveform  # noqa: E402
-from test_properties import PROGRAMS, PROPERTY, WAVE, bodies, top_exprs  # noqa: E402
+from test_properties import PROGRAMS, PROPERTY, RUNNING, WAVE, bodies, top_exprs  # noqa: E402
 from wawk import ast, interp  # noqa: E402
 from wawk.cli import bundled_script  # noqa: E402
-from wawk.errors import DivisionByZeroError, WawkRuntimeError, XZConversionError  # noqa: E402
+from wawk.errors import (  # noqa: E402
+    DivisionByZeroError,
+    TypeMismatchError,
+    WawkRuntimeError,
+    XZConversionError,
+)
 from wawk.interp import Environment, default_native_modules, execute  # noqa: E402
 from wawk.parser import MAX_DEPTH, parse_source  # noqa: E402
 from wawk.riscv import MNEMONICS  # noqa: E402
@@ -66,16 +73,16 @@ def outcome(program, wave, args=(), modules=None, run=execute):
     return out.getvalue(), repr(env.variables)  # repr: a list may hold itself
 
 
-def agree(dense_sweep, program, waves, args=()):
+def agree(dense_sweep, program, waves, args=(), modules=None):
     """Run `program` over each of `waves` dense, then planned three times:
     at the plan's first sight, as it is kept, and from the kept plan. All
     four must give the same outcome; returns the planned outcomes."""
     found = []
     for wave in waves:
         with dense_sweep():
-            dense = outcome(program, wave, args)
+            dense = outcome(program, wave, args, modules)
         for _ in range(3):
-            planned = outcome(program, wave, args)
+            planned = outcome(program, wave, args, modules)
             assert planned == dense, (ast.to_source(program), wave.index_count)
         found.append(planned)
     return found
@@ -190,7 +197,8 @@ def test_random_signal_heads_run_the_same_planned_and_dense(dense_sweep, program
 
 
 # by name: a failing example's report would print a strategy's whole repr
-REFERENCE_PROGRAMS = {"any": PROGRAMS, "signal_heads": PLANNABLE, "renamings": RENAMINGS}
+REFERENCE_PROGRAMS = {"any": PROGRAMS, "signal_heads": PLANNABLE, "renamings": RENAMINGS,
+                      "running": RUNNING}
 
 
 @pytest.mark.parametrize("kind", list(REFERENCE_PROGRAMS))
@@ -464,6 +472,52 @@ class TestPlan:
         assert visited[-1] == [(0, [1])]
 
 
+# --- arithmetic: the compiled int fast path and _operate ---
+# `+`, `-` and `*` on two ints of exactly class int skip _operate; every
+# other operand must give the reference's value or error. SIG's bus reads
+# 3 at indexes 0-2 and 0x00 at 3 and 4; probe.yes returns True.
+
+ARITHMETIC = [
+    ("BEGIN: { import(probe); n = call(probe.yes) + 1; }",
+     (TypeMismatchError, "operand of '+' must be an integer", "statement 1 (BEGIN)")),
+    ("BEGIN: { import(probe); n = 2 * call(probe.yes); }",
+     (TypeMismatchError, "operand of '*' must be an integer", "statement 1 (BEGIN)")),
+    ("BEGIN: { n = 0; }\ns@1 || !s@1: { n = n + bus * 2 - INDEX; }",
+     (XZConversionError, "cannot convert '0x00' to an integer: contains x/z bits",
+      "statement 2 at index 3")),
+    ("BEGIN: { n = 0; }\n!bus@-3: { n = n + bus * 2 - INDEX; }", "{'args': [], 'n': 15}"),
+    ("bus@-3: { n = 1 - bus; }",
+     (XZConversionError, "cannot convert '0x00' to an integer: contains x/z bits",
+      "statement 1 at index 3")),
+    ("BEGIN: { l = [1]; m = l + 2 + [3] - 0 * 5; }",
+     (TypeMismatchError, "operand of '-' must be an integer, got list", "statement 1 (BEGIN)")),
+    ("BEGIN: { l = [1]; m = l + 2 + [3]; n = 1 + l; }",
+     (TypeMismatchError, "operand of '+' must be an integer, got list", "statement 1 (BEGIN)")),
+    ("BEGIN: { l = [1]; m = l + (2 - 3) + [3 * 4]; }",
+     "{'args': [], 'l': [1, -1, [12]], 'm': [1, -1, [12]]}"),
+    ('BEGIN: { n = printf("") + 1; }',
+     (TypeMismatchError, "operand of '+' is an unbound variable", "statement 1 (BEGIN)")),
+    ('BEGIN: { n = 1 * printf(""); }',
+     (TypeMismatchError, "operand of '*' is an unbound variable", "statement 1 (BEGIN)")),
+    ("s@1: { n = s@-1 - 1; }",
+     (TypeMismatchError, "operand of '-' is an out-of-range signal sample",
+      "statement 1 at index 0")),
+    ("s@1: { n = 1 + s@9; }",
+     (TypeMismatchError, "operand of '+' is an out-of-range signal sample",
+      "statement 1 at index 0")),
+    ("BEGIN: { n = 18446744073709551616 * 18446744073709551616 - 1 + 2; m = 0 - n * 3; }",
+     f"{{'args': [], 'n': {2**128 + 1}, 'm': {-3 * (2**128 + 1)}}}"),
+]
+
+
+@pytest.mark.parametrize("source, expected", ARITHMETIC)
+def test_arithmetic_reads_as_the_reference(dense_sweep, source, expected):
+    program = parse_source(source)
+    modules = {**default_native_modules(), "probe": {"yes": lambda args: True}}
+    assert outcome(program, SIG, modules=modules, run=reference_eval.execute) == ("", expected)
+    assert agree(dense_sweep, program, [SIG], modules=modules) == [("", expected)]
+
+
 @pytest.fixture
 def conditions_walked(monkeypatch):
     """The statement conditions the sweep evaluates, one node per call:
@@ -504,6 +558,63 @@ class TestBoundHeads:
         assert env.variables["n"] == 3
         assert visited[-1] == [(1, [2]), (3, [1]), (5, [2])]
         assert conditions_walked == [program.statements[0].trigger.exprs[3]]
+
+
+def toggle_vcd(count):
+    """`count` indexes of three 1-bit signals: top.a toggles at every
+    index, top.b at every third, top.c is high two indexes in seven and x
+    at 40."""
+    lines = ["$scope module top $end", *(f"$var wire 1 {c} {c} $end" for c in "abc"),
+             "$upscope $end", "$enddefinitions $end"]
+    for i in range(count):
+        lines += [f"#{i}", f"{i % 2}a"]
+        if i % 3 == 0:
+            lines.append(f"{i // 3 % 2}b")
+        lines.append(f"{'x' if i == 40 else int(i % 7 < 2)}c")
+    return "\n".join(lines) + "\n"
+
+
+class TestWorkCounts:
+    """How often the planner tests a head, counted rather than timed: at
+    most once per distinct tuple of the values it reads (their identity),
+    and never again in the sweep where it held."""
+
+    HEADS = [("top.a != top.a@-1", [("top.a", 0), ("top.a", -1)]),
+             ("top.b != top.b@-1", [("top.b", 0), ("top.b", -1)]),
+             ("top.c && !top.a@1", [("top.c", 0), ("top.a", 1)]),
+             ("top.b || top.c@-2", [("top.b", 0), ("top.c", -2)])]
+
+    def test_each_head_is_tested_once_per_distinct_input(self, monkeypatch):
+        calls = {}  # (head source, caller) -> calls
+        heads = {parse_source(f"{h}: {{ }}").statements[0].trigger.exprs[0]: h
+                 for h, _ in self.HEADS}
+        real = interp._compile
+
+        def spy(node, env, cond, assigned):
+            compiled, reads = real(node, env, cond, assigned)
+            if node not in heads:
+                return compiled, reads
+
+            def counted(index):
+                caller = heads[node], sys._getframe(1).f_code.co_name
+                calls[caller] = calls.get(caller, 0) + 1
+                return compiled(index)
+
+            return counted, reads
+
+        monkeypatch.setattr(interp, "_compile", spy)
+        count = 120  # several _SPANs of top.a's changes
+        wave = parse_vcd(io.StringIO(toggle_vcd(count)))
+        source = "".join(f"{h}: {{ n{i} = n{i} + 1; }}\n" for i, (h, _) in enumerate(self.HEADS))
+        env = execute(parse_source("BEGIN: { n0 = 0; n1 = 0; n2 = 0; n3 = 0; }\n" + source),
+                      wave, out=io.StringIO())
+        distinct = [len({tuple(id(wave.series(name).value_at(i + k)) if 0 <= i + k < count
+                               else None for name, k in reads) for i in range(count)})
+                    for _, reads in self.HEADS]
+        tested = [calls.get((h, "_narrow"), 0) for h, _ in self.HEADS]
+        assert tested == distinct == [3, 5, 6, 6]
+        assert [caller for _, caller in calls] == ["_narrow"] * len(self.HEADS)
+        assert [env.variables[f"n{i}"] for i in range(4)] == [119, 39, 18, 76]
 
 
 # go high at 0-4; s high at 1, 4 and 5; bus defined at 0-2 and 5, with an x at 3-4
