@@ -21,7 +21,7 @@ from .errors import ParseFailure, RunFailure, WawkSyntaxError
 from .interp import execute
 from .parser import parse_source
 from .riscv import MNEMONICS, decode
-from .vcd import parse_vcd, parse_vcd_file
+from .vcd import ascii_int, parse_vcd, parse_vcd_file
 
 
 def bundled_script(name: str) -> str:
@@ -159,11 +159,10 @@ def _cmd_gen(opts) -> int:
 
 
 def _cmd_decode(opts) -> int:
-    try:
-        word = int(opts.word, 16)
-    except ValueError:
+    word = ascii_int(opts.word, 16)
+    if word is None:
         return _fail(f"{opts.word!r} is not a hexadecimal instruction word", 2)
-    if not 0 <= word <= 0xFFFFFFFF:
+    if word > 0xFFFFFFFF:
         return _fail(f"{opts.word!r} does not fit in 32 bits", 2)
     print(decode(word))
     return 0

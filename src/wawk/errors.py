@@ -1,9 +1,11 @@
-"""Exception hierarchy for the whole toolchain.
+"""Exception hierarchy for the whole toolchain: one class per input.
 
-Two top-level families, matching the CLI exit codes: ParseFailure covers
-anything wrong with an input file (VCD, script source, generator spec) and
-maps to exit code 2; RunFailure covers errors raised while a parsed script
-executes and maps to exit code 1.
+Two top-level families, matching the CLI exit codes. ParseFailure covers
+anything wrong with an input file and maps to exit code 2: VcdError for a
+dump, WawkSyntaxError for script source, InvalidSpecError for a generator
+spec. RunFailure covers errors raised while a parsed script executes and
+maps to exit code 1. The class says which input is at fault; the message
+says what is wrong with it.
 """
 
 
@@ -15,42 +17,12 @@ class ParseFailure(WawkError):
     pass
 
 
-class RunFailure(WawkError):
-    pass
-
-
-# --- VCD ---
-
-
 class VcdError(ParseFailure):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class MalformedHeaderError(VcdError):
-    pass
-
-
-class UnknownIdCodeError(VcdError):
-    pass
-
-
-class WidthMismatchError(VcdError):
-    pass
-
-
-class BadTimestampError(VcdError):
-    pass
-
-
-class UnsupportedVcdFeatureError(VcdError):
-    pass
-
-
-# --- script syntax ---
 
 
 class WawkSyntaxError(ParseFailure):
@@ -60,33 +32,11 @@ class WawkSyntaxError(ParseFailure):
         super().__init__(f"{line}:{col}: {message}")
 
 
-class UnterminatedStringError(WawkSyntaxError):
-    pass
-
-
-class IllegalCharacterError(WawkSyntaxError):
-    pass
-
-
-class UnexpectedTokenError(WawkSyntaxError):
-    pass
-
-
-class ReservedKeywordError(WawkSyntaxError):
-    pass
-
-
-# --- generator specs ---
-
-
 class InvalidSpecError(ParseFailure):
     pass
 
 
-# --- script runtime ---
-
-
-class WawkRuntimeError(RunFailure):
+class RunFailure(WawkError):
     """Raised during execute(); carries where in the run it happened.
 
     `context` is filled in by the interpreter's statement loop (statement
@@ -103,51 +53,3 @@ class WawkRuntimeError(RunFailure):
         if self.context is not None:
             return f"{self.context}: {self.message}"
         return self.message
-
-
-class UnknownNameError(WawkRuntimeError):
-    pass
-
-
-class UnknownSignalError(WawkRuntimeError):
-    pass
-
-
-class XZConversionError(WawkRuntimeError):
-    pass
-
-
-class TypeMismatchError(WawkRuntimeError):
-    pass
-
-
-class DivisionByZeroError(WawkRuntimeError):
-    pass
-
-
-class EmptyListError(WawkRuntimeError):
-    pass
-
-
-class FormatError(WawkRuntimeError):
-    pass
-
-
-class FormatArityMismatchError(FormatError):
-    pass
-
-
-class FormatTypeMismatchError(FormatError):
-    pass
-
-
-class UnknownModuleError(WawkRuntimeError):
-    pass
-
-
-class UnknownFunctionError(WawkRuntimeError):
-    pass
-
-
-class RedefinedAliasError(WawkRuntimeError):
-    pass

@@ -55,20 +55,7 @@ from operator import add, itemgetter, mul, sub
 from typing import IO, Iterator, Sequence
 
 from . import ast
-from .errors import (
-    DivisionByZeroError,
-    EmptyListError,
-    FormatArityMismatchError,
-    FormatError,
-    FormatTypeMismatchError,
-    RedefinedAliasError,
-    TypeMismatchError,
-    UnknownFunctionError,
-    UnknownModuleError,
-    UnknownNameError,
-    UnknownSignalError,
-    WawkRuntimeError,
-)
+from .errors import RunFailure
 from .riscv import decode as _decode_word
 from .value import Value
 from .waveform import Waveform
@@ -102,14 +89,14 @@ def _shown(n: int) -> str:
 
 def _extern_decode(args: list) -> str:
     if len(args) != 1:
-        raise TypeMismatchError(f"decode takes 1 argument, got {len(args)}")
+        raise RunFailure(f"decode takes 1 argument, got {len(args)}")
     word = args[0]
     if isinstance(word, Value):
         word = word.to_int()
-    if not isinstance(word, int):
-        raise TypeMismatchError(f"decode needs an instruction word, got {_type_name(word)}")
+    if isinstance(word, bool) or not isinstance(word, int):
+        raise RunFailure(f"decode needs an instruction word, got {_type_name(word)}")
     if not 0 <= word <= 0xFFFFFFFF:
-        raise TypeMismatchError(f"decode needs a 32-bit instruction word, got {_shown(word)}")
+        raise RunFailure(f"decode needs a 32-bit instruction word, got {_shown(word)}")
     return _decode_word(word)
 
 
@@ -143,29 +130,29 @@ def _truthy(v: object) -> bool:
         return bool(v)
     if v is UNBOUND or v is OUT_OF_RANGE:
         return False
-    raise TypeMismatchError(f"no truth value for {_type_name(v)}")
+    raise RunFailure(f"no truth value for {_type_name(v)}")
 
 
 def _as_int(v: object, op: str) -> int:
     if isinstance(v, bool):
-        raise TypeMismatchError(f"operand of {op!r} must be an integer")
+        raise RunFailure(f"operand of {op!r} must be an integer")
     if isinstance(v, int):
         return v
     if isinstance(v, Value):
         return v.to_int()
     if v is UNBOUND:
-        raise TypeMismatchError(f"operand of {op!r} is an unbound variable")
+        raise RunFailure(f"operand of {op!r} is an unbound variable")
     if v is OUT_OF_RANGE:
-        raise TypeMismatchError(f"operand of {op!r} is an out-of-range signal sample")
-    raise TypeMismatchError(f"operand of {op!r} must be an integer, got {_type_name(v)}")
+        raise RunFailure(f"operand of {op!r} is an out-of-range signal sample")
+    raise RunFailure(f"operand of {op!r} must be an integer, got {_type_name(v)}")
 
 
 def _need_list_arg(name: str, args: list) -> list:
     if len(args) != 1:
-        raise TypeMismatchError(f"{name} takes 1 argument, got {len(args)}")
+        raise RunFailure(f"{name} takes 1 argument, got {len(args)}")
     lst = args[0]
     if not isinstance(lst, list):
-        raise TypeMismatchError(f"{name} needs a list, got {_type_name(lst)}")
+        raise RunFailure(f"{name} needs a list, got {_type_name(lst)}")
     return lst
 
 
@@ -174,15 +161,13 @@ def _int_list(name: str, args: list) -> list[int]:
     logic values converted as arithmetic converts them (x/z bits raise)."""
     lst = _need_list_arg(name, args)
     if not lst:
-        raise EmptyListError(f"{name} of an empty list")
+        raise RunFailure(f"{name} of an empty list")
     out = []
     for item in lst:
         if isinstance(item, Value):
             item = item.to_int()
         if isinstance(item, bool) or not isinstance(item, int):
-            raise TypeMismatchError(
-                f"{name} needs a list of integers, found {_type_name(item)}"
-            )
+            raise RunFailure(f"{name} needs a list of integers, found {_type_name(item)}")
         out.append(item)
     return out
 
@@ -202,37 +187,37 @@ def _format(fmt: str, values: list) -> str:
         if spec == "%":
             return "%"
         if not spec:
-            raise FormatError("format string ends with a lone '%'")
+            raise RunFailure("format string ends with a lone '%'")
         if taken >= len(values):
-            raise FormatArityMismatchError(f"format string needs more than {len(values)} value(s)")
+            raise RunFailure(f"format string needs more than {len(values)} value(s)")
         v = values[taken]
         taken += 1
         if spec == "d":
             if isinstance(v, Value):
                 v = v.to_int()
             if isinstance(v, bool) or not isinstance(v, int):
-                raise FormatTypeMismatchError(f"%d needs an integer, got {_type_name(v)}")
+                raise RunFailure(f"%d needs an integer, got {_type_name(v)}")
             try:
                 return str(v)
             except ValueError:  # past sys.get_int_max_str_digits()
-                raise FormatError("%d value has too many digits to print") from None
+                raise RunFailure("%d value has too many digits to print") from None
         if spec == "s":
             if not isinstance(v, str):
-                raise FormatTypeMismatchError(f"%s needs a string, got {_type_name(v)}")
+                raise RunFailure(f"%s needs a string, got {_type_name(v)}")
             return v
         if spec != "b":
-            raise FormatError(f"unknown format directive '%{spec}'")
+            raise RunFailure(f"unknown format directive '%{spec}'")
         if isinstance(v, Value):
             return v.bits
         if isinstance(v, bool) or not isinstance(v, int):
-            raise FormatTypeMismatchError(f"%b needs a logic value, got {_type_name(v)}")
+            raise RunFailure(f"%b needs a logic value, got {_type_name(v)}")
         if v < 0:
-            raise FormatTypeMismatchError("%b needs a non-negative integer")
+            raise RunFailure("%b needs a non-negative integer")
         return format(v, "b")
 
     out = re.sub(r"%(.?)", directive, fmt, flags=re.S)
     if taken != len(values):
-        raise FormatArityMismatchError(f"format string consumed {taken} of {len(values)} value(s)")
+        raise RunFailure(f"format string consumed {taken} of {len(values)} value(s)")
     return out
 
 
@@ -262,7 +247,7 @@ def _operate(op: str, left: object, right: object) -> object:
     if cmp is None:
         if op == "+" and isinstance(left, list):
             if right is UNBOUND or right is OUT_OF_RANGE:
-                raise TypeMismatchError("cannot append an absent value to a list")
+                raise RunFailure("cannot append an absent value to a list")
             left.append(right)
             return left
         lhs = _as_int(left, op)
@@ -274,7 +259,7 @@ def _operate(op: str, left: object, right: object) -> object:
         if op == "*":
             return lhs * rhs
         if rhs == 0:
-            raise DivisionByZeroError(f"{_shown(lhs)} / 0")
+            raise RunFailure(f"{_shown(lhs)} / 0")
         q = abs(lhs) // abs(rhs)
         return -q if (lhs < 0) != (rhs < 0) else q
     if left is UNBOUND or left is OUT_OF_RANGE or right is UNBOUND or right is OUT_OF_RANGE:
@@ -287,12 +272,12 @@ def _operate(op: str, left: object, right: object) -> object:
     if (cls is int or cls is str) and right.__class__ is cls:
         return cmp(left, right)  # the common case; below, find what is wrong
     if isinstance(left, str) != isinstance(right, str):
-        raise TypeMismatchError(
+        raise RunFailure(
             f"cannot compare {_type_name(left)} with {_type_name(right)} using {op!r}"
         )
     for operand in (left, right):
         if not isinstance(operand, (int, str)) or isinstance(operand, bool):
-            raise TypeMismatchError(f"cannot compare {_type_name(operand)} values with {op!r}")
+            raise RunFailure(f"cannot compare {_type_name(operand)} values with {op!r}")
     return cmp(left, right)
 
 
@@ -323,8 +308,8 @@ class Environment:
         OUT_OF_RANGE when that lands outside the trace. `index` is None
         outside the sweep."""
         if index is None:
-            raise WawkRuntimeError(f"signal {name!r} can only be read during the index sweep")
-        series = self.waveform.series(self.aliases.get(name, name))  # or UnknownSignalError
+            raise RunFailure(f"signal {name!r} can only be read during the index sweep")
+        series = self.waveform.series(self.aliases.get(name, name))  # raises if unknown
         return _read(series, index + offset, self.count)
 
     def resolve(self, name: str, index: int | None, cond: bool) -> object:
@@ -333,64 +318,64 @@ class Environment:
         if name in self.aliases or name in self.waveform.signals:
             return self.sample(name, index, 0)
         if name in self.modules:
-            raise TypeMismatchError(f"{name!r} is a native module, not a value")
+            raise RunFailure(f"{name!r} is a native module, not a value")
         if "." in name:
-            raise UnknownSignalError(f"unknown signal {name!r}")
+            raise RunFailure(f"unknown signal {name!r}")
         if cond:
             return UNBOUND
-        raise UnknownNameError(f"unbound variable {name!r}")
+        raise RunFailure(f"unbound variable {name!r}")
 
     # --- special forms: they read their arguments as names ---
 
     def _form_alias(self, arg_nodes: tuple) -> object:
         if len(arg_nodes) != 2 or not all(isinstance(a, ast.Ident) for a in arg_nodes):
-            raise TypeMismatchError("alias takes two names: alias(short, target)")
+            raise RunFailure("alias takes two names: alias(short, target)")
         short, target = (a.name for a in arg_nodes)
         if "." in short:
-            raise TypeMismatchError(f"alias name {short!r} must be a plain identifier")
+            raise RunFailure(f"alias name {short!r} must be a plain identifier")
         if short in self.aliases:
-            raise RedefinedAliasError(f"alias {short!r} is already defined")
+            raise RunFailure(f"alias {short!r} is already defined")
         resolved = self.aliases.get(target, target)
         if resolved not in self.waveform.signals:
-            raise UnknownSignalError(f"unknown signal {resolved!r}")
+            raise RunFailure(f"unknown signal {resolved!r}")
         self.aliases[short] = resolved
         return UNBOUND
 
     def _form_import(self, arg_nodes: tuple) -> object:
         if len(arg_nodes) != 1 or not isinstance(arg_nodes[0], ast.Ident):
-            raise TypeMismatchError("import takes one module name")
+            raise RunFailure("import takes one module name")
         name = arg_nodes[0].name
         if name not in self.modules:
-            raise UnknownModuleError(f"unknown native module {name!r}")
+            raise RunFailure(f"unknown native module {name!r}")
         self.imported.add(name)
         return UNBOUND
 
     def _call_target(self, arg_nodes: tuple):
         """The native function that `call` names by its first argument."""
         if not arg_nodes or not isinstance(arg_nodes[0], ast.Ident):
-            raise TypeMismatchError("call needs a module.function name first")
+            raise RunFailure("call needs a module.function name first")
         full = arg_nodes[0].name
         module, _, func = full.rpartition(".")
         if not module:
-            raise TypeMismatchError(f"call target {full!r} must be module.function")
+            raise RunFailure(f"call target {full!r} must be module.function")
         if module not in self.imported:
-            raise UnknownModuleError(f"module {module!r} has not been imported")
+            raise RunFailure(f"module {module!r} has not been imported")
         fn = self.modules[module].get(func)
         if fn is None:
-            raise UnknownFunctionError(f"module {module!r} has no function {func!r}")
+            raise RunFailure(f"module {module!r} has no function {func!r}")
         return fn
 
 
 def _subscript(base: object, index: object) -> object:
     """`base[index]`, its operands evaluated."""
     if not isinstance(base, list):
-        raise TypeMismatchError(f"cannot subscript {_type_name(base)}")
+        raise RunFailure(f"cannot subscript {_type_name(base)}")
     if isinstance(index, Value):
         index = index.to_int()
     if isinstance(index, bool) or not isinstance(index, int):
-        raise TypeMismatchError(f"list index must be an integer, got {_type_name(index)}")
+        raise RunFailure(f"list index must be an integer, got {_type_name(index)}")
     if not 0 <= index < len(base):
-        raise WawkRuntimeError(f"list index {_shown(index)} out of range for length {len(base)}")
+        raise RunFailure(f"list index {_shown(index)} out of range for length {len(base)}")
     return base[index]
 
 
@@ -460,7 +445,7 @@ def _compile(node, env: Environment, cond: bool, assigned: set | None) -> tuple:
     if cls is ast.CurrentIndex:
         def current(index):
             if index is None:
-                raise WawkRuntimeError("INDEX is only defined during the index sweep")
+                raise RunFailure("INDEX is only defined during the index sweep")
             return index
 
         return current, None
@@ -485,7 +470,7 @@ def _compile(node, env: Environment, cond: bool, assigned: set | None) -> tuple:
             def printf(index):
                 values = [arg(index) for arg in args]
                 if not values or not isinstance(values[0], str):
-                    raise TypeMismatchError("printf needs a format string first")
+                    raise RunFailure("printf needs a format string first")
                 env.out.write(_format(values[0], values[1:]))
                 return UNBOUND
 
@@ -493,7 +478,7 @@ def _compile(node, env: Environment, cond: bool, assigned: set | None) -> tuple:
         builtin = _BUILTINS.get(func)
         if builtin is None:
             def unknown(index):
-                raise UnknownFunctionError(f"unknown function {func!r}")
+                raise RunFailure(f"unknown function {func!r}")
 
             return unknown, None
         return (lambda index: builtin([arg(index) for arg in args])), None
@@ -600,7 +585,7 @@ def _narrow(test, reads: list, count: int, pieces, unproven: tuple) -> Iterator:
                     if held is memo:
                         try:
                             held = memo[key] = _truthy(test(a))
-                        except WawkRuntimeError:
+                        except RunFailure:
                             held = memo[key] = None
                     visit = statement if held else None if held is False else unproven
                     if visit is not None:
@@ -712,7 +697,7 @@ def execute(
             if isinstance(stmt.trigger, kind):
                 try:
                     _compile_body(stmt.body, env, None)(None)
-                except WawkRuntimeError as err:
+                except RunFailure as err:
                     if err.context is None:
                         err.context = f"statement {ordinal} ({where})"
                     raise
@@ -743,7 +728,7 @@ def execute(
                             break
                     else:
                         body(index)
-                except WawkRuntimeError as err:
+                except RunFailure as err:
                     if err.context is None:
                         err.context = f"statement {ordinal} at index {index}"
                     raise

@@ -27,7 +27,7 @@ start, or at the `.` before a later part.
 import re
 from collections import namedtuple
 
-from .errors import IllegalCharacterError, UnterminatedStringError
+from .errors import WawkSyntaxError
 
 KEYWORDS = frozenset({"BEGIN", "END", "if", "else", "INDEX"})
 
@@ -72,9 +72,7 @@ def tokenize(source: str) -> list[Token]:
                     break
                 at += len(part) + 1
         if bad is not None:
-            raise IllegalCharacterError(
-                f"illegal character {source[bad]!r}", line, bad - line_start + 1
-            )
+            raise WawkSyntaxError(f"illegal character {source[bad]!r}", line, bad - line_start + 1)
         kind, text, value = m.lastgroup, m.group(), None
         col, end = pos - line_start + 1, m.end()
         if kind == "skip":
@@ -87,7 +85,7 @@ def tokenize(source: str) -> list[Token]:
             try:
                 value = int(text)
             except ValueError:  # past sys.get_int_max_str_digits()
-                raise IllegalCharacterError(
+                raise WawkSyntaxError(
                     f"integer literal of {len(text)} digits is too long", line, col
                 ) from None
         elif kind == "STRING":
@@ -96,8 +94,8 @@ def tokenize(source: str) -> list[Token]:
                 # one of those or before an unsupported escape
                 esc = source[end + 1 : end + 2] if source.startswith("\\", end) else ""
                 if esc in ("", "\n") or source.startswith("\r\n", end + 1):
-                    raise UnterminatedStringError("unterminated string literal", line, col)
-                raise IllegalCharacterError(
+                    raise WawkSyntaxError("unterminated string literal", line, col)
+                raise WawkSyntaxError(
                     f"unsupported escape sequence '\\{esc}'", line, end + 2 - line_start
                 )
             text = value = re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]], text[1:-1])

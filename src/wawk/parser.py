@@ -25,7 +25,7 @@ level per link: its tree is as deep as it is long.
 """
 
 from . import ast
-from .errors import ReservedKeywordError, UnexpectedTokenError
+from .errors import WawkSyntaxError
 from .lexer import Token, tokenize
 
 # The parser, the interpreter and ast.to_source all recurse once or more
@@ -80,18 +80,16 @@ class _Parser:
         or `m[i][j]` adds one."""
         self.peak += 1
         if self.peak > MAX_DEPTH:
-            raise UnexpectedTokenError(
-                f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.col
-            )
+            raise WawkSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.col)
         self.depth += 1
 
     def fail(self, message: str, tok: Token):
         if tok.kind == "RESERVED":
-            raise ReservedKeywordError(
+            raise WawkSyntaxError(
                 f"{tok.text!r} is reserved and not supported here", tok.line, tok.col
             )
         shown = tok.text if tok.kind != "EOF" else "end of input"
-        raise UnexpectedTokenError(f"{message}, found {shown!r}", tok.line, tok.col)
+        raise WawkSyntaxError(f"{message}, found {shown!r}", tok.line, tok.col)
 
     # --- grammar ---
 

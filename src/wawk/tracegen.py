@@ -33,6 +33,7 @@ from collections import namedtuple
 
 from .errors import InvalidSpecError
 from .riscv import MNEMONICS, decode
+from .vcd import ascii_int
 
 SCOPE_PATH = ("TOP", "servant_sim", "dut", "cpu")
 CLOCK_SIGNAL = "TOP.servant_sim.dut.cpu.clk"
@@ -323,15 +324,12 @@ def parse_spec_file(text: str) -> TraceSpec:
             raise InvalidSpecError(
                 f"line {lineno}: expected '<hex word> <cycles>', got {raw.strip()!r}"
             )
-        try:
-            word = int(parts[0], 16)
-        except ValueError:
-            raise InvalidSpecError(f"line {lineno}: bad instruction word {parts[0]!r}") from None
-        try:
-            cycles = int(parts[1], 10)
-        except ValueError:
-            raise InvalidSpecError(f"line {lineno}: bad cycle count {parts[1]!r}") from None
-        if not 0 <= word <= 0xFFFFFFFF:
+        word, cycles = ascii_int(parts[0], 16), ascii_int(parts[1])
+        if word is None:
+            raise InvalidSpecError(f"line {lineno}: bad instruction word {parts[0]!r}")
+        if cycles is None:
+            raise InvalidSpecError(f"line {lineno}: bad cycle count {parts[1]!r}")
+        if word > 0xFFFFFFFF:
             raise InvalidSpecError(f"line {lineno}: word {parts[0]!r} does not fit in 32 bits")
         if cycles < 1:
             raise InvalidSpecError(f"line {lineno}: cycle count must be >= 1")

@@ -7,7 +7,7 @@ else must surface as an explicit runtime error, never a silent guess.
 
 from functools import cache
 
-from .errors import XZConversionError
+from .errors import RunFailure
 
 _BIT_CHARS = frozenset("01xz")
 
@@ -32,7 +32,7 @@ class Value:
         try:
             return int(self.bits, 2)
         except ValueError:
-            raise XZConversionError(
+            raise RunFailure(
                 f"cannot convert {self.bits!r} to an integer: contains x/z bits"
             ) from None
 

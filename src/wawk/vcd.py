@@ -29,14 +29,7 @@ the reference reading and raises every error.
 from itertools import chain
 from typing import IO, Iterator
 
-from .errors import (
-    BadTimestampError,
-    MalformedHeaderError,
-    UnknownIdCodeError,
-    UnsupportedVcdFeatureError,
-    VcdError,
-    WidthMismatchError,
-)
+from .errors import VcdError
 from .value import SCALARS, Value
 from .waveform import SignalSeries, Waveform
 
@@ -79,11 +72,12 @@ class _Tokens:
         return chain([(self.line, rest)], self._lines)
 
 
-def _decimal(text: str) -> int | None:
-    # str.isdigit() alone also accepts digits such as '²' that int() rejects;
-    # int() also rejects more digits than sys.get_int_max_str_digits()
-    try:
-        return int(text) if text.isascii() and text.isdigit() else None
+def ascii_int(text: str, base: int = 10) -> int | None:
+    """`text` as an int when it is only ASCII digits of `base`, after an
+    optional 0x or 0X in base 16; else None. int() alone also takes '1_0',
+    '+11', ' 5' and digits such as '٣', and str.isdigit() takes '²'."""
+    try:  # int() rejects more digits than sys.get_int_max_str_digits()
+        return int(text, base) if text.isascii() and text.isalnum() else None
     except ValueError:
         return None
 
@@ -96,9 +90,9 @@ def _parse_timescale(parts: list[str], line: int) -> tuple[int, str]:
     text = "".join(parts)
     digits = text.rstrip("".join(_TIME_UNITS))
     unit = text[len(digits) :]
-    magnitude = _decimal(digits)
+    magnitude = ascii_int(digits)
     if unit not in _TIME_UNITS or magnitude is None:
-        raise MalformedHeaderError(f"invalid $timescale {' '.join(parts)!r}", line)
+        raise VcdError(f"invalid $timescale {' '.join(parts)!r}", line)
     return magnitude, unit
 
 
@@ -127,7 +121,7 @@ class _Parser:
     def _need(self, what: str) -> str:
         tok = self.tokens.next()
         if tok is None:
-            raise MalformedHeaderError(f"unexpected end of file in {what}", self.tokens.line)
+            raise VcdError(f"unexpected end of file in {what}", self.tokens.line)
         return tok
 
     def _until_end(self, what: str) -> list[str]:
@@ -142,14 +136,12 @@ class _Parser:
         while True:
             tok = self.tokens.next()
             if tok is None:
-                raise MalformedHeaderError("missing $enddefinitions", self.tokens.line)
+                raise VcdError("missing $enddefinitions", self.tokens.line)
             if tok == "$enddefinitions":
                 if self._until_end("$enddefinitions"):
-                    raise MalformedHeaderError(
-                        "unexpected tokens in $enddefinitions", self.tokens.line
-                    )
+                    raise VcdError("unexpected tokens in $enddefinitions", self.tokens.line)
                 if self.scope_path:
-                    raise MalformedHeaderError("unclosed $scope", self.tokens.line)
+                    raise VcdError("unclosed $scope", self.tokens.line)
                 return
             if tok == "$timescale":
                 self.timescale = _parse_timescale(
@@ -159,60 +151,50 @@ class _Parser:
                 self._parse_scope()
             elif tok == "$upscope":
                 if self._until_end("$upscope"):
-                    raise MalformedHeaderError("unexpected tokens in $upscope", self.tokens.line)
+                    raise VcdError("unexpected tokens in $upscope", self.tokens.line)
                 if not self.scope_path:
-                    raise MalformedHeaderError("$upscope without matching $scope", self.tokens.line)
+                    raise VcdError("$upscope without matching $scope", self.tokens.line)
                 self.scope_path.pop()
             elif tok == "$var":
                 self._parse_var()
             elif tok in _SKIP_DIRECTIVES:
                 self._until_end(tok)
             elif tok.startswith("$"):
-                raise UnsupportedVcdFeatureError(
-                    f"unsupported directive {tok!r} in header", self.tokens.line
-                )
+                raise VcdError(f"unsupported directive {tok!r} in header", self.tokens.line)
             else:
-                raise MalformedHeaderError(
-                    f"unexpected token {tok!r} in header", self.tokens.line
-                )
+                raise VcdError(f"unexpected token {tok!r} in header", self.tokens.line)
 
     def _parse_scope(self) -> None:
         parts = self._until_end("$scope")
         if len(parts) != 2:
-            raise MalformedHeaderError(f"malformed $scope {' '.join(parts)!r}", self.tokens.line)
+            raise VcdError(f"malformed $scope {' '.join(parts)!r}", self.tokens.line)
         scope_type, name = parts
         if scope_type not in _SCOPE_TYPES:
-            raise UnsupportedVcdFeatureError(
-                f"unsupported scope type {scope_type!r}", self.tokens.line
-            )
+            raise VcdError(f"unsupported scope type {scope_type!r}", self.tokens.line)
         self.scope_path.append(name)
 
     def _parse_var(self) -> None:
         parts = self._until_end("$var")
         # $var <type> <width> <id> <name> [<range>] $end; the range may hold spaces
         if len(parts) < 4 or (len(parts) > 5 and not _is_range("".join(parts[4:]))):
-            raise MalformedHeaderError(f"malformed $var {' '.join(parts)!r}", self.tokens.line)
+            raise VcdError(f"malformed $var {' '.join(parts)!r}", self.tokens.line)
         var_type, width_text, id_code, short_name = parts[:4]
         if var_type not in _VAR_TYPES:
-            raise UnsupportedVcdFeatureError(
-                f"unsupported variable type {var_type!r}", self.tokens.line
-            )
-        width = _decimal(width_text)
+            raise VcdError(f"unsupported variable type {var_type!r}", self.tokens.line)
+        width = ascii_int(width_text)
         if width is None or width < 1:
-            raise MalformedHeaderError(f"invalid $var width {width_text!r}", self.tokens.line)
+            raise VcdError(f"invalid $var width {width_text!r}", self.tokens.line)
         if width > MAX_WIDTH:
             message = f"$var width {width_text} is over the limit of {MAX_WIDTH} bits"
-            raise MalformedHeaderError(message, self.tokens.line)
+            raise VcdError(message, self.tokens.line)
         if len(parts) == 5 and not _is_range(parts[4]):
-            raise MalformedHeaderError(
-                f"unexpected trailing token {parts[4]!r} in $var", self.tokens.line
-            )
+            raise VcdError(f"unexpected trailing token {parts[4]!r} in $var", self.tokens.line)
         name = ".".join(self.scope_path + [short_name])
         if name in self.signals:
-            raise MalformedHeaderError(f"duplicate signal name {name!r}", self.tokens.line)
+            raise VcdError(f"duplicate signal name {name!r}", self.tokens.line)
         series = self.ids.setdefault(id_code, SignalSeries(width, [], []))
         if series.width != width:
-            raise MalformedHeaderError(
+            raise VcdError(
                 f"id code {id_code!r} re-declared with width {width}, was {series.width}",
                 self.tokens.line,
             )
@@ -234,12 +216,10 @@ class _Parser:
         def store(bits: str, id_code: str, line: int) -> None:
             series = ids.get(id_code)
             if series is None:
-                raise UnknownIdCodeError(f"undeclared id code {id_code!r}", line)
+                raise VcdError(f"undeclared id code {id_code!r}", line)
             width = series.width
             if len(bits) > width:
-                raise WidthMismatchError(
-                    f"{len(bits)}-bit value for {width}-bit id code {id_code!r}", line
-                )
+                raise VcdError(f"{len(bits)}-bit value for {width}-bit id code {id_code!r}", line)
             if len(bits) < width:
                 lead = bits[0]
                 fill = "0" if lead in "01" else lead
@@ -265,7 +245,7 @@ class _Parser:
                         series.values.append(value)
                     continue
                 if raw[0] == "#" and raw[-1] == "\n":
-                    t = _decimal(raw[1:-1])
+                    t = ascii_int(raw[1:-1])
                     if t is not None and (not timestamps or t > timestamps[-1]):
                         cur = len(timestamps)
                         timestamps.append(t)
@@ -281,12 +261,12 @@ class _Parser:
                     continue
                 c = tok[0]
                 if c == "#":
-                    t = _decimal(tok[1:])
+                    t = ascii_int(tok[1:])
                     if t is None:
-                        raise BadTimestampError(f"invalid timestamp {tok!r}", line)
+                        raise VcdError(f"invalid timestamp {tok!r}", line)
                     if timestamps:
                         if t <= timestamps[-1]:
-                            raise BadTimestampError(
+                            raise VcdError(
                                 f"timestamp #{t} does not increase (previous #{timestamps[-1]})",
                                 line,
                             )
@@ -300,17 +280,13 @@ class _Parser:
                         raise VcdError(f"invalid vector value {tok!r}", line)
                     vector_bits = bits
                 elif c in "rR":
-                    raise UnsupportedVcdFeatureError(
-                        f"real-number change {tok!r} is not supported", line
-                    )
+                    raise VcdError(f"real-number change {tok!r} is not supported", line)
                 elif tok in _DUMP_BLOCKS:
                     pass  # a dump block's changes apply at the current index
                 elif tok in _SKIP_DIRECTIVES:
                     skipping = True
                 elif c == "$":
-                    raise UnsupportedVcdFeatureError(
-                        f"unsupported directive {tok!r} in change region", line
-                    )
+                    raise VcdError(f"unsupported directive {tok!r} in change region", line)
                 else:
                     raise VcdError(f"unrecognized token {tok!r} in change region", line)
             fast = bool(table) and not skipping and vector_bits is None

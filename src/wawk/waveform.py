@@ -9,7 +9,7 @@ change return all-x.
 
 from bisect import bisect_right
 
-from .errors import UnknownSignalError
+from .errors import RunFailure
 from .value import Value, all_x
 
 
@@ -53,4 +53,4 @@ class Waveform:
         try:
             return self.signals[name]
         except KeyError:
-            raise UnknownSignalError(f"unknown signal {name!r}") from None
+            raise RunFailure(f"unknown signal {name!r}") from None

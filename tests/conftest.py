@@ -1,4 +1,5 @@
 import io
+import re
 from contextlib import contextmanager
 
 import pytest
@@ -22,6 +23,12 @@ def make_waveform(count: int, signals: dict) -> Waveform:
         values = [Value(bits) for _, bits in changes]
         table[name] = SignalSeries(width, indexes, values)
     return Waveform(list(range(count)), table)
+
+
+def raises_exactly(error: type, message: str):
+    """pytest.raises that also pins the whole message: an error class
+    stands for a whole input family, so the message says what went wrong."""
+    return pytest.raises(error, match=f"^{re.escape(message)}\\Z")
 
 
 def run_script(source: str, waveform: Waveform, args=()):

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from typing import IO, Sequence
 
 from wawk import ast
-from wawk.errors import TypeMismatchError, UnknownFunctionError, WawkRuntimeError
+from wawk.errors import RunFailure
 from wawk.interp import (
     _BUILTINS,
     UNBOUND,
@@ -47,7 +47,7 @@ class Walker(Environment):
 
     def _e_index(self, node, cond):
         if self.index is None:
-            raise WawkRuntimeError("INDEX is only defined during the index sweep")
+            raise RunFailure("INDEX is only defined during the index sweep")
         return self.index
 
     def _e_offset(self, node, cond):
@@ -84,12 +84,12 @@ class Walker(Environment):
         if func == "printf":
             args = [self.eval(a, cond) for a in arg_nodes]
             if not args or not isinstance(args[0], str):
-                raise TypeMismatchError("printf needs a format string first")
+                raise RunFailure("printf needs a format string first")
             self.out.write(_format(args[0], args[1:]))
             return UNBOUND
         builtin = _BUILTINS.get(func)
         if builtin is None:
-            raise UnknownFunctionError(f"unknown function {func!r}")
+            raise RunFailure(f"unknown function {func!r}")
         return builtin([self.eval(a, cond) for a in arg_nodes])
 
     def exec_body(self, body: tuple) -> None:
@@ -152,7 +152,7 @@ def _located(context: str):
     """Gives a runtime error raised inside it `context`, unless it has one."""
     try:
         yield
-    except WawkRuntimeError as err:
+    except RunFailure as err:
         if err.context is None:
             err.context = context
         raise

@@ -16,13 +16,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import make_waveform, run_script
+from conftest import make_waveform, raises_exactly, run_script
 from direct_scan import expected_report_line, scan_all
 from rv32i_golden import GOLDEN, NON_INSTRUCTIONS
 from wawk import ast
 from wawk.ast import to_source
 from wawk.cli import bundled_script
-from wawk.errors import UnknownNameError, XZConversionError
+from wawk.errors import RunFailure
 from wawk.interp import default_native_modules, execute
 from wawk.parser import parse_source
 from wawk.riscv import MNEMONICS, decode
@@ -244,7 +244,7 @@ def test_a5_language_semantics(criterion):
         # unbound names: falsy in conditions, an error in bodies
         _, env = run_script("BEGIN: { n = 0; }\nnever: { n = n + 1; }", cal)
         assert env.variables["n"] == 0
-        with pytest.raises(UnknownNameError):
+        with raises_exactly(RunFailure, "statement 1 at index 0: unbound variable 'never'"):
             run_script("1: { v = never; }", cal)
 
         # list append mutates in place
@@ -265,7 +265,8 @@ def test_a5_language_semantics(criterion):
 
         # x/z never convert silently
         xwave = make_waveform(1, {"s": (2, [])})
-        with pytest.raises(XZConversionError):
+        with raises_exactly(RunFailure, "statement 1 at index 0: "
+                                        "cannot convert 'xx' to an integer: contains x/z bits"):
             run_script("1: { v = (s == 0); }", xwave)
         info["note"] = "9 semantic contracts"
 

@@ -92,6 +92,20 @@ def table1_vcd(tmp_path):
     return path
 
 
+# a spec line in which one number is not in the format a spec takes
+SPEC_REFUSED = [
+    ("1_3 2", "line 1: bad instruction word '1_3'"),
+    ("0x1_3 2", "line 1: bad instruction word '0x1_3'"),
+    ("+13 2", "line 1: bad instruction word '+13'"),
+    ("\uff10x13 2", "line 1: bad instruction word '\uff10x13'"),
+    ("13 \u0663", "line 1: bad cycle count '\u0663'"),
+    ("13 1_0", "line 1: bad cycle count '1_0'"),
+    ("13 +2", "line 1: bad cycle count '+2'"),
+    ("13 -1", "line 1: bad cycle count '-1'"),
+    ("13 0x2", "line 1: bad cycle count '0x2'"),
+]
+
+
 class TestDecode:
     def test_known_word(self, capsys):
         assert main(["decode", "0x00000033"]) == 0
@@ -112,6 +126,21 @@ class TestDecode:
     def test_too_wide(self, capsys):
         assert main(["decode", "0x100000000"]) == 2
         assert "32 bits" in capsys.readouterr().err
+
+    # a word is an optional 0x or 0X, then ASCII hex digits; int() alone
+    # also takes underscores, signs, spaces and non-ASCII digits
+    @pytest.mark.parametrize("word, out", [("13", "addi"), ("0x13", "addi"),
+                                           ("0X00500093", "addi"), ("0x33", "add")])
+    def test_word_format(self, capsys, word, out):
+        assert main(["decode", word]) == 0
+        assert capsys.readouterr() == (out + "\n", "")
+
+    @pytest.mark.parametrize("word", ["0x1_3", "1_3", "+5", "-5", " 13", "13 ", "\u0663",
+                                      "\uff10x13", "0x", "", "0x+5"])
+    def test_other_words_are_refused(self, capsys, word):
+        assert main(["decode", word]) == 2
+        message = f"wawk: {word!r} is not a hexadecimal instruction word\n"
+        assert capsys.readouterr() == ("", message)
 
 
 class TestGen:
@@ -167,6 +196,21 @@ class TestGen:
 
     def test_spec_requires_file_argument(self, capsys):
         assert main(["gen", "spec"]) == 2
+
+    def test_spec_number_formats(self, tmp_path, capsys):
+        spec = tmp_path / "ok.spec"
+        spec.write_text("13 2\n0x13 2\n0X00500093 2\n00000033 10\n")
+        assert main(["gen", "spec", str(spec), "-"]) == 0
+        text = capsys.readouterr().out
+        expected, _ = generate(TraceSpec(((0x13, 2), (0x13, 2), (0x00500093, 2), (0x33, 10))))
+        assert text == expected
+
+    @pytest.mark.parametrize("line, message", SPEC_REFUSED, ids=[line for line, _ in SPEC_REFUSED])
+    def test_spec_numbers_in_other_formats_are_refused(self, tmp_path, capsys, line, message):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(line + "\n")
+        assert main(["gen", "spec", str(spec), "-"]) == 2
+        assert capsys.readouterr() == ("", f"wawk: {message}\n")
 
 
 class TestRun:
@@ -374,6 +418,67 @@ class TestRun:
         assert main(["run", str(script), str(small_vcd)]) == 0
         assert calls == ["parse_source", "tokenize", "parse_program",
                          "parse_vcd_file", "execute"]
+
+
+# One input per kind of error: the whole stderr line and the exit code.
+# {vcd} and {script} stand for the paths given to `wawk run`.
+ERROR_VCD = ("$scope module top $end\n$var wire 1 ! clk $end\n$var wire 2 \" s $end\n"
+             "$upscope $end\n$enddefinitions $end\n#0\n1!\n#1\n0!\n")
+ERRORS = {
+    "vcd-header": ("BEGIN: { }", "$var wire 1 ! a $end\n#0\n", 2,
+                   "{vcd}: line 2: unexpected token '#0' in header"),
+    "vcd-id-code": ("BEGIN: { }", "$var wire 1 ! a $end\n$enddefinitions $end\n#0\n1?\n", 2,
+                    "{vcd}: line 4: undeclared id code '?'"),
+    "vcd-width": ("BEGIN: { }", "$var wire 2 ! a $end\n$enddefinitions $end\n#0\nb101 !\n", 2,
+                  "{vcd}: line 4: 3-bit value for 2-bit id code '!'"),
+    "vcd-timestamp": ("BEGIN: { }", "$var wire 1 ! a $end\n$enddefinitions $end\n#5\n#4\n", 2,
+                      "{vcd}: line 4: timestamp #4 does not increase (previous #5)"),
+    "vcd-unsupported": ("BEGIN: { }", "$var real 64 ! r $end\n", 2,
+                        "{vcd}: line 1: unsupported variable type 'real'"),
+    "unterminated-string": ('BEGIN: { printf("abc); }', ERROR_VCD, 2,
+                            "{script}:1:17: unterminated string literal"),
+    "illegal-character": ("a ~ b: { }", ERROR_VCD, 2, "{script}:1:3: illegal character '~'"),
+    "unexpected-token": ("BEGIN: { a = ; }", ERROR_VCD, 2,
+                         "{script}:1:14: expected an expression, found ';'"),
+    "reserved-word": ("BEGIN: { when = 1; }", ERROR_VCD, 2,
+                      "{script}:1:10: 'when' is reserved and not supported here"),
+    "index-in-begin": ("BEGIN: { v = INDEX; }", ERROR_VCD, 1,
+                       "statement 1 (BEGIN): INDEX is only defined during the index sweep"),
+    "unbound-variable": ("1: { v = never; }", ERROR_VCD, 1,
+                         "statement 1 at index 0: unbound variable 'never'"),
+    "unknown-signal": ("top.nope: { }", ERROR_VCD, 1,
+                       "statement 1 at index 0: unknown signal 'top.nope'"),
+    "x-bits": ("1: { v = top.s + 1; }", ERROR_VCD, 1,
+               "statement 1 at index 0: cannot convert 'xx' to an integer: contains x/z bits"),
+    "type-mismatch": ('BEGIN: { v = ("a" == 1); }', ERROR_VCD, 1,
+                      "statement 1 (BEGIN): cannot compare string with int using '=='"),
+    "division-by-zero": ("BEGIN: { x = 1 / 0; }", ERROR_VCD, 1, "statement 1 (BEGIN): 1 / 0"),
+    "empty-list": ("BEGIN: { }\nEND: { v = min([]); }", ERROR_VCD, 1,
+                   "statement 2 (END): min of an empty list"),
+    "format-directive": ('BEGIN: { printf("%q", 1); }', ERROR_VCD, 1,
+                         "statement 1 (BEGIN): unknown format directive '%q'"),
+    "format-arity": ('BEGIN: { printf("%d %d", 1); }', ERROR_VCD, 1,
+                     "statement 1 (BEGIN): format string needs more than 1 value(s)"),
+    "format-type": ('BEGIN: { printf("%d", "x"); }', ERROR_VCD, 1,
+                    "statement 1 (BEGIN): %d needs an integer, got string"),
+    "unknown-module": ("BEGIN: { import(nonesuch); }", ERROR_VCD, 1,
+                       "statement 1 (BEGIN): unknown native module 'nonesuch'"),
+    "unknown-function": ("BEGIN: { }\ntop.clk: { v = median([1]); }", ERROR_VCD, 1,
+                         "statement 2 at index 0: unknown function 'median'"),
+    "alias-redefined": ("BEGIN: { alias(c, top.clk); alias(c, top.s); }", ERROR_VCD, 1,
+                        "statement 1 (BEGIN): alias 'c' is already defined"),
+}
+
+
+@pytest.mark.parametrize("kind", ERRORS)
+def test_each_kind_of_error_gives_its_exact_message(tmp_path, capsys, kind):
+    source, dump, code, message = ERRORS[kind]
+    script, vcd = tmp_path / "s.wawk", tmp_path / "t.vcd"
+    script.write_text(source)
+    vcd.write_text(dump)
+    assert main(["run", str(script), str(vcd)]) == code
+    expected = "wawk: " + message.format(script=script, vcd=vcd) + "\n"
+    assert capsys.readouterr() == ("", expected)
 
 
 class TestStdin:

@@ -1,6 +1,7 @@
 import pytest
 
-from wawk.errors import IllegalCharacterError, UnterminatedStringError
+from conftest import raises_exactly
+from wawk.errors import WawkSyntaxError
 from wawk.lexer import tokenize
 
 
@@ -13,7 +14,7 @@ def texts(source):
 
 
 def illegal_at(source):
-    with pytest.raises(IllegalCharacterError) as exc:
+    with pytest.raises(WawkSyntaxError) as exc:
         tokenize(source)
     return str(exc.value)
 
@@ -104,25 +105,25 @@ class TestStrings:
         assert tokenize(r'"a\nb\tc\\d\"e"')[0].value == 'a\nb\tc\\d"e'
 
     def test_unterminated(self):
-        with pytest.raises(UnterminatedStringError):
+        with raises_exactly(WawkSyntaxError, "1:1: unterminated string literal"):
             tokenize('"abc')
 
     def test_newline_inside_string(self):
-        with pytest.raises(UnterminatedStringError):
+        with raises_exactly(WawkSyntaxError, "1:1: unterminated string literal"):
             tokenize('"abc\ndef"')
 
     def test_unknown_escape(self):
-        with pytest.raises(IllegalCharacterError, match=r"unsupported escape sequence '\\q'") as exc:
+        with pytest.raises(WawkSyntaxError, match=r"unsupported escape sequence '\\q'") as exc:
             tokenize(r'"a\qb"')
         assert (exc.value.line, exc.value.col) == (1, 4)
-        with pytest.raises(IllegalCharacterError) as exc:
+        with raises_exactly(WawkSyntaxError, "2:6: unsupported escape sequence '\\q'") as exc:
             tokenize('x\n  "a\\qb"')
         assert (exc.value.line, exc.value.col) == (2, 6)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_backslash_before_line_break(self, newline):
         # the string ends at its line, escaped or not
-        with pytest.raises(UnterminatedStringError, match="^1:17: unterminated string literal$") as exc:
+        with pytest.raises(WawkSyntaxError, match="^1:17: unterminated string literal$") as exc:
             tokenize('BEGIN: { printf("a\\' + newline + '"); }')
         assert (exc.value.line, exc.value.col) == (1, 17)
 
@@ -157,21 +158,22 @@ class TestNameCharacters:
 
 class TestErrors:
     def test_illegal_character(self):
-        with pytest.raises(IllegalCharacterError) as exc:
+        with raises_exactly(WawkSyntaxError, "1:3: illegal character '~'") as exc:
             tokenize("a ~ b")
         assert exc.value.line == 1
         assert exc.value.col == 3
 
     def test_integer_literal_past_the_str_digit_limit(self):
         # int() refuses more digits than sys.get_int_max_str_digits()
-        with pytest.raises(IllegalCharacterError, match="5000 digits") as exc:
+        with raises_exactly(WawkSyntaxError, "1:5: integer literal of 5000 "
+                                             "digits is too long") as exc:
             tokenize("a = " + "9" * 5000)
         assert (exc.value.line, exc.value.col) == (1, 5)
 
     def test_single_ampersand(self):
-        with pytest.raises(IllegalCharacterError):
+        with raises_exactly(WawkSyntaxError, "1:3: illegal character '&'"):
             tokenize("a & b")
 
     def test_single_pipe(self):
-        with pytest.raises(IllegalCharacterError):
+        with raises_exactly(WawkSyntaxError, "1:3: illegal character '|'"):
             tokenize("a | b")

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from conftest import NESTINGS, make_waveform, nested_script, nested_statement
+from conftest import NESTINGS, make_waveform, nested_script, nested_statement, raises_exactly
 from wawk import ast
 from wawk.cli import bundled_script
-from wawk.errors import ReservedKeywordError, UnexpectedTokenError
+from wawk.errors import WawkSyntaxError
 from wawk import interp
 from wawk.interp import execute
 from wawk.parser import MAX_DEPTH, parse_source
@@ -84,15 +84,16 @@ class TestStatements:
         assert len(stmts) == 2
 
     def test_cannot_assign_to_signal_name(self):
-        with pytest.raises(UnexpectedTokenError):
+        with raises_exactly(WawkSyntaxError, "1:10: cannot assign to a hierarchical signal name, "
+                                             "found 'top.clk'"):
             first_body("top.clk = 1;")
 
     def test_cannot_assign_to_index(self):
-        with pytest.raises(UnexpectedTokenError):
+        with raises_exactly(WawkSyntaxError, "1:10: cannot assign to INDEX, found 'INDEX'"):
             first_body("INDEX = 1;")
 
     def test_no_assignment_chaining(self):
-        with pytest.raises(UnexpectedTokenError):
+        with raises_exactly(WawkSyntaxError, "1:16: expected ';' after assignment, found '='"):
             first_body("a = b = 1;")
 
 
@@ -137,11 +138,12 @@ class TestExpressions:
         assert expr_of("a.b.c@1") == ast.OffsetRef(ast.Ident("a.b.c"), 1)
 
     def test_offset_needs_integer(self):
-        with pytest.raises(UnexpectedTokenError):
+        with raises_exactly(WawkSyntaxError, "1:15: expected 'INT' as '@' offset, found 'x'"):
             expr_of("fire@x")
 
     def test_offset_needs_name_on_left(self):
-        with pytest.raises(UnexpectedTokenError):
+        with raises_exactly(WawkSyntaxError, "1:18: left side of '@' must be a "
+                                             "signal name, found '2'"):
             expr_of("(a + b)@2")
 
     def test_subscript(self):
@@ -161,7 +163,8 @@ class TestExpressions:
         )
 
     def test_only_names_are_callable(self):
-        with pytest.raises(UnexpectedTokenError):
+        with raises_exactly(WawkSyntaxError, "1:17: only a named function can "
+                                             "be called, found '('"):
             expr_of("args[0](1)")
 
     def test_list_literal(self):
@@ -176,27 +179,29 @@ class TestExpressions:
 
 class TestErrors:
     def test_reserved_word_reports_reserved(self):
-        with pytest.raises(ReservedKeywordError):
+        with raises_exactly(WawkSyntaxError, "1:10: 'when' is reserved and not supported here"):
             parse_source("BEGIN: { when = 1; }")
 
     def test_hyphenated_reserved_word(self):
-        with pytest.raises(ReservedKeywordError):
+        with raises_exactly(WawkSyntaxError, "1:3: 'in-group' is reserved and not supported here"):
             parse_source("a in-group b: { }")
 
     def test_missing_colon(self):
-        with pytest.raises(UnexpectedTokenError):
+        with raises_exactly(WawkSyntaxError, "1:5: expected ':' after statement "
+                                             "trigger, found '{'"):
             parse_source("clk { }")
 
     def test_missing_semicolon(self):
-        with pytest.raises(UnexpectedTokenError):
+        with raises_exactly(WawkSyntaxError, "1:16: expected ';' after assignment, found '}'"):
             parse_source("BEGIN: { a = 1 }")
 
     def test_unclosed_block(self):
-        with pytest.raises(UnexpectedTokenError):
+        with raises_exactly(WawkSyntaxError, "1:16: expected '}' to close an "
+                                             "action block, found 'end of input'"):
             parse_source("BEGIN: { a = 1;")
 
     def test_error_has_position(self):
-        with pytest.raises(UnexpectedTokenError) as exc:
+        with raises_exactly(WawkSyntaxError, "1:14: expected an expression, found ';'") as exc:
             parse_source("BEGIN: { a = ; }")
         assert exc.value.line == 1
         assert exc.value.col == 14
@@ -204,8 +209,8 @@ class TestErrors:
     @pytest.mark.parametrize("source", ['BEGIN: { x = "abcdefgh"', r'BEGIN: { x = "\t\t\t\t"'])
     def test_end_of_input_after_a_string_is_past_its_closing_quote(self, source):
         assert len(source) == 23
-        with pytest.raises(UnexpectedTokenError, match="^1:24: expected ';' after assignment, "
-                                                       "found 'end of input'$"):
+        with pytest.raises(WawkSyntaxError, match="^1:24: expected ';' after assignment, "
+                                                  "found 'end of input'$"):
             parse_source(source)
 
 
@@ -221,7 +226,8 @@ class TestDepthLimit:
     def test_one_level_deeper_is_a_located_syntax_error(self, kind):
         # past the limit the parser used to die with RecursionError
         parse_source("BEGIN: {\n" + nested_statement(kind, MAX_DEPTH) + "\n}")
-        with pytest.raises(UnexpectedTokenError, match=f"deeper than {MAX_DEPTH}") as exc:
+        with pytest.raises(WawkSyntaxError,
+                           match=f"^2:\\d+: nesting deeper than {MAX_DEPTH} levels$") as exc:
             parse_source("BEGIN: {\n" + nested_statement(kind, MAX_DEPTH + 1) + "\n}")
         assert exc.value.line == 2
         assert exc.value.col > 1
@@ -231,7 +237,8 @@ class TestDepthLimit:
         # a 600-term chain used to parse and then end in RecursionError
         deepest = "BEGIN: { v = 1" + link * MAX_DEPTH
         parse_source(deepest + "; }")
-        with pytest.raises(UnexpectedTokenError, match=f"deeper than {MAX_DEPTH}") as exc:
+        with pytest.raises(WawkSyntaxError,
+                           match=f"^1:\\d+: nesting deeper than {MAX_DEPTH} levels$") as exc:
             parse_source(deepest + link + "; }")
         assert exc.value.col == len(deepest) + len(link) - len(link.lstrip()) + 1
 
@@ -243,7 +250,8 @@ class TestDepthLimit:
         source = "1"
         for _ in range(30):
             source = "(" + source + ")" + " + 1" * 30
-        with pytest.raises(UnexpectedTokenError, match=f"deeper than {MAX_DEPTH}"):
+        with pytest.raises(WawkSyntaxError,
+                           match=f"^1:\\d+: nesting deeper than {MAX_DEPTH} levels$"):
             parse_source("BEGIN: { v = " + source + "; }")
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import make_waveform
-from wawk.errors import UnknownSignalError
+from wawk.errors import RunFailure
 from wawk.value import Value
 
 
@@ -35,7 +35,7 @@ class TestValueAt:
         assert wave.series("t.silent").value_at(9) == Value("xx")
 
     def test_unknown_signal(self, wave):
-        with pytest.raises(UnknownSignalError, match="unknown signal 't.nope'"):
+        with pytest.raises(RunFailure, match="^unknown signal 't.nope'$"):
             wave.series("t.nope")
 
 
