@@ -33,6 +33,15 @@ def bundled_script(name: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def _option_int(text: str) -> int:
+    """ASCII decimal digits after at most one '-', as `wawk gen` reads its
+    numbers; the spec check then refuses those out of range."""
+    value = ascii_int(text.removeprefix("-"))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return -value if text.startswith("-") else value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wawk",
@@ -60,8 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_spec:
             g.add_argument("specfile", help="lines of '<hex word> <cycles>'")
         g.add_argument("out", help="output VCD path, or - for stdout")
-        g.add_argument("--half-period", type=int, default=1, help="clock half period in ns")
-        g.add_argument("--dummy-signals", type=int, default=0, help="extra toggling 1-bit signals")
+        g.add_argument("--half-period", type=_option_int, default=1,
+                       help="clock half period in ns")
+        g.add_argument("--dummy-signals", type=_option_int, default=0,
+                       help="extra toggling 1-bit signals")
 
     dec = sub.add_parser("decode", help="decode one RV32I instruction word")
     dec.add_argument("word", help="instruction word in hex, e.g. 0x00500093")

@@ -28,11 +28,11 @@ from . import ast
 from .errors import WawkSyntaxError
 from .lexer import Token, tokenize
 
-# The parser, the interpreter and ast.to_source all recurse once or more
-# per nesting level; a parenthesis costs the parser four frames, 271 at
-# the limit. Without a limit, deep input exhausts Python's default
-# 1000-frame stack, and 64 levels leave room for the caller's own frames,
-# pytest's included.
+# The parser, the interpreter and the tests' source printer all recurse
+# once or more per nesting level; a parenthesis costs the parser four
+# frames, 271 at the limit. Without a limit, deep input exhausts Python's
+# default 1000-frame stack, and 64 levels leave room for the caller's own
+# frames, pytest's included.
 MAX_DEPTH = 64
 
 

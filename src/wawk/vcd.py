@@ -18,15 +18,17 @@ and with x/z for leading x/z, per the dump format's extension rule. A $var
 may be at most MAX_WIDTH (65,536) bits wide, and names that share an id
 code share one SignalSeries.
 
-The change region is read a line at a time. A line that sets a 1-bit id
-code to 0 or 1 (`1!`) is looked up whole in a table built from the
-header, and a line that is one timestamp (`#40`) is stepped directly;
-any other line, and every line inside a $comment-style block or after a
-vector that waits for its id code, goes through the token loop, which is
-the reference reading and raises every error.
+The header is read a line at a time and the change region a block of
+_BLOCK characters at a time, split into lines on "\\n", the only line end
+left by the universal newlines of every stream wawk opens. A line that
+sets a 1-bit id code to 0 or 1 (`1!`) is looked up whole in a table built
+from the header, and a line that is one increasing timestamp (`#40`) is
+stepped directly; any other line, and every line inside a $comment-style
+block or after a vector that waits for its id code, goes through the
+token loop, which is the reference reading and raises every error.
 """
 
-from itertools import chain
+from itertools import count
 from typing import IO, Iterator
 
 from .errors import VcdError
@@ -40,6 +42,7 @@ _SKIP_DIRECTIVES = ("$comment", "$date", "$version")
 _DUMP_BLOCKS = ("$dumpvars", "$dumpoff", "$dumpon", "$dumpall", "$end")
 # widest $var accepted: the smallest vector-length limit IEEE 1364 lets a tool set
 MAX_WIDTH = 65536
+_BLOCK = 1 << 13  # characters read at a time from the change region
 
 
 class _Tokens:
@@ -47,6 +50,7 @@ class _Tokens:
     number for error messages. Header directives may span lines."""
 
     def __init__(self, stream: IO[str]):
+        self._stream = stream
         self._lines = enumerate(stream, 1)
         self._buf: list[str] = []
         self._pos = 0
@@ -64,12 +68,21 @@ class _Tokens:
         self._pos += 1
         return tok
 
-    def lines(self) -> Iterator[tuple[int, str]]:
-        """The untaken rest of the current line, then every later line, as
-        (line number, text) pairs; the caller takes over tokenizing."""
+    def lines(self) -> Iterator[tuple[int, list[str]]]:
+        """The untaken rest of the current line, then every later line
+        without its "\\n", in blocks of (number of the first line, lines);
+        the caller takes over tokenizing."""
         rest = " ".join(self._buf[self._pos :])
         self._pos = len(self._buf)
-        return chain([(self.line, rest)], self._lines)
+        yield self.line, [rest]
+        first, tail, read = self.line + 1, "", self._stream.read
+        while chunk := read(_BLOCK):
+            lines = (tail + chunk).split("\n")
+            tail = lines.pop()  # a partial line waits for the next block
+            yield first, lines
+            first += len(lines)
+        if tail:  # the last line has no "\n"
+            yield first, [tail]
 
 
 def ascii_int(text: str, base: int = 10) -> int | None:
@@ -96,11 +109,11 @@ def _parse_timescale(parts: list[str], line: int) -> tuple[int, str]:
     return magnitude, unit
 
 
-def _line_table(ids: dict[str, SignalSeries]) -> dict[str, SignalSeries]:
+def _line_table(ids: dict[str, SignalSeries]) -> dict[str, tuple[list, list, Value]]:
     """The text of each line that sets a 1-bit id code to 0 or 1, such as
-    "0!\\n", mapped to that id code's series."""
+    "0!", mapped to that id code's indexes and values and the value set."""
     return {
-        f"{c}{id_code}\n": series
+        f"{c}{id_code}": (series.indexes, series.values, SCALARS[c])
         for id_code, series in ids.items()
         if series.width == 1
         for c in "01"
@@ -212,6 +225,7 @@ class _Parser:
         # the rest of the $enddefinitions line, the first one read here)
         fast = False
         cur = 0  # index of the latest '#', and 0 before the first one
+        last = -1  # the latest timestamp; every timestamp read is >= 0
 
         def store(bits: str, id_code: str, line: int) -> None:
             series = ids.get(id_code)
@@ -232,64 +246,67 @@ class _Parser:
                 indexes.append(cur)
                 series.values.append(value)
 
-        for line, raw in self.tokens.lines():
-            if fast:  # a whole-line scalar change, or a timestamp that increases
-                series = table.get(raw)
-                if series is not None:
-                    value = SCALARS[raw[0]]
-                    indexes = series.indexes
-                    if indexes and indexes[-1] == cur:
-                        series.values[-1] = value
-                    else:
-                        indexes.append(cur)
-                        series.values.append(value)
-                    continue
-                if raw[0] == "#" and raw[-1] == "\n":
-                    t = ascii_int(raw[1:-1])
-                    if t is not None and (not timestamps or t > timestamps[-1]):
+        for first, lines in self.tokens.lines():
+            for line, raw, entry in zip(count(first), lines, map(table.get, lines)):
+                if fast:  # a whole-line scalar change, or a timestamp that increases
+                    if entry is not None:
+                        indexes, values, value = entry
+                        if indexes and indexes[-1] == cur:
+                            values[-1] = value
+                        else:
+                            indexes.append(cur)
+                            values.append(value)
+                        continue
+                    if raw[:1] == "#":
+                        digits = raw[1:]
+                        if digits.isascii() and digits.isdigit():
+                            try:  # more digits than int() reads go to the token loop
+                                t = int(digits)
+                            except ValueError:
+                                t = -1
+                            if t > last:
+                                cur = len(timestamps)
+                                timestamps.append(t)
+                                last = t
+                                continue
+                for tok in raw.split():
+                    if skipping:
+                        if tok == "$end":
+                            skipping = False
+                        continue
+                    if vector_bits is not None:
+                        store(vector_bits, tok, line)
+                        vector_bits = None
+                        continue
+                    c = tok[0]
+                    if c == "#":
+                        t = ascii_int(tok[1:])
+                        if t is None:
+                            raise VcdError(f"invalid timestamp {tok!r}", line)
+                        if t <= last:
+                            message = f"timestamp #{t} does not increase (previous #{last})"
+                            raise VcdError(message, line)
                         cur = len(timestamps)
                         timestamps.append(t)
-                        continue
-            for tok in raw.split():
-                if skipping:
-                    if tok == "$end":
-                        skipping = False
-                    continue
-                if vector_bits is not None:
-                    store(vector_bits, tok, line)
-                    vector_bits = None
-                    continue
-                c = tok[0]
-                if c == "#":
-                    t = ascii_int(tok[1:])
-                    if t is None:
-                        raise VcdError(f"invalid timestamp {tok!r}", line)
-                    if timestamps:
-                        if t <= timestamps[-1]:
-                            raise VcdError(
-                                f"timestamp #{t} does not increase (previous #{timestamps[-1]})",
-                                line,
-                            )
-                        cur += 1
-                    timestamps.append(t)
-                elif c in "01xzXZ" and len(tok) > 1:
-                    store(c.lower(), tok[1:], line)
-                elif c in "bB":
-                    bits = tok[1:].lower()
-                    if not bits or not frozenset("01xz").issuperset(bits):
-                        raise VcdError(f"invalid vector value {tok!r}", line)
-                    vector_bits = bits
-                elif c in "rR":
-                    raise VcdError(f"real-number change {tok!r} is not supported", line)
-                elif tok in _DUMP_BLOCKS:
-                    pass  # a dump block's changes apply at the current index
-                elif tok in _SKIP_DIRECTIVES:
-                    skipping = True
-                elif c == "$":
-                    raise VcdError(f"unsupported directive {tok!r} in change region", line)
-                else:
-                    raise VcdError(f"unrecognized token {tok!r} in change region", line)
-            fast = bool(table) and not skipping and vector_bits is None
+                        last = t
+                    elif c in "01xzXZ" and len(tok) > 1:
+                        store(c.lower(), tok[1:], line)
+                    elif c in "bB":
+                        bits = tok[1:].lower()
+                        if not bits or not frozenset("01xz").issuperset(bits):
+                            raise VcdError(f"invalid vector value {tok!r}", line)
+                        vector_bits = bits
+                    elif c in "rR":
+                        raise VcdError(f"real-number change {tok!r} is not supported", line)
+                    elif tok in _DUMP_BLOCKS:
+                        pass  # a dump block's changes apply at the current index
+                    elif tok in _SKIP_DIRECTIVES:
+                        skipping = True
+                    elif c == "$":
+                        raise VcdError(f"unsupported directive {tok!r} in change region", line)
+                    else:
+                        raise VcdError(f"unrecognized token {tok!r} in change region", line)
+                fast = bool(table) and not skipping and vector_bits is None
         if vector_bits is not None:
             raise VcdError("vector value at end of file has no id code", line)
         if skipping:
@@ -303,7 +320,8 @@ class _Parser:
 
 
 def parse_vcd(stream: IO[str]) -> Waveform:
-    """Parse a dump from a text stream into a Waveform."""
+    """Parse a dump from a text stream into a Waveform. Lines end at "\\n",
+    as in a stream opened with universal newlines, open()'s default."""
     parser = _Parser(stream)
     parser.parse_header()
     return parser.parse_changes()

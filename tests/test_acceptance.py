@@ -18,9 +18,9 @@ import pytest
 
 from conftest import make_waveform, raises_exactly, run_script
 from direct_scan import expected_report_line, scan_all
+from printer import to_source
 from rv32i_golden import GOLDEN, NON_INSTRUCTIONS
 from wawk import ast
-from wawk.ast import to_source
 from wawk.cli import bundled_script
 from wawk.errors import RunFailure
 from wawk.interp import default_native_modules, execute

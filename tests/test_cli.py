@@ -164,6 +164,28 @@ class TestGen:
         expected, _ = generate(table1_spec(clock_half_period=3, dummy_signals=2))
         assert out.read_text() == expected
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--half-period", "0", "clock half period 0 must be >= 1"),
+        ("--half-period", "-1", "clock half period -1 must be >= 1"),
+        ("--dummy-signals", "-1", "dummy signal count -1 must be 0..64"),
+        ("--dummy-signals", "65", "dummy signal count 65 must be 0..64"),
+    ])
+    def test_option_numbers_out_of_range(self, capsys, option, value, message):
+        assert main(["gen", "table1", "-", option, value]) == 2
+        assert capsys.readouterr() == ("", f"wawk: {message}\n")
+
+    # int() takes all but the first two; ASCII digits after one '-' only
+    @pytest.mark.parametrize("value", ["abc", "", "٣", "1_0", "+2", " 5", "5 ", "0x5",
+                                       "５", "--5", "-", "-٣"])
+    @pytest.mark.parametrize("option", ["--half-period", "--dummy-signals"])
+    def test_option_numbers_in_other_formats_are_refused(self, capsys, option, value):
+        assert main(["gen", "table1", "-", f"{option}={value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: wawk gen table1 ")
+        assert err.endswith(f"\nwawk gen table1: error: argument {option}: "
+                            f"invalid int value: {value!r}\n")
+
     def test_spec_file(self, tmp_path):
         spec = tmp_path / "prog.spec"
         spec.write_text("# two adds\n0x00000033 3\n00000033 2\n")

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import NESTINGS, make_waveform, nested_script, nested_statement, raises_exactly
+from printer import to_source
 from wawk import ast
 from wawk.cli import bundled_script
 from wawk.errors import WawkSyntaxError
@@ -220,7 +221,7 @@ class TestDepthLimit:
         out = io.StringIO()
         execute(program, make_waveform(0, {}), out=out)
         assert out.getvalue() == "1 1 1 0 1 1 1 1\n"
-        assert ast.to_source(program).startswith("BEGIN: {")
+        assert to_source(program).startswith("BEGIN: {")
 
     @pytest.mark.parametrize("kind", NESTINGS)
     def test_one_level_deeper_is_a_located_syntax_error(self, kind):
@@ -270,25 +271,25 @@ class TestRoundTrip:
     ]
 
     def test_prints_only_the_parentheses_precedence_needs(self):
-        printed = ast.to_source(parse_source(bundled_script("cpi")))
+        printed = to_source(parse_source(bundled_script("cpi")))
         assert "\n  cpis = cpis + (INDEX - start) / 2;\n" in printed
         for source, expected in [
             ("(a - b) - (c - d)", "a - b - (c - d)"),
             ("(a || b) && !(c == d) * -(e)", "(a || b) && !(c == d) * -e"),
             ("-(-x)[0] + ((y))[(1)]", "-(-x)[0] + y[1]"),
         ]:
-            assert ast.to_source(parse_source(f"{source}: {{ }}")) == f"{expected}: {{ }}\n"
+            assert to_source(parse_source(f"{source}: {{ }}")) == f"{expected}: {{ }}\n"
 
     @pytest.mark.parametrize("source", SAMPLES)
     def test_print_then_reparse_is_identity(self, source):
         tree = parse_source(source)
-        assert parse_source(ast.to_source(tree)) == tree
+        assert parse_source(to_source(tree)) == tree
 
     def test_random_trees_round_trip(self):
         rng = random.Random(1234)
         for _ in range(200):
             tree = _random_program(rng)
-            printed = ast.to_source(tree)
+            printed = to_source(tree)
             assert parse_source(printed) == tree, printed
 
 
@@ -365,7 +366,7 @@ class TestNodes:
         walked = list(interp._walk(program))
         assert {node.__class__ for node in walked} == set(NODE_CLASSES)
         assert len(walked) == 31
-        assert ast.to_source(program) == (
+        assert to_source(program) == (
             'BEGIN: { }\n\n'
             'a@-1, !b, c[0] + INDEX * 2: {\n'
             '  x = [1, "s"];\n'

@@ -18,7 +18,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import make_waveform  # noqa: E402
-from wawk import ast  # noqa: E402
+from printer import to_source  # noqa: E402
+from wawk import ast, vcd  # noqa: E402
 from wawk.errors import ParseFailure, WawkError  # noqa: E402
 from wawk.interp import execute  # noqa: E402
 from wawk.lexer import tokenize  # noqa: E402
@@ -271,6 +272,16 @@ def test_line_table_reads_as_the_token_loop(token_path, text):
     assert _reading(text) == expected
 
 
+@PROPERTY
+@given(change_dumps(), st.sampled_from([1, 2, 7]))
+def test_small_blocks_read_as_one_block(text, block):
+    # at these sizes block edges fall before, inside and after every line end
+    expected = _reading(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vcd, "_BLOCK", block)
+        assert _reading(text) == expected
+
+
 # --- generated traces ---
 
 SPECS = st.builds(
@@ -400,7 +411,7 @@ WAVE = make_waveform(4, {
 @settings(PROPERTY, max_examples=100)
 @given(PROGRAMS)
 def test_well_formed_programs_reprint_and_raise_only_wawk_error(program):
-    assert parse_source(ast.to_source(program)) == program
+    assert parse_source(to_source(program)) == program
     try:
         execute(program, WAVE, out=io.StringIO())
     except WawkError:
@@ -490,7 +501,7 @@ def test_most_running_programs_run_to_their_end():
     @PROPERTY
     @given(RUNNING)
     def run(program):
-        assert parse_source(ast.to_source(program)) == program
+        assert parse_source(to_source(program)) == program
         try:
             execute(program, WAVE, out=io.StringIO())
         except WawkError:

@@ -31,6 +31,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import reference_eval  # noqa: E402
 from conftest import make_waveform  # noqa: E402
+from printer import to_source  # noqa: E402
 from test_properties import PROGRAMS, PROPERTY, RUNNING, WAVE, bodies, top_exprs  # noqa: E402
 from wawk import ast, interp  # noqa: E402
 from wawk.cli import bundled_script  # noqa: E402
@@ -78,7 +79,7 @@ def agree(dense_sweep, program, waves, args=(), modules=None):
             dense = outcome(program, wave, args, modules)
         for _ in range(3):
             planned = outcome(program, wave, args, modules)
-            assert planned == dense, (ast.to_source(program), wave.index_count)
+            assert planned == dense, (to_source(program), wave.index_count)
         found.append(planned)
     return found
 
@@ -202,7 +203,7 @@ REFERENCE_PROGRAMS = {"any": PROGRAMS, "signal_heads": PLANNABLE, "renamings": R
 def test_random_programs_run_as_the_reference(dense_sweep, kind, data):
     program = data.draw(REFERENCE_PROGRAMS[kind])
     expected = [outcome(program, wave, run=reference_eval.execute) for wave in WAVES]
-    assert agree(dense_sweep, program, WAVES) == expected, ast.to_source(program)
+    assert agree(dense_sweep, program, WAVES) == expected, to_source(program)
 
 
 @pytest.mark.parametrize("window", [1, 2])
@@ -274,7 +275,7 @@ def test_narrowing_reads_as_the_head_at_every_index(span, node, data):
             found = narrowed(node, wave, data.draw(pieces_of(wave.index_count)))
             if found is not None:
                 got, expected = found
-                assert got == expected, (ast.to_source(ast.Program((ast.Statement(
+                assert got == expected, (to_source(ast.Program((ast.Statement(
                     ast.Conditions((node,)), ()),))), wave.index_count)
 
 

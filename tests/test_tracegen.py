@@ -1,7 +1,6 @@
 import io
 
-import pytest
-
+from conftest import raises_exactly
 from direct_scan import scan_cpis
 from wawk.errors import InvalidSpecError
 from wawk.riscv import MNEMONICS, decode
@@ -115,25 +114,27 @@ class TestGroundTruth:
 
 class TestValidation:
     def test_empty_instruction_list(self):
-        with pytest.raises(InvalidSpecError):
+        with raises_exactly(InvalidSpecError, "trace spec has no instructions"):
             generate(TraceSpec(instructions=()))
 
     def test_nonpositive_cycles(self):
-        with pytest.raises(InvalidSpecError):
+        with raises_exactly(InvalidSpecError, "instruction 0: cycle count 0 must be >= 1"):
             generate(TraceSpec(instructions=((0x13, 0),)))
 
     def test_word_out_of_range(self):
-        with pytest.raises(InvalidSpecError):
+        message = "instruction 0: word 4294967296 is not a 32-bit value"
+        with raises_exactly(InvalidSpecError, message):
             generate(TraceSpec(instructions=((1 << 32, 1),)))
-        with pytest.raises(InvalidSpecError):
+        with raises_exactly(InvalidSpecError, "instruction 0: word -1 is not a 32-bit value"):
             generate(TraceSpec(instructions=((-1, 1),)))
 
     def test_nonpositive_half_period(self):
-        with pytest.raises(InvalidSpecError):
+        with raises_exactly(InvalidSpecError, "clock half period 0 must be >= 1"):
             generate(TraceSpec(instructions=((0x13, 1),), clock_half_period=0))
 
     def test_too_many_dummies(self):
-        with pytest.raises(InvalidSpecError):
+        message = f"dummy signal count {MAX_DUMMY_SIGNALS + 1} must be 0..{MAX_DUMMY_SIGNALS}"
+        with raises_exactly(InvalidSpecError, message):
             generate(TraceSpec(instructions=((0x13, 1),),
                                dummy_signals=MAX_DUMMY_SIGNALS + 1))
 
@@ -153,18 +154,18 @@ class TestSpecFile:
         assert spec.instructions == ((0x33, 3), (0x13, 2))
 
     def test_bad_field_count(self):
-        with pytest.raises(InvalidSpecError) as exc:
+        message = "line 1: expected '<hex word> <cycles>', got '00000033 3 9'"
+        with raises_exactly(InvalidSpecError, message):
             parse_spec_file("00000033 3 9\n")
-        assert "line 1" in str(exc.value)
 
     def test_bad_hex(self):
-        with pytest.raises(InvalidSpecError):
+        with raises_exactly(InvalidSpecError, "line 1: bad instruction word 'wxyz'"):
             parse_spec_file("wxyz 3\n")
 
     def test_bad_cycles(self):
-        with pytest.raises(InvalidSpecError):
+        with raises_exactly(InvalidSpecError, "line 1: bad cycle count 'zero'"):
             parse_spec_file("00000033 zero\n")
-        with pytest.raises(InvalidSpecError):
+        with raises_exactly(InvalidSpecError, "line 1: cycle count must be >= 1"):
             parse_spec_file("00000033 0\n")
 
 

@@ -1,8 +1,10 @@
 import io
+import sys
 
 import pytest
 
 from conftest import raises_exactly
+from wawk import vcd
 from wawk.errors import VcdError
 from wawk.tracegen import generate, table1_spec
 from wawk.vcd import parse_vcd
@@ -321,16 +323,90 @@ def test_scalar_lines_skip_the_token_loop():
     text, _ = generate(table1_spec(dummy_signals=4))
     split = []
 
-    class Line(str):
-        def split(self, *args):
-            split.append(str(self))
-            return super().split(*args)
+    class Text(str):
+        """Text whose split() with no separator is counted, and whose
+        pieces, sums and splits on "\\n" are Text again."""
 
-    wave = parse_vcd([Line(raw) for raw in io.StringIO(text)])
+        def split(self, sep=None, *args):
+            if sep is None:
+                split.append(str(self))
+                return super().split(*args)
+            return [Text(part) for part in super().split(sep, *args)]
+
+        def __add__(self, other):
+            return Text(str(self) + other)
+
+        def __radd__(self, other):
+            return Text(other + str(self))
+
+    class Stream(io.StringIO):
+        def __next__(self):
+            return Text(super().__next__())
+
+        def read(self, size=-1):
+            return Text(super().read(size))
+
+    wave = parse_vcd(Stream(text))
     head, _, changes = text.partition("$enddefinitions $end\n")
     header_lines = head.count("\n") + 1
     assert split[:header_lines] == io.StringIO(text).readlines()[:header_lines]
     reached = split[header_lines:]
-    assert reached == [raw for raw in io.StringIO(changes) if raw[0] in "$b"]
+    assert reached == [raw for raw in changes.splitlines() if raw[0] in "$b"]
     assert len(reached) < wave.index_count // 10
 
+
+# --- block edges: the change region is read _BLOCK characters at a time ---
+
+BLOCKS = [1, 2, 7, vcd._BLOCK]
+
+
+@pytest.fixture(params=BLOCKS, ids=lambda n: f"block{n}")
+def block(request, monkeypatch):
+    monkeypatch.setattr(vcd, "_BLOCK", request.param)
+    return request.param
+
+
+def reading(wave):
+    return wave.timestamps, {name: [s.value_at(k).bits for k in range(wave.index_count)]
+                             for name, s in wave.signals.items()}
+
+
+class TestBlockEdges:
+    def test_every_split_reads_as_one_block(self, monkeypatch):
+        # a change line, a b... vector and a timestamp cut at every position
+        text = BASIC + "#30\n1!\nb1x0 \"\n#40\n0!\nb111\n\"\n#4000\n"
+        expected = reading(parse(text))
+        for size in range(1, len(text) + 1):
+            monkeypatch.setattr(vcd, "_BLOCK", size)
+            assert reading(parse(text)) == expected, size
+
+    def test_no_final_newline(self, block):
+        wave = parse(BASIC + "#30\n0!")
+        assert wave.timestamps == [0, 5, 10, 20, 30]
+        assert wave.series("top.clk").value_at(4).bits == "0"
+        assert parse(BASIC + "#30").timestamps == [0, 5, 10, 20, 30]
+        with raises_exactly(VcdError, "line 21: vector value at end of file has no id code"):
+            parse(BASIC + "#30\nb1")
+
+    def test_blank_lines(self, block):
+        text = BASIC.replace("#5\n", "\n#5\n\n\n").replace("#10\n", "#10\n\n")
+        assert reading(parse(text)) == reading(parse(BASIC))
+        with raises_exactly(VcdError, "line 26: unrecognized token 'hello' in change region"):
+            parse(text + "\n\nhello\n")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_other_line_ends_through_parse_vcd_file(self, tmp_path, block, end):
+        path = tmp_path / "t.vcd"
+        path.write_bytes((BASIC + "#30\nb1 \"\n").replace("\n", end).encode())
+        assert reading(vcd.parse_vcd_file(path)) == reading(parse(BASIC + "#30\nb1 \"\n"))
+        path.write_bytes((BASIC + "#30\n1?\n").replace("\n", end).encode())
+        with raises_exactly(VcdError, "line 21: undeclared id code '?'"):
+            vcd.parse_vcd_file(path)
+
+    def test_timestamp_longer_than_int_reads(self, block):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("int() converts any number of digits here")
+        stamp = "#" + "1" * (limit + 1)
+        with raises_exactly(VcdError, f"line 20: invalid timestamp {stamp!r}"):
+            parse(BASIC + stamp + "\n")
