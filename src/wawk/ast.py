@@ -14,7 +14,6 @@ from collections import namedtuple
 # left. The parser reads this table, and so does the tests' source printer.
 PRECEDENCE = {"||": 0, "&&": 1, "==": 2, "!=": 2, "<": 2, "<=": 2, ">": 2, ">=": 2,
               "+": 3, "-": 3, "*": 4, "/": 4}
-_UNARY = 5  # '!' and '-' bind tighter than every binary operator
 
 
 class Node:

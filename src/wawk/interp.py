@@ -10,7 +10,7 @@ Every expression and action body is compiled once per run into a
 function of the sweep index (_compile). A name is resolved at each read,
 except in a sweep where nothing can change the signal it reads; such a
 read looks in the variables first, inline, as Environment.resolve does.
-`+`, `-` and `*` on two ints of class int skip _operate, which takes any
+Arithmetic on two ints of class int skips _operate, which takes any
 other operands. The tree walker this replaced is the tests' reference
 evaluator.
 
@@ -51,7 +51,7 @@ import weakref
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import chain, repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, eq, ge, gt, itemgetter, le, lt, mul, ne, sub
 from typing import IO, Iterator, Sequence
 
 from . import ast
@@ -90,11 +90,7 @@ def _shown(n: int) -> str:
 def _extern_decode(args: list) -> str:
     if len(args) != 1:
         raise RunFailure(f"decode takes 1 argument, got {len(args)}")
-    word = args[0]
-    if isinstance(word, Value):
-        word = word.to_int()
-    if isinstance(word, bool) or not isinstance(word, int):
-        raise RunFailure(f"decode needs an instruction word, got {_type_name(word)}")
+    word = _integer(args[0], "decode needs an instruction word, got ")
     if not 0 <= word <= 0xFFFFFFFF:
         raise RunFailure(f"decode needs a 32-bit instruction word, got {_shown(word)}")
     return _decode_word(word)
@@ -133,18 +129,24 @@ def _truthy(v: object) -> bool:
     raise RunFailure(f"no truth value for {_type_name(v)}")
 
 
+def _integer(v: object, refusal: str) -> int:
+    """`v` as an int: a logic value converts (x/z bits raise), and a bool
+    or any other non-int raises `refusal` followed by its type."""
+    if isinstance(v, Value):
+        return v.to_int()
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise RunFailure(refusal + _type_name(v))
+    return v
+
+
 def _as_int(v: object, op: str) -> int:
     if isinstance(v, bool):
         raise RunFailure(f"operand of {op!r} must be an integer")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, Value):
-        return v.to_int()
     if v is UNBOUND:
         raise RunFailure(f"operand of {op!r} is an unbound variable")
     if v is OUT_OF_RANGE:
         raise RunFailure(f"operand of {op!r} is an out-of-range signal sample")
-    raise RunFailure(f"operand of {op!r} must be an integer, got {_type_name(v)}")
+    return _integer(v, f"operand of {op!r} must be an integer, got ")
 
 
 def _need_list_arg(name: str, args: list) -> list:
@@ -162,14 +164,8 @@ def _int_list(name: str, args: list) -> list[int]:
     lst = _need_list_arg(name, args)
     if not lst:
         raise RunFailure(f"{name} of an empty list")
-    out = []
-    for item in lst:
-        if isinstance(item, Value):
-            item = item.to_int()
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise RunFailure(f"{name} needs a list of integers, found {_type_name(item)}")
-        out.append(item)
-    return out
+    refusal = f"{name} needs a list of integers, found "
+    return [_integer(item, refusal) for item in lst]
 
 
 def _builtin_average(args: list) -> int:
@@ -193,10 +189,7 @@ def _format(fmt: str, values: list) -> str:
         v = values[taken]
         taken += 1
         if spec == "d":
-            if isinstance(v, Value):
-                v = v.to_int()
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise RunFailure(f"%d needs an integer, got {_type_name(v)}")
+            v = _integer(v, "%d needs an integer, got ")
             try:
                 return str(v)
             except ValueError:  # past sys.get_int_max_str_digits()
@@ -228,16 +221,16 @@ _BUILTINS = {
     "length": lambda args: len(_need_list_arg("length", args)),
 }
 
-_ARITH = {"+": add, "-": sub, "*": mul}
 
-_CMP = {
-    "==": lambda a, b: int(a == b),
-    "!=": lambda a, b: int(a != b),
-    "<": lambda a, b: int(a < b),
-    "<=": lambda a, b: int(a <= b),
-    ">": lambda a, b: int(a > b),
-    ">=": lambda a, b: int(a >= b),
-}
+def _divide(lhs: int, rhs: int) -> int:
+    if rhs == 0:
+        raise RunFailure(f"{_shown(lhs)} / 0")
+    q = abs(lhs) // abs(rhs)
+    return -q if (lhs < 0) != (rhs < 0) else q
+
+
+_ARITH = {"+": add, "-": sub, "*": mul, "/": _divide}
+_CMP = {"==": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def _operate(op: str, left: object, right: object) -> object:
@@ -250,18 +243,7 @@ def _operate(op: str, left: object, right: object) -> object:
                 raise RunFailure("cannot append an absent value to a list")
             left.append(right)
             return left
-        lhs = _as_int(left, op)
-        rhs = _as_int(right, op)
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if rhs == 0:
-            raise RunFailure(f"{_shown(lhs)} / 0")
-        q = abs(lhs) // abs(rhs)
-        return -q if (lhs < 0) != (rhs < 0) else q
+        return _ARITH[op](_as_int(left, op), _as_int(right, op))
     if left is UNBOUND or left is OUT_OF_RANGE or right is UNBOUND or right is OUT_OF_RANGE:
         return UNBOUND  # falsy: comparisons degrade, they do not raise
     if isinstance(left, Value):
@@ -270,7 +252,7 @@ def _operate(op: str, left: object, right: object) -> object:
         right = right.to_int()
     cls = left.__class__
     if (cls is int or cls is str) and right.__class__ is cls:
-        return cmp(left, right)  # the common case; below, find what is wrong
+        return int(cmp(left, right))  # the common case; below, find what is wrong
     if isinstance(left, str) != isinstance(right, str):
         raise RunFailure(
             f"cannot compare {_type_name(left)} with {_type_name(right)} using {op!r}"
@@ -278,7 +260,7 @@ def _operate(op: str, left: object, right: object) -> object:
     for operand in (left, right):
         if not isinstance(operand, (int, str)) or isinstance(operand, bool):
             raise RunFailure(f"cannot compare {_type_name(operand)} values with {op!r}")
-    return cmp(left, right)
+    return int(cmp(left, right))
 
 
 class Environment:
@@ -370,10 +352,7 @@ def _subscript(base: object, index: object) -> object:
     """`base[index]`, its operands evaluated."""
     if not isinstance(base, list):
         raise RunFailure(f"cannot subscript {_type_name(base)}")
-    if isinstance(index, Value):
-        index = index.to_int()
-    if isinstance(index, bool) or not isinstance(index, int):
-        raise RunFailure(f"list index must be an integer, got {_type_name(index)}")
+    index = _integer(index, "list index must be an integer, got ")
     if not 0 <= index < len(base):
         raise RunFailure(f"list index {_shown(index)} out of range for length {len(base)}")
     return base[index]

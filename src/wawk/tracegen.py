@@ -28,6 +28,7 @@ The final instruction has no following ack, so it is never measured
 (formula_value is None in the ground truth).
 """
 
+import math
 from bisect import bisect_right
 from collections import namedtuple
 
@@ -127,6 +128,11 @@ class GroundTruth(namedtuple(
         return avg, min(values), max(values)
 
 
+def _int_in(value, lo: int, hi: float) -> bool:
+    """Whether `value` is an int, not a bool, from `lo` to `hi`."""
+    return isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi
+
+
 def _validate(spec: TraceSpec) -> None:
     if not spec.instructions:
         raise InvalidSpecError("trace spec has no instructions")
@@ -134,13 +140,13 @@ def _validate(spec: TraceSpec) -> None:
         if len(pair) != 2:
             raise InvalidSpecError(f"instruction {k}: expected (word, cycles)")
         word, cycles = pair
-        if not isinstance(word, int) or not 0 <= word <= 0xFFFFFFFF:
+        if not _int_in(word, 0, 0xFFFFFFFF):
             raise InvalidSpecError(f"instruction {k}: word {word!r} is not a 32-bit value")
-        if not isinstance(cycles, int) or cycles < 1:
+        if not _int_in(cycles, 1, math.inf):
             raise InvalidSpecError(f"instruction {k}: cycle count {cycles!r} must be >= 1")
-    if not isinstance(spec.clock_half_period, int) or spec.clock_half_period < 1:
+    if not _int_in(spec.clock_half_period, 1, math.inf):
         raise InvalidSpecError(f"clock half period {spec.clock_half_period!r} must be >= 1")
-    if not isinstance(spec.dummy_signals, int) or not 0 <= spec.dummy_signals <= MAX_DUMMY_SIGNALS:
+    if not _int_in(spec.dummy_signals, 0, MAX_DUMMY_SIGNALS):
         raise InvalidSpecError(
             f"dummy signal count {spec.dummy_signals!r} must be 0..{MAX_DUMMY_SIGNALS}"
         )

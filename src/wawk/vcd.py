@@ -39,6 +39,8 @@ _TIME_UNITS = ("fs", "ps", "ns", "us", "ms", "s")
 _SCOPE_TYPES = ("module", "begin", "task", "function", "fork")
 _VAR_TYPES = ("wire", "reg", "integer", "logic", "parameter", "tri", "supply0", "supply1")
 _SKIP_DIRECTIVES = ("$comment", "$date", "$version")
+_HEADER_DIRECTIVES = ("$enddefinitions", "$timescale", "$scope", "$upscope", "$var",
+                      *_SKIP_DIRECTIVES)
 _DUMP_BLOCKS = ("$dumpvars", "$dumpoff", "$dumpon", "$dumpall", "$end")
 # widest $var accepted: the smallest vector-length limit IEEE 1364 lets a tool set
 MAX_WIDTH = 65536
@@ -131,86 +133,70 @@ class _Parser:
 
     # --- header ---
 
-    def _need(self, what: str) -> str:
-        tok = self.tokens.next()
-        if tok is None:
-            raise VcdError(f"unexpected end of file in {what}", self.tokens.line)
-        return tok
-
     def _until_end(self, what: str) -> list[str]:
         parts = []
-        while True:
-            tok = self._need(what)
-            if tok == "$end":
-                return parts
+        while (tok := self.tokens.next()) != "$end":
+            if tok is None:
+                raise VcdError(f"unexpected end of file in {what}", self.tokens.line)
             parts.append(tok)
+        return parts
 
     def parse_header(self) -> None:
         while True:
             tok = self.tokens.next()
             if tok is None:
                 raise VcdError("missing $enddefinitions", self.tokens.line)
+            if tok not in _HEADER_DIRECTIVES:
+                what = "unsupported directive" if tok.startswith("$") else "unexpected token"
+                raise VcdError(f"{what} {tok!r} in header", self.tokens.line)
+            parts = self._until_end(tok)
+            line = self.tokens.line  # of the $end
+            if parts and tok in ("$enddefinitions", "$upscope"):
+                raise VcdError(f"unexpected tokens in {tok}", line)
             if tok == "$enddefinitions":
-                if self._until_end("$enddefinitions"):
-                    raise VcdError("unexpected tokens in $enddefinitions", self.tokens.line)
                 if self.scope_path:
-                    raise VcdError("unclosed $scope", self.tokens.line)
+                    raise VcdError("unclosed $scope", line)
                 return
             if tok == "$timescale":
-                self.timescale = _parse_timescale(
-                    self._until_end("$timescale"), self.tokens.line
-                )
+                self.timescale = _parse_timescale(parts, line)
             elif tok == "$scope":
-                self._parse_scope()
+                self._parse_scope(parts, line)
             elif tok == "$upscope":
-                if self._until_end("$upscope"):
-                    raise VcdError("unexpected tokens in $upscope", self.tokens.line)
                 if not self.scope_path:
-                    raise VcdError("$upscope without matching $scope", self.tokens.line)
+                    raise VcdError("$upscope without matching $scope", line)
                 self.scope_path.pop()
             elif tok == "$var":
-                self._parse_var()
-            elif tok in _SKIP_DIRECTIVES:
-                self._until_end(tok)
-            elif tok.startswith("$"):
-                raise VcdError(f"unsupported directive {tok!r} in header", self.tokens.line)
-            else:
-                raise VcdError(f"unexpected token {tok!r} in header", self.tokens.line)
+                self._parse_var(parts, line)
 
-    def _parse_scope(self) -> None:
-        parts = self._until_end("$scope")
+    def _parse_scope(self, parts: list[str], line: int) -> None:
         if len(parts) != 2:
-            raise VcdError(f"malformed $scope {' '.join(parts)!r}", self.tokens.line)
+            raise VcdError(f"malformed $scope {' '.join(parts)!r}", line)
         scope_type, name = parts
         if scope_type not in _SCOPE_TYPES:
-            raise VcdError(f"unsupported scope type {scope_type!r}", self.tokens.line)
+            raise VcdError(f"unsupported scope type {scope_type!r}", line)
         self.scope_path.append(name)
 
-    def _parse_var(self) -> None:
-        parts = self._until_end("$var")
+    def _parse_var(self, parts: list[str], line: int) -> None:
         # $var <type> <width> <id> <name> [<range>] $end; the range may hold spaces
         if len(parts) < 4 or (len(parts) > 5 and not _is_range("".join(parts[4:]))):
-            raise VcdError(f"malformed $var {' '.join(parts)!r}", self.tokens.line)
+            raise VcdError(f"malformed $var {' '.join(parts)!r}", line)
         var_type, width_text, id_code, short_name = parts[:4]
         if var_type not in _VAR_TYPES:
-            raise VcdError(f"unsupported variable type {var_type!r}", self.tokens.line)
+            raise VcdError(f"unsupported variable type {var_type!r}", line)
         width = ascii_int(width_text)
         if width is None or width < 1:
-            raise VcdError(f"invalid $var width {width_text!r}", self.tokens.line)
+            raise VcdError(f"invalid $var width {width_text!r}", line)
         if width > MAX_WIDTH:
-            message = f"$var width {width_text} is over the limit of {MAX_WIDTH} bits"
-            raise VcdError(message, self.tokens.line)
+            raise VcdError(f"$var width {width_text} is over the limit of {MAX_WIDTH} bits", line)
         if len(parts) == 5 and not _is_range(parts[4]):
-            raise VcdError(f"unexpected trailing token {parts[4]!r} in $var", self.tokens.line)
+            raise VcdError(f"unexpected trailing token {parts[4]!r} in $var", line)
         name = ".".join(self.scope_path + [short_name])
         if name in self.signals:
-            raise VcdError(f"duplicate signal name {name!r}", self.tokens.line)
+            raise VcdError(f"duplicate signal name {name!r}", line)
         series = self.ids.setdefault(id_code, SignalSeries(width, [], []))
         if series.width != width:
             raise VcdError(
-                f"id code {id_code!r} re-declared with width {width}, was {series.width}",
-                self.tokens.line,
-            )
+                f"id code {id_code!r} re-declared with width {width}, was {series.width}", line)
         self.signals[name] = series
 
     # --- change region ---

@@ -7,7 +7,6 @@ tree the parser builds.
 """
 
 from wawk.ast import (
-    _UNARY,
     PRECEDENCE,
     Assign,
     Begin,
@@ -28,6 +27,8 @@ from wawk.ast import (
     Unary,
 )
 
+# '!' and '-' bind tighter than every binary operator
+_UNARY = max(PRECEDENCE.values()) + 1
 
 _ESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", "\\": "\\\\", '"': '\\"'}
 

@@ -1,3 +1,4 @@
+import ast
 import importlib.metadata
 import io
 import os
@@ -9,7 +10,7 @@ import sys
 import pytest
 
 from conftest import nested_script
-from wawk import cli, parser
+from wawk import cli, errors, parser
 from wawk.cli import main
 from wawk.parser import MAX_DEPTH
 from wawk.tracegen import TraceSpec, generate, parse_spec_file, table1_spec
@@ -219,6 +220,12 @@ class TestGen:
     def test_spec_requires_file_argument(self, capsys):
         assert main(["gen", "spec"]) == 2
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "x.vcd"
+        assert main(["gen", "table1", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"wawk: cannot write output: [Errno 2] No such file or directory: {str(out)!r}\n")
+
     def test_spec_number_formats(self, tmp_path, capsys):
         spec = tmp_path / "ok.spec"
         spec.write_text("13 2\n0x13 2\n0X00500093 2\n00000033 10\n")
@@ -288,6 +295,11 @@ class TestRun:
         assert main(["run", "@cpi", str(tmp_path / "missing.vcd"), "sra", "--all"]) == 2
         assert capsys.readouterr().err == (
             "wawk: --all and explicit script arguments are mutually exclusive\n")
+
+    def test_script_and_vcd_both_from_stdin(self, capsys):
+        assert main(["run", "-", "-"]) == 2
+        assert capsys.readouterr() == (
+            "", "wawk: only one of the script and the VCD can come from stdin\n")
 
     def test_unknown_bundled_name(self, small_vcd, capsys):
         assert main(["run", "@nope", str(small_vcd)]) == 2
@@ -615,6 +627,29 @@ class TestUsage:
                  for path in (SRC_DIR / "wawk").glob("*.py")}
         assert "interp.py" in lines
         assert sum(lines.values()) <= LINE_BUDGET, lines
+
+    def test_every_error_message_is_pinned_by_a_test(self):
+        # each literal piece of 10 or more characters in the message of a
+        # `raise` of a wawk.errors class must occur in a string of the tests
+        classes = {name for name, obj in vars(errors).items()
+                   if isinstance(obj, type) and issubclass(obj, Exception)}
+        strings = "\0".join(
+            node.value for path in pathlib.Path(__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str))
+        unpinned = []
+        for path in sorted((SRC_DIR / "wawk").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and isinstance(node.exc.func, ast.Name)
+                        and node.exc.func.id in classes and node.exc.args):
+                    continue
+                message = node.exc.args[0]
+                pieces = message.values if isinstance(message, ast.JoinedStr) else [message]
+                unpinned += [f"{path.name}:{node.lineno}: {piece.value!r}" for piece in pieces
+                             if isinstance(piece, ast.Constant) and isinstance(piece.value, str)
+                             and len(piece.value) >= 10 and piece.value not in strings]
+        assert unpinned == []
 
     @pytest.mark.skipif(not _wawk_distribution_installed(),
                         reason="no installed 'wawk' distribution "

@@ -529,3 +529,60 @@ class TestMarkers:
     def test_markers_are_falsy_singletons(self):
         assert repr(UNBOUND) == "unbound"
         assert repr(OUT_OF_RANGE) == "out-of-range"
+
+
+# Errors that each take one script to reach: the script over clocked_wave
+# and the whole message. probe.none returns None and probe.yes True, values
+# no script can write; a bool is no integer to decode, min, %d or [].
+SCRIPT_ERRORS = {
+    "decode-arity": ("BEGIN: { import(extern); m = call(extern.decode, 1, 2); }",
+                     "statement 1 (BEGIN): decode takes 1 argument, got 2"),
+    "no-truth-value": ("BEGIN: { import(probe); if (call(probe.none)) { v = 1; } }",
+                       "statement 1 (BEGIN): no truth value for None"),
+    "lone-percent": ('BEGIN: { printf("abc%"); }',
+                     "statement 1 (BEGIN): format string ends with a lone '%'"),
+    "b-type": ('BEGIN: { printf("%b", "s"); }',
+               "statement 1 (BEGIN): %b needs a logic value, got string"),
+    "b-negative": ('BEGIN: { printf("%b", 0 - 1); }',
+                   "statement 1 (BEGIN): %b needs a non-negative integer"),
+    "append-absent": ("BEGIN: { l = []; }\n1: { l = l + top.clk@-1; }",
+                      "statement 2 at index 0: cannot append an absent value to a list"),
+    "alias-dotted": ("BEGIN: { alias(a.b, top.clk); }",
+                     "statement 1 (BEGIN): alias name 'a.b' must be a plain identifier"),
+    "alias-arity": ("BEGIN: { alias(a); }",
+                    "statement 1 (BEGIN): alias takes two names: alias(short, target)"),
+    "import-arity": ("BEGIN: { import(); }", "statement 1 (BEGIN): import takes one module name"),
+    "call-arity": ("BEGIN: { v = call(); }",
+                   "statement 1 (BEGIN): call needs a module.function name first"),
+    "call-target": ("BEGIN: { import(extern); v = call(decode, 1); }",
+                    "statement 1 (BEGIN): call target 'decode' must be module.function"),
+    "index-type": ('BEGIN: { l = [1]; v = l["a"]; }',
+                   "statement 1 (BEGIN): list index must be an integer, got string"),
+    "length-arity": ("BEGIN: { v = length([1], [2]); }",
+                     "statement 1 (BEGIN): length takes 1 argument, got 2"),
+    "length-type": ("BEGIN: { v = length(1); }",
+                    "statement 1 (BEGIN): length needs a list, got int"),
+    "d-bool": ('BEGIN: { import(probe); printf("%d", call(probe.yes)); }',
+               "statement 1 (BEGIN): %d needs an integer, got bool"),
+    "min-bool": ("BEGIN: { import(probe); v = min([call(probe.yes)]); }",
+                 "statement 1 (BEGIN): min needs a list of integers, found bool"),
+    "index-bool": ("BEGIN: { import(probe); l = [1]; v = l[call(probe.yes)]; }",
+                   "statement 1 (BEGIN): list index must be an integer, got bool"),
+}
+
+
+@pytest.mark.parametrize("kind", SCRIPT_ERRORS)
+def test_each_script_error_gives_its_exact_message(clocked_wave, kind):
+    source, message = SCRIPT_ERRORS[kind]
+    modules = {**default_native_modules(),
+               "probe": {"none": lambda args: None, "yes": lambda args: True}}
+    with raises_exactly(RunFailure, message):
+        execute(parse_source(source), clocked_wave, out=io.StringIO(), modules=modules)
+
+
+def test_a_defined_logic_value_prints_and_subscripts_as_an_integer(clocked_wave):
+    # top.counter reads 3 at index 6, as arithmetic and decode read it
+    out, _ = run_script('BEGIN: { l = [10, 11, 12, 13]; }\n'
+                        'INDEX == 6: { printf("%d %d", top.counter, l[top.counter]); }',
+                        clocked_wave)
+    assert out == "3 13"

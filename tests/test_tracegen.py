@@ -1,5 +1,7 @@
 import io
 
+import pytest
+
 from conftest import raises_exactly
 from direct_scan import scan_cpis
 from wawk.errors import InvalidSpecError
@@ -138,6 +140,21 @@ class TestValidation:
             generate(TraceSpec(instructions=((0x13, 1),),
                                dummy_signals=MAX_DUMMY_SIGNALS + 1))
 
+    def test_instruction_not_a_pair(self):
+        with raises_exactly(InvalidSpecError, "instruction 0: expected (word, cycles)"):
+            generate(TraceSpec(instructions=((0x13,),)))
+
+    @pytest.mark.parametrize("spec, message", [
+        (TraceSpec(((0x13, True), (0x13, 1))), "instruction 0: cycle count True must be >= 1"),
+        (TraceSpec(((True, 1),)), "instruction 0: word True is not a 32-bit value"),
+        (TraceSpec(((0x13, 1),), clock_half_period=True), "clock half period True must be >= 1"),
+        (TraceSpec(((0x13, 1),), dummy_signals=True),
+         f"dummy signal count True must be 0..{MAX_DUMMY_SIGNALS}"),
+    ], ids=["cycles", "word", "half-period", "dummy-signals"])
+    def test_a_bool_is_not_a_number(self, spec, message):
+        with raises_exactly(InvalidSpecError, message):
+            generate(spec)
+
     def test_determinism(self):
         spec = TraceSpec(instructions=((0x33, 3), (0x13, 2)), dummy_signals=4)
         assert generate(spec)[0] == generate(spec)[0]
@@ -167,6 +184,15 @@ class TestSpecFile:
             parse_spec_file("00000033 zero\n")
         with raises_exactly(InvalidSpecError, "line 1: cycle count must be >= 1"):
             parse_spec_file("00000033 0\n")
+
+    def test_word_wider_than_32_bits(self):
+        message = "line 1: word '100000000' does not fit in 32 bits"
+        with raises_exactly(InvalidSpecError, message):
+            parse_spec_file("100000000 1\n")
+
+    def test_no_instructions(self):
+        with raises_exactly(InvalidSpecError, "spec file contains no instructions"):
+            parse_spec_file("# comments only\n\n")
 
 
 class TestCannedWords:

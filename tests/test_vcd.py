@@ -248,6 +248,30 @@ class TestErrors:
             with raises_exactly(VcdError, message):
                 parse(text)
 
+    # a directive's error names the line of its $end, or of the end of file
+    @pytest.mark.parametrize("text, message", [
+        ("$var wire 1 ! a\n", "line 1: unexpected end of file in $var"),
+        ("$var wire\n1 ! a\n\n", "line 3: unexpected end of file in $var"),
+        ("$comment\nx", "line 2: unexpected end of file in $comment"),
+        ("$enddefinitions x $end\n", "line 1: unexpected tokens in $enddefinitions"),
+        ("$scope module top $end\n$upscope\nx $end\n$enddefinitions $end\n",
+         "line 3: unexpected tokens in $upscope"),
+        ("$var wire 1 ! a x $end\n", "line 1: unexpected trailing token 'x' in $var"),
+        ("$var wire\n1 ! a x\n$end\n", "line 3: unexpected trailing token 'x' in $var"),
+        ("$scope module\n$end\n$enddefinitions $end\n", "line 2: malformed $scope 'module'"),
+        ("$var wire 1 ! a $end\n", "line 1: missing $enddefinitions"),
+        ("$var wire 1 ! a $end\n$foo $end\n", "line 2: unsupported directive '$foo' in header"),
+        ("$var wire 1 ! a $end\n$enddefinitions $end\n#0\n$comment x\n",
+         "line 4: unterminated directive block at end of file"),
+        ("$var wire 1 ! a $end\n$enddefinitions $end\n#0\nb12 !\n",
+         "line 4: invalid vector value 'b12'"),
+    ], ids=["eof", "eof-later-line", "eof-skipped", "enddefinitions-tokens", "upscope-tokens",
+            "var-trailing", "var-trailing-later-line", "scope-malformed", "no-enddefinitions",
+            "header-directive", "unterminated-block", "vector-value"])
+    def test_each_error_gives_its_exact_message(self, text, message):
+        with raises_exactly(VcdError, message):
+            parse(text)
+
     def test_widest_var(self):
         wave = parse("$var wire 65536 ! a $end\n$enddefinitions $end\n#0\nb1 !\n")
         assert wave.series("a").value_at(0).bits == "0" * 65535 + "1"
