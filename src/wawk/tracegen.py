@@ -134,10 +134,13 @@ def _int_in(value, lo: int, hi: float) -> bool:
 
 
 def _validate(spec: TraceSpec) -> None:
+    if not isinstance(spec.instructions, (tuple, list)):
+        kind = type(spec.instructions).__name__
+        raise InvalidSpecError(f"trace spec instructions must be a tuple or list, not {kind}")
     if not spec.instructions:
         raise InvalidSpecError("trace spec has no instructions")
     for k, pair in enumerate(spec.instructions):
-        if len(pair) != 2:
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
             raise InvalidSpecError(f"instruction {k}: expected (word, cycles)")
         word, cycles = pair
         if not _int_in(word, 0, 0xFFFFFFFF):

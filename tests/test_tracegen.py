@@ -144,6 +144,21 @@ class TestValidation:
         with raises_exactly(InvalidSpecError, "instruction 0: expected (word, cycles)"):
             generate(TraceSpec(instructions=((0x13,),)))
 
+    # a pair is a tuple or list: a str or dict of two items is refused too
+    @pytest.mark.parametrize("instruction", [5, None, "ab", {0x13: 1, 2: 3}],
+                             ids=["int", "none", "str", "dict"])
+    def test_an_instruction_of_another_type(self, instruction):
+        with raises_exactly(InvalidSpecError, "instruction 0: expected (word, cycles)"):
+            generate(TraceSpec((instruction,)))
+
+    @pytest.mark.parametrize("instructions, kind", [
+        (5, "int"), (None, "NoneType"), ({(0x13, 1)}, "set"), (iter([(0x13, 1)]), "list_iterator"),
+    ], ids=["int", "none", "set", "iterator"])
+    def test_instructions_of_another_type(self, instructions, kind):
+        message = f"trace spec instructions must be a tuple or list, not {kind}"
+        with raises_exactly(InvalidSpecError, message):
+            generate(TraceSpec(instructions))
+
     @pytest.mark.parametrize("spec, message", [
         (TraceSpec(((0x13, True), (0x13, 1))), "instruction 0: cycle count True must be >= 1"),
         (TraceSpec(((True, 1),)), "instruction 0: word True is not a 32-bit value"),

@@ -364,22 +364,19 @@ def test_scalar_lines_skip_the_token_loop():
             return Text(other + str(self))
 
     class Stream(io.StringIO):
-        def __next__(self):
-            return Text(super().__next__())
-
         def read(self, size=-1):
             return Text(super().read(size))
 
     wave = parse_vcd(Stream(text))
     head, _, changes = text.partition("$enddefinitions $end\n")
     header_lines = head.count("\n") + 1
-    assert split[:header_lines] == io.StringIO(text).readlines()[:header_lines]
+    assert split[:header_lines] == text.split("\n")[:header_lines]
     reached = split[header_lines:]
     assert reached == [raw for raw in changes.splitlines() if raw[0] in "$b"]
     assert len(reached) < wave.index_count // 10
 
 
-# --- block edges: the change region is read _BLOCK characters at a time ---
+# --- block edges: the dump is read _BLOCK characters at a time ---
 
 BLOCKS = [1, 2, 7, vcd._BLOCK]
 
@@ -403,6 +400,52 @@ class TestBlockEdges:
         for size in range(1, len(text) + 1):
             monkeypatch.setattr(vcd, "_BLOCK", size)
             assert reading(parse(text)) == expected, size
+
+    def test_every_split_of_the_header_reads_as_one_block(self, monkeypatch):
+        # a header $comment, a $var over two lines, and changes on the
+        # $enddefinitions line, cut at every position
+        text = ("$comment a\nnote $end $timescale 1 ns $end\n$var wire 1 ! a $end $var\n"
+                "wire 8 \" bus [7:0] $end\n$enddefinitions $end #0 1!\n#5 0! b1 \"\n")
+        expected = ([0, 5], {"a": ["1", "0"], "bus": ["xxxxxxxx", "00000001"]})
+        for size in range(1, len(text) + 1):
+            monkeypatch.setattr(vcd, "_BLOCK", size)
+            wave = parse(text)
+            assert (reading(wave), wave.timescale) == (expected, (1, "ns")), size
+
+    @pytest.mark.parametrize("text, message", [
+        ("$comment x $end\n$var wire\n1 ! a x\n$end\n",
+         "line 4: unexpected trailing token 'x' in $var"),
+        ("$var wire 1 ! a $end\n$var wire\n1 ! a\n\n", "line 4: unexpected end of file in $var"),
+        ("$scope module top $end\n$var wire 1 ! a $end $enddefinitions\n$end\n",
+         "line 3: unclosed $scope"),
+        ("$var wire 1 ! a $end\n\n$upscope $end", "line 3: $upscope without matching $scope"),
+        ("$var wire 1 ! a $end\n$enddefinitions $end b12\n", "line 2: invalid vector value 'b12'"),
+        ("$var wire 1 ! a $end\n$enddefinitions $end #0 1?\n#1\n",
+         "line 2: undeclared id code '?'"),
+        ("$var wire 1 ! a $end\n$comment x $end\n", "line 2: missing $enddefinitions"),
+    ], ids=["var-trailing", "eof-in-var", "unclosed-scope", "upscope", "vector-on-end-line",
+            "change-on-end-line", "no-enddefinitions"])
+    def test_a_header_error_reads_the_same_at_every_split(self, monkeypatch, text, message):
+        for size in range(1, len(text) + 1):
+            monkeypatch.setattr(vcd, "_BLOCK", size)
+            with raises_exactly(VcdError, message):
+                parse(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 0: missing $enddefinitions"),
+        ("\n\n", "line 2: missing $enddefinitions"),
+        ("\n\n ", "line 3: missing $enddefinitions"),
+    ], ids=["empty", "blank-lines", "no-final-newline"])
+    def test_end_of_file_names_the_last_line_read(self, block, text, message):
+        with raises_exactly(VcdError, message):
+            parse(text)
+
+    def test_parse_vcd_needs_only_read(self):
+        class Reader:
+            def __init__(self, text):
+                self.read = io.StringIO(text).read
+
+        assert reading(parse_vcd(Reader(BASIC))) == reading(parse(BASIC))
 
     def test_no_final_newline(self, block):
         wave = parse(BASIC + "#30\n0!")
