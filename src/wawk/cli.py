@@ -196,7 +196,3 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 1
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,11 +18,9 @@ class ParseFailure(WawkError):
 
 
 class VcdError(ParseFailure):
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}: {message}")
 
 
 class WawkSyntaxError(ParseFailure):

@@ -121,7 +121,7 @@ def _truthy(v: object) -> bool:
     if isinstance(v, int):
         return v != 0
     if isinstance(v, Value):
-        return not v.has_xz and int(v.bits, 2) != 0
+        return not v.has_xz and int(v.digits, 2) != 0
     if isinstance(v, (str, list)):
         return bool(v)
     if v is UNBOUND or v is OUT_OF_RANGE:
@@ -202,8 +202,7 @@ def _format(fmt: str, values: list) -> str:
             raise RunFailure(f"unknown format directive '%{spec}'")
         if isinstance(v, Value):
             return v.bits
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise RunFailure(f"%b needs a logic value, got {_type_name(v)}")
+        v = _integer(v, "%b needs a logic value, got ")
         if v < 0:
             raise RunFailure("%b needs a non-negative integer")
         return format(v, "b")

@@ -12,11 +12,10 @@ other scope types are rejected rather than guessed at.
 
 Every `#` directive opens a new index on the time axis, even if no change
 follows it; changes before the first `#` belong to index 0, and repeated
-changes for one signal at the same index keep the last one. Vector values
-shorter than the declared width are left-extended with 0 for leading 0/1
-and with x/z for leading x/z, per the dump format's extension rule. A $var
-may be at most MAX_WIDTH (65,536) bits wide, and names that share an id
-code share one SignalSeries.
+changes for one signal at the same index keep the last one. A vector
+change is stored as the dump wrote it, with its id code's declared width
+(see wawk.value for the extension rule). A $var may be at most MAX_WIDTH
+(65,536) bits wide, and names that share an id code share one SignalSeries.
 
 The whole dump is read a block of _BLOCK characters at a time, split
 into lines on "\\n", the only line end left by the universal newlines of
@@ -32,7 +31,7 @@ from itertools import chain, count
 from typing import IO, Iterator
 
 from .errors import VcdError
-from .value import SCALARS, Value
+from .value import BIT_CHARS, SCALARS, Value
 from .waveform import SignalSeries, Waveform
 
 _TIME_UNITS = ("fs", "ps", "ns", "us", "ms", "s")
@@ -195,11 +194,7 @@ class _Parser:
             width = series.width
             if len(bits) > width:
                 raise VcdError(f"{len(bits)}-bit value for {width}-bit id code {id_code!r}", line)
-            if len(bits) < width:
-                lead = bits[0]
-                fill = "0" if lead in "01" else lead
-                bits = fill * (width - len(bits)) + bits
-            value = SCALARS[bits] if width == 1 else Value(bits)
+            value = SCALARS[bits] if width == 1 else Value(bits, width)
             indexes = series.indexes
             if indexes and indexes[-1] == cur:
                 series.values[-1] = value  # same-index rewrite: last one wins
@@ -254,7 +249,7 @@ class _Parser:
                         store(c.lower(), tok[1:], line)
                     elif c in "bB":
                         bits = tok[1:].lower()
-                        if not bits or not frozenset("01xz").issuperset(bits):
+                        if not bits or not BIT_CHARS.issuperset(bits):
                             raise VcdError(f"invalid vector value {tok!r}", line)
                         vector_bits = bits
                     elif c in "rR":

@@ -3,6 +3,7 @@ import importlib.metadata
 import io
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -599,6 +600,22 @@ class TestUsage:
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "addi\n"
+
+    def test_the_readme_library_examples_print_what_they_say(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # the README's two python blocks, run in turn in one namespace
+        # beside the trace.vcd that `wawk gen table1 trace.vcd` writes
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+        assert len(blocks) == 2
+        text, truth = generate(table1_spec())
+        (tmp_path / "trace.vcd").write_text(text, encoding="ascii")
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        for block in blocks:
+            exec(block, namespace)
+        assert len(truth.instructions) == 110
+        assert capsys.readouterr().out == "110 instructions fetched\n42\n"
 
     def test_the_trace_generator_is_imported_only_when_used(self, tmp_path):
         # a fresh interpreter: this process has imported wawk.tracegen already

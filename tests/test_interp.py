@@ -533,7 +533,7 @@ class TestMarkers:
 
 # Errors that each take one script to reach: the script over clocked_wave
 # and the whole message. probe.none returns None and probe.yes True, values
-# no script can write; a bool is no integer to decode, min, %d or [].
+# no script can write; a bool is no integer to decode, min, %d, %b or [].
 SCRIPT_ERRORS = {
     "decode-arity": ("BEGIN: { import(extern); m = call(extern.decode, 1, 2); }",
                      "statement 1 (BEGIN): decode takes 1 argument, got 2"),
@@ -543,6 +543,8 @@ SCRIPT_ERRORS = {
                      "statement 1 (BEGIN): format string ends with a lone '%'"),
     "b-type": ('BEGIN: { printf("%b", "s"); }',
                "statement 1 (BEGIN): %b needs a logic value, got string"),
+    "b-bool": ('BEGIN: { import(probe); printf("%b", call(probe.yes)); }',
+               "statement 1 (BEGIN): %b needs a logic value, got bool"),
     "b-negative": ('BEGIN: { printf("%b", 0 - 1); }',
                    "statement 1 (BEGIN): %b needs a non-negative integer"),
     "append-absent": ("BEGIN: { l = []; }\n1: { l = l + top.clk@-1; }",

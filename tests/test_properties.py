@@ -2,11 +2,12 @@
 return a result or raise ParseFailure, never another exception; every
 token of a script that lexes sits at the line and column of its text,
 with only whitespace and comments between tokens; a well-formed dump
-reads the way a model written here says, the VCD reader's line table
+reads the way a model written here says, a logic value kept as short
+digits reads as its full-width bits would, the VCD reader's line table
 reads any dump, or fails on it, exactly as its token loop does, and a
-generated trace reads back as its ground truth; and a well-formed program prints to source
-that parses back to it, and runs raising nothing but WawkError; and most
-programs built to run to their END get there."""
+generated trace reads back as its ground truth; and a well-formed program
+prints to source that parses back to it, and runs raising nothing but
+WawkError; and most programs built to run to their END get there."""
 
 import functools
 import io
@@ -19,12 +20,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import make_waveform  # noqa: E402
 from printer import to_source  # noqa: E402
-from wawk import ast, vcd  # noqa: E402
-from wawk.errors import ParseFailure, WawkError  # noqa: E402
+from wawk import ast, interp, vcd  # noqa: E402
+from wawk.errors import ParseFailure, RunFailure, WawkError  # noqa: E402
 from wawk.interp import execute  # noqa: E402
 from wawk.lexer import tokenize  # noqa: E402
 from wawk.parser import MAX_DEPTH, parse_source  # noqa: E402
 from wawk.tracegen import WORDS, TraceSpec, generate  # noqa: E402
+from wawk.value import Value  # noqa: E402
 from wawk.vcd import parse_vcd  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -206,6 +208,40 @@ def test_well_formed_dumps_read_as_the_model_says(dump):
         assert [series.value_at(k).bits for k in range(wave.index_count)] == expected[name]
         for m, j in enumerate(var_ids):
             assert (wave.series(name) is wave.series(f"top.s{m}")) == (i == j)
+
+
+# --- logic values against a full-width model ---
+
+
+@st.composite
+def short_values(draw):
+    """Digits from 01xz and a width of 1-300 no smaller than they are."""
+    width = draw(st.integers(1, 300))
+    return draw(st.text("01xz", min_size=1, max_size=width)), width
+
+
+def _outcome(call):
+    """What `call()` returns, or the text of the RunFailure it raises."""
+    try:
+        return call()
+    except RunFailure as err:
+        return str(err)
+
+
+@PROPERTY
+@given(short_values())
+def test_short_values_read_as_their_full_width_model(value):
+    digits, width = value
+    fill = "0" if digits[0] in "01" else digits[0]
+    model = fill * (width - len(digits)) + digits
+    short, full = Value(digits, width), Value(model)
+    assert (short.digits, full.bits, full.width) == (digits, model, width)
+    assert (short.bits, short.width, short.has_xz, repr(short)) == (
+        model, width, full.has_xz, repr(full))
+    assert _outcome(short.to_int) == _outcome(full.to_int)
+    assert interp._truthy(short) == interp._truthy(full)
+    assert interp._format("%b", [short]) == interp._format("%b", [full]) == model
+    assert short == full and hash(short) == hash(full)
 
 
 # --- the line table against the token loop ---

@@ -10,6 +10,19 @@ class TestValue:
         assert Value("0").width == 1
         assert Value("10110").width == 5
 
+    def test_digits_are_kept_and_widened_only_as_bits(self):
+        v = Value("101", 8)
+        assert (v.digits, v.width, v.bits) == ("101", 8, "00000101")
+        assert Value("x1", 4).bits == "xxx1"
+        assert Value("z", 3).bits == "zzz"
+        assert Value("10z1").digits == "10z1"
+
+    def test_a_width_below_the_digits_is_refused(self):
+        with pytest.raises(ValueError):
+            Value("101", 2)
+        with pytest.raises(ValueError):
+            Value("1", 0)
+
     def test_to_int(self):
         assert Value("0").to_int() == 0
         assert Value("1").to_int() == 1
@@ -48,4 +61,5 @@ class TestValue:
     def test_all_x(self):
         v = all_x(32)
         assert v.bits == "x" * 32
+        assert (v.digits, v.width) == ("x", 32)
         assert v is all_x(32)

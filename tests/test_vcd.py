@@ -1,5 +1,6 @@
 import io
 import sys
+import tracemalloc
 
 import pytest
 
@@ -76,6 +77,21 @@ class TestValueRules:
         text = BASIC + "#30\nbz1 \"\n"
         wave = parse(text)
         assert wave.series("top.bus").value_at(4).bits == "zzzzzzz1"
+
+    def test_short_changes_to_a_wide_id_stay_short(self):
+        # 1,000 changes to a 65,536-bit id: widened as stored, they took 62.8 MB
+        text = "$var wire 65536 ! w $end\n$enddefinitions $end\n" + "".join(
+            f"#{k}\nb{k:b} !\n" for k in range(1000))
+        tracemalloc.start()
+        try:
+            wave = parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        series = wave.series("w")
+        assert [v.digits for v in series.values[-2:]] == ["1111100110", "1111100111"]
+        assert series.value_at(999).bits == format(999, "065536b")
 
     def test_value_before_first_change_is_all_x(self):
         text = BASIC.replace("b0 \"\n", "")  # bus first changes at index 1
