@@ -7,7 +7,7 @@
 
 Exit codes: 0 success, 1 script runtime error or stdout closed early
 (`| head`), 2 unusable input (bad usage, unreadable file, malformed VCD,
-script syntax error, bad spec).
+script syntax error, bad spec), 130 interrupted (Ctrl-C).
 """
 
 import argparse
@@ -188,6 +188,8 @@ def main(argv=None) -> int:
     try:
         code = command(opts)
         sys.stdout.flush()
+    except KeyboardInterrupt:
+        return _fail("interrupted", 130)
     except BrokenPipeError:
         # The reader closed stdout. Point it at devnull so the flush at
         # interpreter exit cannot fail again (the recipe in the `signal`

@@ -99,10 +99,9 @@ class GroundTruth(namedtuple(
             if pos < 0:
                 return "x" * 32
             return format(self.words[pos], "032b")
-        if name.startswith(dummy_signal_name(0)[: -len("0")]):
-            j = int(name.rsplit("dbg", 1)[1])
-            if j < self.dummy_signals:
-                return str((index // _dummy_period(j)) % 2)
+        j = ascii_int(name.rpartition(".dbg")[2])  # a dummy signal's number
+        if j is not None and j < self.dummy_signals and name == dummy_signal_name(j):
+            return str((index // _dummy_period(j)) % 2)
         raise ValueError(f"unknown signal {name!r}")
 
     def formula_values(self, mnemonic: str) -> list[int]:

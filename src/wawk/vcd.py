@@ -19,15 +19,16 @@ change is stored as the dump wrote it, with its id code's declared width
 
 The whole dump is read a block of _BLOCK characters at a time, split
 into lines on "\\n", the only line end left by the universal newlines of
-every stream wawk opens; header directives may span lines. A line that
-sets a 1-bit id code to 0 or 1 (`1!`) is looked up whole in a table built
-from the header, and a line that is one increasing timestamp (`#40`) is
+every stream wawk opens, and one token loop reads the header and then the
+changes; directives may span lines. Past the header, a line that sets a
+1-bit id code to 0 or 1 (`1!`) is looked up whole in a table built at
+$enddefinitions, and a line that is one increasing timestamp (`#40`) is
 stepped directly; any other line, and every line inside a $comment-style
 block or after a vector that waits for its id code, goes through the
 token loop, which is the reference reading and raises every error.
 """
 
-from itertools import chain, count
+from itertools import count
 from typing import IO, Iterator
 
 from .errors import VcdError
@@ -94,198 +95,179 @@ def _line_table(ids: dict[str, SignalSeries]) -> dict[str, tuple[list, list, Val
     }
 
 
-class _Parser:
-    def __init__(self):
-        self.timescale: tuple[int, str] | None = None
-        self.scope_path: list[str] = []
-        # id code -> its series; hierarchical name -> the series of its id code
-        self.ids: dict[str, SignalSeries] = {}
-        self.signals: dict[str, SignalSeries] = {}
+def _parse_scope(parts: list[str], line: int, scope_path: list[str]) -> None:
+    if len(parts) != 2:
+        raise VcdError(f"malformed $scope {' '.join(parts)!r}", line)
+    scope_type, name = parts
+    if scope_type not in _SCOPE_TYPES:
+        raise VcdError(f"unsupported scope type {scope_type!r}", line)
+    scope_path.append(name)
 
-    # --- header ---
 
-    def parse_header(self, blocks: Iterator[tuple[int, list[str]]]) -> tuple[int, list[str]]:
-        """Read directives from `blocks` through `$enddefinitions $end`; return
-        that line's number and its rest, then the rest of its block."""
-        line, name, parts = 0, None, []  # the directive open, if any; its tokens so far
-        for first, lines in blocks:
-            for line, raw in enumerate(lines, first):
-                toks = raw.split()
-                for pos, tok in enumerate(toks):
-                    if name is None:
-                        if tok not in _HEADER_DIRECTIVES:
-                            what = "unsupported directive" if tok[0] == "$" else "unexpected token"
-                            raise VcdError(f"{what} {tok!r} in header", line)
-                        name, parts = tok, []
-                        continue
-                    if tok != "$end":
-                        parts.append(tok)
-                        continue
-                    if parts and name in ("$enddefinitions", "$upscope"):
-                        raise VcdError(f"unexpected tokens in {name}", line)
-                    if name == "$enddefinitions":
-                        if self.scope_path:
-                            raise VcdError("unclosed $scope", line)
-                        return line, [" ".join(toks[pos + 1 :]), *lines[line - first + 1 :]]
-                    if name == "$timescale":
-                        self.timescale = _parse_timescale(parts, line)
-                    elif name == "$scope":
-                        self._parse_scope(parts, line)
-                    elif name == "$upscope":
-                        if not self.scope_path:
-                            raise VcdError("$upscope without matching $scope", line)
-                        self.scope_path.pop()
-                    elif name == "$var":
-                        self._parse_var(parts, line)
-                    name = None
-        if name is None:
-            raise VcdError("missing $enddefinitions", line)
-        raise VcdError(f"unexpected end of file in {name}", line)
-
-    def _parse_scope(self, parts: list[str], line: int) -> None:
-        if len(parts) != 2:
-            raise VcdError(f"malformed $scope {' '.join(parts)!r}", line)
-        scope_type, name = parts
-        if scope_type not in _SCOPE_TYPES:
-            raise VcdError(f"unsupported scope type {scope_type!r}", line)
-        self.scope_path.append(name)
-
-    def _parse_var(self, parts: list[str], line: int) -> None:
-        # $var <type> <width> <id> <name> [<range>] $end; the range may hold spaces
-        if len(parts) < 4 or (len(parts) > 5 and not _is_range("".join(parts[4:]))):
-            raise VcdError(f"malformed $var {' '.join(parts)!r}", line)
-        var_type, width_text, id_code, short_name = parts[:4]
-        if var_type not in _VAR_TYPES:
-            raise VcdError(f"unsupported variable type {var_type!r}", line)
-        width = ascii_int(width_text)
-        if width is None or width < 1:
-            raise VcdError(f"invalid $var width {width_text!r}", line)
-        if width > MAX_WIDTH:
-            raise VcdError(f"$var width {width_text} is over the limit of {MAX_WIDTH} bits", line)
-        if len(parts) == 5 and not _is_range(parts[4]):
-            raise VcdError(f"unexpected trailing token {parts[4]!r} in $var", line)
-        name = ".".join(self.scope_path + [short_name])
-        if name in self.signals:
-            raise VcdError(f"duplicate signal name {name!r}", line)
-        series = self.ids.setdefault(id_code, SignalSeries(width, [], []))
-        if series.width != width:
-            raise VcdError(
-                f"id code {id_code!r} re-declared with width {width}, was {series.width}", line)
-        self.signals[name] = series
-
-    # --- change region ---
-
-    def parse_changes(self, blocks: Iterator[tuple[int, list[str]]]) -> Waveform:
-        timestamps: list[int] = []
-        ids = self.ids
-        table = _line_table(ids)
-        vector_bits: str | None = None
-        skipping = False  # inside a $comment-style block
-        # no block open and no vector waiting: the line table applies (not to
-        # the rest of the $enddefinitions line, the first one read here)
-        fast = False
-        cur = 0  # index of the latest '#', and 0 before the first one
-        last = -1  # the latest timestamp; every timestamp read is >= 0
-
-        def store(bits: str, id_code: str, line: int) -> None:
-            series = ids.get(id_code)
-            if series is None:
-                raise VcdError(f"undeclared id code {id_code!r}", line)
-            width = series.width
-            if len(bits) > width:
-                raise VcdError(f"{len(bits)}-bit value for {width}-bit id code {id_code!r}", line)
-            value = SCALARS[bits] if width == 1 else Value(bits, width)
-            indexes = series.indexes
-            if indexes and indexes[-1] == cur:
-                series.values[-1] = value  # same-index rewrite: last one wins
-            else:
-                indexes.append(cur)
-                series.values.append(value)
-
-        for first, lines in blocks:
-            for line, raw, entry in zip(count(first), lines, map(table.get, lines)):
-                if fast:  # a whole-line scalar change, or a timestamp that increases
-                    if entry is not None:
-                        indexes, values, value = entry
-                        if indexes and indexes[-1] == cur:
-                            values[-1] = value
-                        else:
-                            indexes.append(cur)
-                            values.append(value)
-                        continue
-                    if raw[:1] == "#":
-                        digits = raw[1:]
-                        if digits.isascii() and digits.isdigit():
-                            try:  # more digits than int() reads go to the token loop
-                                t = int(digits)
-                            except ValueError:
-                                t = -1
-                            if t > last:
-                                cur = len(timestamps)
-                                timestamps.append(t)
-                                last = t
-                                continue
-                for tok in raw.split():
-                    if skipping:
-                        if tok == "$end":
-                            skipping = False
-                        continue
-                    if vector_bits is not None:
-                        store(vector_bits, tok, line)
-                        vector_bits = None
-                        continue
-                    c = tok[0]
-                    if c == "#":
-                        t = ascii_int(tok[1:])
-                        if t is None:
-                            raise VcdError(f"invalid timestamp {tok!r}", line)
-                        if t <= last:
-                            message = f"timestamp #{t} does not increase (previous #{last})"
-                            raise VcdError(message, line)
-                        cur = len(timestamps)
-                        timestamps.append(t)
-                        last = t
-                    elif c in "01xzXZ" and len(tok) > 1:
-                        store(c.lower(), tok[1:], line)
-                    elif c in "bB":
-                        bits = tok[1:].lower()
-                        if not bits or not BIT_CHARS.issuperset(bits):
-                            raise VcdError(f"invalid vector value {tok!r}", line)
-                        vector_bits = bits
-                    elif c in "rR":
-                        raise VcdError(f"real-number change {tok!r} is not supported", line)
-                    elif tok in _DUMP_BLOCKS:
-                        pass  # a dump block's changes apply at the current index
-                    elif tok in _SKIP_DIRECTIVES:
-                        skipping = True
-                    elif c == "$":
-                        raise VcdError(f"unsupported directive {tok!r} in change region", line)
-                    else:
-                        raise VcdError(f"unrecognized token {tok!r} in change region", line)
-                # with an empty table (no 1-bit id code, or the tests'
-                # token-loop oracle) timestamps go through the token loop too
-                fast = bool(table) and not skipping and vector_bits is None
-        if vector_bits is not None:
-            raise VcdError("vector value at end of file has no id code", line)
-        if skipping:
-            raise VcdError("unterminated directive block at end of file", line)
-
-        if not timestamps:  # no index to hold the changes
-            for series in ids.values():
-                series.indexes.clear()
-                series.values.clear()
-        return Waveform(timestamps, self.signals, self.timescale)
+def _parse_var(parts: list[str], line: int, scope_path: list[str],
+               ids: dict[str, SignalSeries], signals: dict[str, SignalSeries]) -> None:
+    # $var <type> <width> <id> <name> [<range>] $end; the range may hold spaces
+    if len(parts) < 4 or (len(parts) > 5 and not _is_range("".join(parts[4:]))):
+        raise VcdError(f"malformed $var {' '.join(parts)!r}", line)
+    var_type, width_text, id_code, short_name = parts[:4]
+    if var_type not in _VAR_TYPES:
+        raise VcdError(f"unsupported variable type {var_type!r}", line)
+    width = ascii_int(width_text)
+    if width is None or width < 1:
+        raise VcdError(f"invalid $var width {width_text!r}", line)
+    if width > MAX_WIDTH:
+        raise VcdError(f"$var width {width_text} is over the limit of {MAX_WIDTH} bits", line)
+    if len(parts) == 5 and not _is_range(parts[4]):
+        raise VcdError(f"unexpected trailing token {parts[4]!r} in $var", line)
+    name = ".".join(scope_path + [short_name])
+    if name in signals:
+        raise VcdError(f"duplicate signal name {name!r}", line)
+    series = ids.setdefault(id_code, SignalSeries(width, [], []))
+    if series.width != width:
+        raise VcdError(
+            f"id code {id_code!r} re-declared with width {width}, was {series.width}", line)
+    signals[name] = series
 
 
 def parse_vcd(stream: IO[str]) -> Waveform:
     """Parse a dump from a text stream into a Waveform. The stream is read
-    only through read(). Lines end at "\\n", as in a stream opened with
-    universal newlines, open()'s default; with newline="", a lone "\\r"
-    ends no line, in the header as in the change region."""
-    parser, blocks = _Parser(), _blocks(stream)
-    # chain holds its arguments to the end: an iterator over the header's rest,
-    # unlike a list or a name, lets that first block go once it is read
-    return parser.parse_changes(chain(iter([parser.parse_header(blocks)]), blocks))
+    only through read(), and one token loop reads the header and then the
+    changes. Lines end at "\\n", as in a stream opened with universal
+    newlines, open()'s default; with newline="", a lone "\\r" ends no line."""
+    timescale: tuple[int, str] | None = None
+    scope_path: list[str] = []
+    # id code -> its series; hierarchical name -> the series of its id code
+    ids: dict[str, SignalSeries] = {}
+    signals: dict[str, SignalSeries] = {}
+    timestamps: list[int] = []
+    header = True  # until $enddefinitions $end
+    name, parts = None, []  # the directive open, if any; its tokens, in the header
+    # filled in place at $enddefinitions, so the rest of that block reads it too
+    table: dict[str, tuple[list, list, Value]] = {}
+    vector_bits: str | None = None
+    # past the header with no directive open and no vector waiting: the line
+    # table applies (not to the rest of the $enddefinitions line)
+    fast = False
+    line = 0
+    cur = 0  # index of the latest '#', and 0 before the first one
+    last = -1  # the latest timestamp; every timestamp read is >= 0
+
+    def store(bits: str, id_code: str, line: int) -> None:
+        series = ids.get(id_code)
+        if series is None:
+            raise VcdError(f"undeclared id code {id_code!r}", line)
+        width = series.width
+        if len(bits) > width:
+            raise VcdError(f"{len(bits)}-bit value for {width}-bit id code {id_code!r}", line)
+        value = SCALARS[bits] if width == 1 else Value(bits, width)
+        indexes = series.indexes
+        if indexes and indexes[-1] == cur:
+            series.values[-1] = value  # same-index rewrite: last one wins
+        else:
+            indexes.append(cur)
+            series.values.append(value)
+
+    for first, lines in _blocks(stream):
+        for line, raw, entry in zip(count(first), lines, map(table.get, lines)):
+            if fast:  # a whole-line scalar change, or a timestamp that increases
+                if entry is not None:
+                    indexes, values, value = entry
+                    if indexes and indexes[-1] == cur:
+                        values[-1] = value
+                    else:
+                        indexes.append(cur)
+                        values.append(value)
+                    continue
+                if raw[:1] == "#":
+                    digits = raw[1:]
+                    if digits.isascii() and digits.isdigit():
+                        try:  # more digits than int() reads go to the token loop
+                            t = int(digits)
+                        except ValueError:
+                            t = -1
+                        if t > last:
+                            cur = len(timestamps)
+                            timestamps.append(t)
+                            last = t
+                            continue
+            for tok in raw.split():
+                if name is not None:  # up to the directive's $end
+                    if tok != "$end":
+                        if header:  # a change-region $comment's text is dropped
+                            parts.append(tok)
+                        continue
+                    if parts and name in ("$enddefinitions", "$upscope"):
+                        raise VcdError(f"unexpected tokens in {name}", line)
+                    if name == "$enddefinitions":
+                        if scope_path:
+                            raise VcdError("unclosed $scope", line)
+                        header = False
+                        table.update(_line_table(ids))
+                    elif name == "$timescale":
+                        timescale = _parse_timescale(parts, line)
+                    elif name == "$scope":
+                        _parse_scope(parts, line, scope_path)
+                    elif name == "$upscope":
+                        if not scope_path:
+                            raise VcdError("$upscope without matching $scope", line)
+                        scope_path.pop()
+                    elif name == "$var":
+                        _parse_var(parts, line, scope_path, ids, signals)
+                    name = None
+                    continue
+                if vector_bits is not None:
+                    store(vector_bits, tok, line)
+                    vector_bits = None
+                    continue
+                c = tok[0]
+                if header:
+                    if tok not in _HEADER_DIRECTIVES:
+                        what = "unsupported directive" if c == "$" else "unexpected token"
+                        raise VcdError(f"{what} {tok!r} in header", line)
+                    name, parts = tok, []
+                elif c == "#":
+                    t = ascii_int(tok[1:])
+                    if t is None:
+                        raise VcdError(f"invalid timestamp {tok!r}", line)
+                    if t <= last:
+                        message = f"timestamp #{t} does not increase (previous #{last})"
+                        raise VcdError(message, line)
+                    cur = len(timestamps)
+                    timestamps.append(t)
+                    last = t
+                elif c in "01xzXZ" and len(tok) > 1:
+                    store(c.lower(), tok[1:], line)
+                elif c in "bB":
+                    bits = tok[1:].lower()
+                    if not bits or not BIT_CHARS.issuperset(bits):
+                        raise VcdError(f"invalid vector value {tok!r}", line)
+                    vector_bits = bits
+                elif c in "rR":
+                    raise VcdError(f"real-number change {tok!r} is not supported", line)
+                elif tok in _DUMP_BLOCKS:
+                    pass  # a dump block's changes apply at the current index
+                elif tok in _SKIP_DIRECTIVES:
+                    name = tok
+                elif c == "$":
+                    raise VcdError(f"unsupported directive {tok!r} in change region", line)
+                else:
+                    raise VcdError(f"unrecognized token {tok!r} in change region", line)
+            # the table is empty in the header, and with no 1-bit id code or
+            # under the tests' token-loop oracle: timestamps take the token loop too
+            fast = bool(table) and name is None and vector_bits is None
+    if header and name is None:
+        raise VcdError("missing $enddefinitions", line)
+    if name is not None:
+        raise VcdError(f"unexpected end of file in {name}" if header
+                       else "unterminated directive block at end of file", line)
+    if vector_bits is not None:
+        raise VcdError("vector value at end of file has no id code", line)
+
+    if not timestamps:  # no index to hold the changes
+        for series in ids.values():
+            series.indexes.clear()
+            series.values.clear()
+    return Waveform(timestamps, signals, timescale)
 
 
 def parse_vcd_file(path) -> Waveform:

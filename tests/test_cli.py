@@ -454,6 +454,51 @@ class TestRun:
         assert calls == ["parse_source", "tokenize", "parse_program",
                          "parse_vcd_file", "execute"]
 
+    def test_benchmark_hook_points_keep_their_call_shapes(self, tmp_path, small_vcd,
+                                                          monkeypatch):
+        # perfbench/traced.py and perfbench/setup_child.py call these names
+        # with these arguments and no others: traced_parse_vcd_file(path)
+        # and traced_execute(program, waveform, args=(), out=None) would
+        # refuse any new argument, but only under `perfbench/run.py --trace 1`;
+        # once those wrappers pass every argument through, relax this with them
+        calls = []
+
+        def record(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((name, args, kwargs))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((cli, "parse_source"), (cli, "parse_vcd_file"),
+                             (cli, "execute"), (parser, "tokenize"),
+                             (parser, "parse_program")):
+            record(module, name)
+        script = tmp_path / "s.wawk"
+        script.write_text(SMALL_SCRIPT)
+        assert main(["run", str(script), str(small_vcd)]) == 0
+        shapes = [(name, len(args), sorted(kwargs)) for name, args, kwargs in calls]
+        assert shapes == [("parse_source", 1, []), ("tokenize", 1, []),
+                          ("parse_program", 1, []), ("parse_vcd_file", 1, []),
+                          ("execute", 2, ["args", "out"])]
+        assert calls[0][1] == calls[1][1] == (SMALL_SCRIPT,)
+        assert calls[3][1] == (str(small_vcd),)
+        assert calls[4][2] == {"args": [], "out": sys.stdout}
+
+    @pytest.mark.parametrize("layer", ["parse_vcd_file", "execute"])
+    def test_an_interrupt_exits_130_without_a_traceback(self, tmp_path, small_vcd, capsys,
+                                                         monkeypatch, layer):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, layer, interrupt)
+        script = tmp_path / "s.wawk"
+        script.write_text(SMALL_SCRIPT)
+        assert main(["run", str(script), str(small_vcd)]) == 130
+        assert capsys.readouterr() == ("", "wawk: interrupted\n")
+
 
 # One input per kind of error: the whole stderr line and the exit code.
 # {vcd} and {script} stand for the paths given to `wawk run`.

@@ -21,6 +21,8 @@ from wawk.tracegen import (
 )
 from wawk.vcd import parse_vcd
 
+DBG = dummy_signal_name(0)[:-1]  # a dummy signal's name without its number
+
 
 def build(words_cycles, **kwargs):
     spec = TraceSpec(instructions=tuple(words_cycles), **kwargs)
@@ -112,6 +114,30 @@ class TestGroundTruth:
         bits = [wave.series(name).value_at(i).bits for i in range(9)]
         assert bits == ["0", "0", "0", "1", "1", "1", "0", "0", "0"]
         assert truth.dummy_signals == 2
+
+    # the benchmark's oracle reads expected_bits; a name or index the trace
+    # does not hold is refused, not answered. The trace has dbg0 and dbg1,
+    # and int() would read the number of dbg-1, "dbg 1" and dbg01
+    @pytest.mark.parametrize("query, message", [
+        (("width_of", "top.nope"), "unknown signal 'top.nope'"),
+        (("width_of", DBG + "2"), f"unknown signal '{DBG}2'"),
+        (("expected_bits", "top.nope", 0), "unknown signal 'top.nope'"),
+        (("expected_bits", DBG + "2", 0), f"unknown signal '{DBG}2'"),
+        (("expected_bits", DBG + "-1", 0), f"unknown signal '{DBG}-1'"),
+        (("expected_bits", DBG + " 1", 0), f"unknown signal '{DBG} 1'"),
+        (("expected_bits", DBG + "01", 0), f"unknown signal '{DBG}01'"),
+        (("expected_bits", DBG + "x", 0), f"unknown signal '{DBG}x'"),
+        (("expected_bits", CLOCK_SIGNAL, 12), "index 12 out of range"),
+        (("expected_bits", RDT_SIGNAL, -1), "index -1 out of range"),
+    ], ids=["width-unknown", "width-dummy-past-count", "bits-unknown",
+            "bits-dummy-past-count", "bits-dummy-minus-1", "bits-dummy-space-1",
+            "bits-dummy-01", "bits-dummy-x", "bits-index-past-end", "bits-index-negative"])
+    def test_queries_outside_the_trace_are_refused(self, query, message):
+        _, truth, _ = build(((0x00000033, 2), (0x00000013, 1)), dummy_signals=2)
+        assert truth.index_count == 12
+        method, *args = query
+        with raises_exactly(ValueError, message):
+            getattr(truth, method)(*args)
 
 
 class TestValidation:

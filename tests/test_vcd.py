@@ -439,8 +439,16 @@ class TestBlockEdges:
         ("$var wire 1 ! a $end\n$enddefinitions $end #0 1?\n#1\n",
          "line 2: undeclared id code '?'"),
         ("$var wire 1 ! a $end\n$comment x $end\n", "line 2: missing $enddefinitions"),
+        # the header's directives end at $enddefinitions, even on its line
+        ('$var wire 1 ! a $end\n$enddefinitions $end $var wire 1 " b $end\n',
+         "line 2: unsupported directive '$var' in change region"),
+        ("$var wire 1 ! a $end\n$enddefinitions $end $comment\nx\n",
+         "line 3: unterminated directive block at end of file"),
+        ("$var wire 1 ! a $end\n$enddefinitions $end #0 b1\n",
+         "line 2: vector value at end of file has no id code"),
     ], ids=["var-trailing", "eof-in-var", "unclosed-scope", "upscope", "vector-on-end-line",
-            "change-on-end-line", "no-enddefinitions"])
+            "change-on-end-line", "no-enddefinitions", "var-on-end-line",
+            "eof-in-comment-from-end-line", "eof-after-vector-on-end-line"])
     def test_a_header_error_reads_the_same_at_every_split(self, monkeypatch, text, message):
         for size in range(1, len(text) + 1):
             monkeypatch.setattr(vcd, "_BLOCK", size)
