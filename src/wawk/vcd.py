@@ -2,13 +2,15 @@
 
 Covers the plain-text subset that simulator frontends like Verilator and
 Icarus actually emit: $timescale/$scope/$var/$upscope/$enddefinitions
-headers; module, begin, task, function and fork scopes; wire, reg,
-integer, logic, parameter, tri, supply0 and supply1 variables, with an
-optional range that may hold spaces (`[7 : 0]`); `#` timestamps; scalar
-and binary vector changes; $dumpvars, $dumpoff, $dumpon and $dumpall
-blocks, whose changes apply at the current index; and skipped
-$comment/$date/$version blocks. Real (`r`) changes, real variables and
-other scope types are rejected rather than guessed at.
+headers; module, begin, task, function and fork scopes; every IEEE 1364
+bit-vector variable type (wire, reg, integer, logic, parameter, time,
+tri, tri0, tri1, triand, trior, trireg, supply0, supply1, wand and wor),
+with an optional range that may hold spaces (`[7 : 0]`) and is dropped
+from the name; `#` timestamps; scalar and binary vector changes;
+$dumpvars, $dumpoff, $dumpon and $dumpall blocks, whose changes apply at
+the current index; and skipped $comment/$date/$version blocks. Real (`r`)
+changes, event, real and realtime variables, and other scope types are
+rejected rather than guessed at.
 
 Every `#` directive opens a new index on the time axis, even if no change
 follows it; changes before the first `#` belong to index 0, and repeated
@@ -16,19 +18,23 @@ changes for one signal at the same index keep the last one. A vector
 change is stored as the dump wrote it, with its id code's declared width
 (see wawk.value for the extension rule). A $var may be at most MAX_WIDTH
 (65,536) bits wide, and names that share an id code share one SignalSeries.
+The time axis and each series' change indexes are kept in array('Q'); the
+axis turns into a list at the first timestamp past 2**64 - 1.
 
 The whole dump is read a block of _BLOCK characters at a time, split
 into lines on "\\n", the only line end left by the universal newlines of
 every stream wawk opens, and one token loop reads the header and then the
 changes; directives may span lines. Past the header, a line that sets a
 1-bit id code to 0 or 1 (`1!`) is looked up whole in a table built at
-$enddefinitions, and a line that is one increasing timestamp (`#40`) is
-stepped directly; any other line, and every line inside a $comment-style
-block or after a vector that waits for its id code, goes through the
-token loop, which is the reference reading and raises every error.
+$enddefinitions, and a line that is one increasing timestamp of at most
+19 digits (`#40`) is stepped directly; any other line, and every line
+inside a $comment-style block or after a vector that waits for its id
+code, goes through the token loop, which is the reference reading and
+raises every error.
 """
 
-from itertools import count
+from array import array
+from operator import length_hint
 from typing import IO, Iterator
 
 from .errors import VcdError
@@ -37,7 +43,8 @@ from .waveform import SignalSeries, Waveform
 
 _TIME_UNITS = ("fs", "ps", "ns", "us", "ms", "s")
 _SCOPE_TYPES = ("module", "begin", "task", "function", "fork")
-_VAR_TYPES = ("wire", "reg", "integer", "logic", "parameter", "tri", "supply0", "supply1")
+_VAR_TYPES = ("wire", "reg", "integer", "logic", "parameter", "time", "tri", "tri0", "tri1",
+              "triand", "trior", "trireg", "supply0", "supply1", "wand", "wor")
 _SKIP_DIRECTIVES = ("$comment", "$date", "$version")
 _HEADER_DIRECTIVES = ("$enddefinitions", "$timescale", "$scope", "$upscope", "$var",
                       *_SKIP_DIRECTIVES)
@@ -84,7 +91,7 @@ def _parse_timescale(parts: list[str], line: int) -> tuple[int, str]:
     return magnitude, unit
 
 
-def _line_table(ids: dict[str, SignalSeries]) -> dict[str, tuple[list, list, Value]]:
+def _line_table(ids: dict[str, SignalSeries]) -> dict[str, tuple[array, list, Value]]:
     """The text of each line that sets a 1-bit id code to 0 or 1, such as
     "0!", mapped to that id code's indexes and values and the value set."""
     return {
@@ -104,10 +111,11 @@ def _parse_scope(parts: list[str], line: int, scope_path: list[str]) -> None:
     scope_path.append(name)
 
 
-def _parse_var(parts: list[str], line: int, scope_path: list[str],
-               ids: dict[str, SignalSeries], signals: dict[str, SignalSeries]) -> None:
+def _parse_var(parts: list[str], line: int, scope_path: list[str], ids: dict[str, SignalSeries],
+               signals: dict[str, SignalSeries], ranges: dict[str, str]) -> None:
     # $var <type> <width> <id> <name> [<range>] $end; the range may hold spaces
-    if len(parts) < 4 or (len(parts) > 5 and not _is_range("".join(parts[4:]))):
+    selected = "".join(parts[4:])  # the range, or ""; it is dropped from the name
+    if len(parts) < 4 or (len(parts) > 5 and not _is_range(selected)):
         raise VcdError(f"malformed $var {' '.join(parts)!r}", line)
     var_type, width_text, id_code, short_name = parts[:4]
     if var_type not in _VAR_TYPES:
@@ -121,8 +129,11 @@ def _parse_var(parts: list[str], line: int, scope_path: list[str],
         raise VcdError(f"unexpected trailing token {parts[4]!r} in $var", line)
     name = ".".join(scope_path + [short_name])
     if name in signals:
-        raise VcdError(f"duplicate signal name {name!r}", line)
-    series = ids.setdefault(id_code, SignalSeries(width, [], []))
+        was = ranges[name]
+        selects = f" for bit-selects {was} and {selected}" if was and selected else ""
+        raise VcdError(f"duplicate signal name {name!r}{selects}", line)
+    ranges[name] = selected
+    series = ids.setdefault(id_code, SignalSeries(width, array("Q"), []))
     if series.width != width:
         raise VcdError(
             f"id code {id_code!r} re-declared with width {width}, was {series.width}", line)
@@ -139,11 +150,13 @@ def parse_vcd(stream: IO[str]) -> Waveform:
     # id code -> its series; hierarchical name -> the series of its id code
     ids: dict[str, SignalSeries] = {}
     signals: dict[str, SignalSeries] = {}
-    timestamps: list[int] = []
+    ranges: dict[str, str] = {}  # hierarchical name -> the range after it, or ""
+    # machine words while every stamp fits; a list from the first that does not
+    timestamps: array | list[int] = array("Q")
     header = True  # until $enddefinitions $end
     name, parts = None, []  # the directive open, if any; its tokens, in the header
     # filled in place at $enddefinitions, so the rest of that block reads it too
-    table: dict[str, tuple[list, list, Value]] = {}
+    table: dict[str, tuple[array, list, Value]] = {}
     vector_bits: str | None = None
     # past the header with no directive open and no vector waiting: the line
     # table applies (not to the rest of the $enddefinitions line)
@@ -168,7 +181,9 @@ def parse_vcd(stream: IO[str]) -> Waveform:
             series.values.append(value)
 
     for first, lines in _blocks(stream):
-        for line, raw, entry in zip(count(first), lines, map(table.get, lines)):
+        # a line is numbered only off the fast path, from the lines left after it
+        rest, end = iter(lines), first + len(lines) - 1
+        for raw, entry in zip(rest, map(table.get, lines)):
             if fast:  # a whole-line scalar change, or a timestamp that increases
                 if entry is not None:
                     indexes, values, value = entry
@@ -180,16 +195,15 @@ def parse_vcd(stream: IO[str]) -> Waveform:
                     continue
                 if raw[:1] == "#":
                     digits = raw[1:]
-                    if digits.isascii() and digits.isdigit():
-                        try:  # more digits than int() reads go to the token loop
-                            t = int(digits)
-                        except ValueError:
-                            t = -1
+                    # up to 19 digits, below 2**64; longer stamps take the token loop
+                    if len(digits) < 20 and digits.isascii() and digits.isdigit():
+                        t = int(digits)
                         if t > last:
                             cur = len(timestamps)
                             timestamps.append(t)
                             last = t
                             continue
+            line = end - length_hint(rest)
             for tok in raw.split():
                 if name is not None:  # up to the directive's $end
                     if tok != "$end":
@@ -212,7 +226,7 @@ def parse_vcd(stream: IO[str]) -> Waveform:
                             raise VcdError("$upscope without matching $scope", line)
                         scope_path.pop()
                     elif name == "$var":
-                        _parse_var(parts, line, scope_path, ids, signals)
+                        _parse_var(parts, line, scope_path, ids, signals, ranges)
                     name = None
                     continue
                 if vector_bits is not None:
@@ -233,7 +247,10 @@ def parse_vcd(stream: IO[str]) -> Waveform:
                         message = f"timestamp #{t} does not increase (previous #{last})"
                         raise VcdError(message, line)
                     cur = len(timestamps)
-                    timestamps.append(t)
+                    try:
+                        timestamps.append(t)
+                    except OverflowError:  # past 2**64 - 1
+                        timestamps = [*timestamps, t]
                     last = t
                 elif c in "01xzXZ" and len(tok) > 1:
                     store(c.lower(), tok[1:], line)
@@ -265,7 +282,7 @@ def parse_vcd(stream: IO[str]) -> Waveform:
 
     if not timestamps:  # no index to hold the changes
         for series in ids.values():
-            series.indexes.clear()
+            del series.indexes[:]
             series.values.clear()
     return Waveform(timestamps, signals, timescale)
 

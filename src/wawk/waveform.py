@@ -1,13 +1,16 @@
 """Time-indexed signal database.
 
-The time axis is the ordered list of distinct timestamps that appeared in
-the dump; queries address positions on that axis ("indexes"), not raw
-timestamps. Each signal stores only its change points; lookups between
-changes return the value carried forward, and lookups before the first
-change return all-x.
+The time axis is the ordered sequence of distinct timestamps that
+appeared in the dump; queries address positions on that axis ("indexes"),
+not raw timestamps. Each signal stores only its change points; lookups
+between changes return the value carried forward, and lookups before the
+first change return all-x. The axis and each signal's change indexes are
+sequences of ints: the VCD reader keeps them in array('Q'), and the axis
+in a list once a timestamp is past 2**64 - 1.
 """
 
 from bisect import bisect_right
+from typing import Sequence
 
 from .errors import RunFailure
 from .value import Value, all_x
@@ -18,7 +21,7 @@ class SignalSeries:
 
     __slots__ = ("width", "indexes", "values")
 
-    def __init__(self, width: int, indexes: list[int], values: list[Value]):
+    def __init__(self, width: int, indexes: Sequence[int], values: list[Value]):
         self.width = width
         self.indexes = indexes
         self.values = values
@@ -37,7 +40,7 @@ class Waveform:
 
     def __init__(
         self,
-        timestamps: list[int],
+        timestamps: Sequence[int],
         signals: dict[str, SignalSeries],
         timescale: tuple[int, str] | None = None,
     ):

@@ -199,7 +199,7 @@ def test_well_formed_dumps_read_as_the_model_says(dump):
     widths, var_ids, events = dump
     wave = parse_vcd(io.StringIO(_dump_text(*dump)))
     expected = _dump_model(*dump)
-    assert wave.timestamps == [10 * k for k in range(events.count("#"))]
+    assert list(wave.timestamps) == [10 * k for k in range(events.count("#"))]
     assert sorted(wave.signals) == sorted(expected)
     for n, i in enumerate(var_ids):
         name = f"top.s{n}"
@@ -336,7 +336,7 @@ SPECS = st.builds(
 def test_generated_traces_read_back_as_their_ground_truth(spec):
     text, truth = generate(spec)
     wave = parse_vcd(io.StringIO(text))
-    assert wave.timestamps == [truth.timestamp_of(k) for k in range(truth.index_count)]
+    assert list(wave.timestamps) == [truth.timestamp_of(k) for k in range(truth.index_count)]
     assert sorted(wave.signals) == sorted(truth.signal_names())
     for name in truth.signal_names():
         assert wave.series(name).width == truth.width_of(name)

@@ -41,8 +41,14 @@ class TestBasics:
     def test_time_axis(self):
         wave = parse(BASIC)
         assert wave.index_count == 4
-        assert wave.timestamps == [0, 5, 10, 20]
+        assert list(wave.timestamps) == [0, 5, 10, 20]
         assert wave.timestamps[2] == 10
+
+    def test_axis_and_change_indexes_are_machine_words(self):
+        wave = parse(BASIC)
+        assert wave.timestamps.typecode == "Q"
+        assert {s.indexes.typecode for s in wave.signals.values()} == {"Q"}
+        assert list(wave.series("top.clk").indexes) == [0, 1, 2, 3]
 
     def test_timescale(self):
         assert parse(BASIC).timescale == (1, "ns")
@@ -131,9 +137,15 @@ b10 !
 b11 !
 """
         wave = parse(text)
-        assert wave.timestamps == [3, 4]
+        assert list(wave.timestamps) == [3, 4]
         assert wave.series("a").value_at(0).bits == "10"
         assert wave.series("a").value_at(1).bits == "11"
+
+    def test_changes_with_no_timestamp_leave_every_series_empty(self):
+        text = "$var wire 1 ! a $end\n$var wire 4 \" b $end\n$enddefinitions $end\n1!\nb1 \"\n"
+        wave = parse(text)
+        assert wave.index_count == 0
+        assert [(len(s.indexes), s.values) for s in wave.signals.values()] == [(0, [])] * 2
 
     def test_every_hash_makes_an_index_even_without_changes(self):
         text = "$var wire 1 ! a $end\n$enddefinitions $end\n#0\n1!\n#7\n#9\n"
@@ -339,8 +351,9 @@ class TestHeaderSubset:
                 "$enddefinitions $end\n#0\n1!\n")
         assert parse(text).series("top.blk.a").value_at(0).bits == "1"
 
-    @pytest.mark.parametrize("var_type",
-                             ["integer", "logic", "parameter", "tri", "supply0", "supply1"])
+    @pytest.mark.parametrize("var_type", [
+        "integer", "logic", "parameter", "tri", "supply0", "supply1",
+        "time", "tri0", "tri1", "triand", "trior", "trireg", "wand", "wor"])
     def test_var_types(self, var_type):
         text = f"$var {var_type} 4 ! a $end\n$enddefinitions $end\n#0\nb101 !\n#1\n1!\n"
         series = parse(text).series("a")
@@ -350,6 +363,23 @@ class TestHeaderSubset:
     def test_range_with_spaces(self, rng):
         text = f"$var wire 8 # d {rng} $end\n$enddefinitions $end\n#0\nb11 #\n"
         assert parse(text).series("d").value_at(0).bits == "00000011"
+
+    # no script value holds an event, a real or a realtime
+    @pytest.mark.parametrize("var_type", ["event", "realtime"])
+    def test_types_with_no_bit_vector_are_refused(self, var_type):
+        text = f"$var {var_type} 1 ! a $end\n$enddefinitions $end\n"
+        with raises_exactly(VcdError, f"line 1: unsupported variable type {var_type!r}"):
+            parse(text)
+
+    def test_bit_selects_of_one_name_are_named_in_the_refusal(self):
+        text = ("$scope module tb $end\n$var wire 1 ! bus [0] $end\n"
+                "$var wire 1 \" bus [ 1 ] $end\n$upscope $end\n$enddefinitions $end\n")
+        message = "line 3: duplicate signal name 'tb.bus' for bit-selects [0] and [1]"
+        with raises_exactly(VcdError, message):
+            parse(text)
+        # with one plain declaration, the name alone is the duplicate
+        with raises_exactly(VcdError, "line 2: duplicate signal name 'bus'"):
+            parse("$var wire 1 ! bus [0] $end\n$var wire 1 \" bus $end\n")
 
     def test_spaced_text_that_is_not_a_range_stays_malformed(self):
         text = "$var wire 8 # d [7:0] extra $end\n$enddefinitions $end\n"
@@ -426,7 +456,8 @@ class TestBlockEdges:
         for size in range(1, len(text) + 1):
             monkeypatch.setattr(vcd, "_BLOCK", size)
             wave = parse(text)
-            assert (reading(wave), wave.timescale) == (expected, (1, "ns")), size
+            stamps, values = reading(wave)
+            assert (list(stamps), values, wave.timescale) == (*expected, (1, "ns")), size
 
     @pytest.mark.parametrize("text, message", [
         ("$comment x $end\n$var wire\n1 ! a x\n$end\n",
@@ -473,9 +504,9 @@ class TestBlockEdges:
 
     def test_no_final_newline(self, block):
         wave = parse(BASIC + "#30\n0!")
-        assert wave.timestamps == [0, 5, 10, 20, 30]
+        assert list(wave.timestamps) == [0, 5, 10, 20, 30]
         assert wave.series("top.clk").value_at(4).bits == "0"
-        assert parse(BASIC + "#30").timestamps == [0, 5, 10, 20, 30]
+        assert list(parse(BASIC + "#30").timestamps) == [0, 5, 10, 20, 30]
         with raises_exactly(VcdError, "line 21: vector value at end of file has no id code"):
             parse(BASIC + "#30\nb1")
 
@@ -493,6 +524,21 @@ class TestBlockEdges:
         path.write_bytes((BASIC + "#30\n1?\n").replace("\n", end).encode())
         with raises_exactly(VcdError, "line 21: undeclared id code '?'"):
             vcd.parse_vcd_file(path)
+
+    # the axis is array('Q') up to 2**64 - 1 and a list from the first larger
+    # stamp, on a line of its own or among changes
+    @pytest.mark.parametrize("stamp", [2**64, 10**4299], ids=["2**64", "4300-digits"])
+    @pytest.mark.parametrize("sep", ["\n", " "], ids=["lines", "one-line"])
+    def test_timestamps_past_64_bits_read(self, block, stamp, sep):
+        changes = sep.join(["#0", "1!", f"#{stamp}", "0!", f"#{stamp + 1}", "1!"])
+        wave = parse("$var wire 1 ! a $end\n$enddefinitions $end\n" + changes + "\n")
+        assert type(wave.timestamps) is list
+        assert wave.timestamps == [0, stamp, stamp + 1]
+        assert list(wave.series("a").indexes) == [0, 1, 2]
+        assert [v.bits for v in wave.series("a").values] == ["1", "0", "1"]
+        for fits in (10**19 - 1, 2**64 - 1):  # stepped inline; read by the token loop
+            stamps = parse(BASIC + f"#{fits}\n").timestamps
+            assert (stamps.typecode, stamps[-1]) == ("Q", fits)
 
     def test_timestamp_longer_than_int_reads(self, block):
         limit = sys.get_int_max_str_digits()
