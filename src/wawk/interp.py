@@ -6,13 +6,16 @@ statement is evaluated at every index of the waveform in source order
 once. Variables are global and dynamically typed; `args` is pre-bound to
 the command-line argument list.
 
-Every expression and action body is compiled once per run into a
-function of the sweep index (_compile). A name is resolved at each read,
-except in a sweep where nothing can change the signal it reads; such a
-read looks in the variables first, inline, as Environment.resolve does.
-Arithmetic on two ints of class int skips _operate, which takes any
-other operands. The tree walker this replaced is the tests' reference
-evaluator.
+Each run turns a statement's conditions and body into one generated
+Python function of the sweep index (_Source), with straight-line
+temporaries. Names, literals and series reach it only as arguments of its
+factory, never as source text, so its source depends on the statement's
+shape alone; each source is compiled once per process (_FACTORIES). A
+name is read from the variables first, inline, then as Environment.resolve
+reads it, except in a sweep where nothing can change the signal it names.
+Arithmetic and comparisons on two ints of class int skip _operate, which
+takes any other operands. The tree walker this replaced is the tests'
+reference evaluator.
 
 The sweep visits only the indexes where a statement can fire, which
 gives the same output, variables and errors as visiting every one (see
@@ -103,18 +106,11 @@ def default_native_modules() -> dict[str, dict]:
     return {"extern": {"decode": _extern_decode}}
 
 
+_TYPE_NAMES = ((bool, "bool"), (int, "int"), (str, "string"), (list, "list"), (Value, "logic"))
+
+
 def _type_name(v: object) -> str:
-    if isinstance(v, bool):
-        return "bool"
-    if isinstance(v, int):
-        return "int"
-    if isinstance(v, str):
-        return "string"
-    if isinstance(v, list):
-        return "list"
-    if isinstance(v, Value):
-        return "logic"
-    return repr(v)
+    return next((name for cls, name in _TYPE_NAMES if isinstance(v, cls)), None) or repr(v)
 
 
 def _truthy(v: object) -> bool:
@@ -331,6 +327,12 @@ class Environment:
         self.imported.add(name)
         return UNBOUND
 
+    def _printf(self, values: list) -> object:
+        if not values or not isinstance(values[0], str):
+            raise RunFailure("printf needs a format string first")
+        self.out.write(_format(values[0], values[1:]))
+        return UNBOUND
+
     def _call_target(self, arg_nodes: tuple):
         """The native function that `call` names by its first argument."""
         if not arg_nodes or not isinstance(arg_nodes[0], ast.Ident):
@@ -345,6 +347,16 @@ class Environment:
         if fn is None:
             raise RunFailure(f"module {module!r} has no function {func!r}")
         return fn
+
+
+def _current(index: int | None) -> int:
+    if index is None:
+        raise RunFailure("INDEX is only defined during the index sweep")
+    return index
+
+
+def _unknown(func: str):
+    raise RunFailure(f"unknown function {func!r}")
 
 
 def _subscript(base: object, index: object) -> object:
@@ -367,10 +379,138 @@ def _walk(node) -> Iterator:
                 yield from _walk(item)
 
 
+# generated source -> the factory compiled from it, for every run: the
+# source holds no script text, so each shape of statement compiles once
+_FACTORIES = {}
+
+
+class _Source:
+    """The lines of one generated function of the sweep index `index`
+    (None in BEGIN and END): straight-line temporaries, with an `if` only
+    for '&&', '||' and if statements. Names, literals, series and the run's
+    objects reach it only as the arguments c0, c1, ... of its factory
+    `make`, so its source names nothing but them and interp's helpers."""
+
+    def __init__(self, env: Environment, assigned: set | None):
+        self.env, self.assigned = env, assigned  # assigned: as _compile takes it
+        self.lines, self.consts, self.indent = [], [], "  "
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"c{len(self.consts) - 1}"
+
+    def put(self, line: str) -> None:
+        self.lines.append(self.indent + line)
+
+    def temp(self, value: str) -> str:
+        self.put(f"t{len(self.lines)} = {value}")
+        return f"t{len(self.lines) - 1}"
+
+    def expr(self, node, cond: bool) -> tuple:
+        """Lines that evaluate the expression `node`, then the operand that
+        holds its value and the reads _compile returns."""
+        cls, env, c = node.__class__, self.env, self.const
+        if cls is ast.IntLit or cls is ast.StrLit:
+            return c(node.value), None if self.assigned is None else []
+        if cls is ast.Ident or cls is ast.OffsetRef:
+            offset = cls is ast.OffsetRef  # reads a signal even where a variable has its name
+            name, k = (node.signal.name, node.offset) if offset else (node.name, 0)
+            if self.assigned is not None and (
+                    offset or name not in self.assigned and name not in env.variables):
+                series = env.waveform.signals.get(env.aliases.get(name, name))
+                if series is not None:
+                    read = f"_read({c(series)}, index + {c(k)}, {c(env.count)})"
+                    return self.temp(read), [(series, k)]
+            if offset:
+                return self.temp(f"{c(env.sample)}({c(name)}, index, {c(k)})"), None
+            variables, name = c(env.variables), c(name)  # resolve's first test, inline
+            return self.temp(f"{variables}[{name}] if {name} in {variables} "
+                             f"else {c(env.resolve)}({name}, index, {cond})"), None
+        if cls is ast.Unary:
+            operand, reads = self.expr(node.operand, cond)
+            return self.temp(f"int(not _truthy({operand}))" if node.op == "!"
+                             else f"-_as_int({operand}, '-')"), reads
+        if cls is ast.Binary:
+            op = node.op
+            left, reads = self.expr(node.left, cond)
+            if op == "&&" or op == "||":
+                value = self.temp("0" if op == "&&" else "1")
+                self.put(f"if {'' if op == '&&' else 'not '}_truthy({left}):")
+                self.indent += " "
+                right, right_reads = self.expr(node.right, cond)
+                self.put(f"{value} = int(_truthy({right}))")
+                self.indent = self.indent[:-1]
+            else:  # two ints of class int (not bool, not a Value) skip _operate
+                right, right_reads = self.expr(node.right, cond)
+                fast = (f"_divide({left}, {right})" if op == "/" else f"{left} {op} {right}"
+                        if op in _ARITH else f"int({left} {op} {right})")
+                value = self.temp(f"{fast} if {left}.__class__ is {right}.__class__ is int "
+                                  f"else _operate({op!r}, {left}, {right})")
+            return value, None if reads is None or right_reads is None else reads + right_reads
+        if cls is ast.CurrentIndex:
+            return self.temp("_current(index)"), None
+        if cls is ast.ListLit:
+            items = ", ".join(self.expr(item, cond)[0] for item in node.items)
+            return self.temp(f"[{items}]"), None
+        if cls is ast.Subscript:
+            base = self.expr(node.base, cond)[0]
+            return self.temp(f"_subscript({base}, {self.expr(node.index, cond)[0]})"), None
+        if cls is ast.Call:
+            func, arg_nodes = node.func, node.args
+            if func == "alias" or func == "import":  # they read their arguments as names
+                return self.temp(f"{c(getattr(env, '_form_' + func))}({c(arg_nodes)})"), None
+            if func == "call":  # the target is looked up before the arguments are read
+                callee = self.temp(f"{c(env._call_target)}({c(arg_nodes)})")
+                arg_nodes = arg_nodes[1:]
+            elif func == "printf" or func in _BUILTINS:
+                callee = c(env._printf if func == "printf" else _BUILTINS[func])
+            else:
+                return self.temp(f"_unknown({c(func)})"), None
+            args = ", ".join(self.expr(arg, cond)[0] for arg in arg_nodes)
+            return self.temp(f"{callee}([{args}])"), None
+        raise TypeError(f"cannot run {node!r}")
+
+    def condition(self, node) -> None:
+        """A line that returns unless the statement condition `node` holds."""
+        self.put(f"if not _truthy({self.expr(node, True)[0]}): return")
+
+    def block(self, body: tuple) -> None:
+        """Lines that run the action statements of `body`."""
+        for node in body:
+            cls = node.__class__
+            if cls is ast.ExprStmt:
+                self.expr(node.expr, False)
+            elif cls is ast.Assign:
+                value = self.expr(node.value, False)[0]
+                self.put(f"{self.const(self.env.variables)}[{self.const(node.name)}] = {value}")
+            elif cls is ast.If:
+                test = self.expr(node.cond, True)[0]
+                for line, branch in ((f"if _truthy({test}):", node.then), ("else:", node.orelse)):
+                    self.put(line)
+                    self.indent += " "
+                    self.put("pass")
+                    self.block(branch)
+                    self.indent = self.indent[:-1]
+            else:
+                raise TypeError(f"cannot run {node!r}")
+
+    def build(self):
+        """The function of these lines, from the factory of their source."""
+        params = ", ".join(f"c{i}" for i in range(len(self.consts)))
+        source = f"def make({params}):\n def run(index):\n  pass\n" + "\n".join(self.lines)
+        make = _FACTORIES.get(source)
+        if make is None:
+            if len(_FACTORIES) >= 4096:  # a bound for a process that runs many scripts
+                _FACTORIES.clear()
+            exec(compile(source + "\n return run", "<wawk>", "exec"), globals(), made := {})
+            make = _FACTORIES[source] = made["make"]
+        return make(*self.consts)
+
+
 def _compile(node, env: Environment, cond: bool, assigned: set | None) -> tuple:
-    """The expression or action statement `node` as a function of the
-    sweep index (None in BEGIN and END). `cond` marks condition context,
-    where an unbound name reads as the falsy UNBOUND.
+    """The expression `node` as a function of the sweep index (None in
+    BEGIN and END). `cond` marks condition context, where an unbound name
+    reads as the falsy UNBOUND.
 
     `assigned`, the names sweep bodies assign, is given only in a sweep
     where no statement calls alias. There `sig@k`, and a plain name neither
@@ -379,114 +519,20 @@ def _compile(node, env: Environment, cond: bool, assigned: set | None) -> tuple:
     With the function come the (SignalSeries, offset) pairs `node` reads
     when it is pure, reading only literals and fixed signals through
     operators; None otherwise, and wherever nothing is fixed."""
-    cls = node.__class__
-    if cls is ast.IntLit or cls is ast.StrLit:
-        value = node.value
-        return (lambda index: value), None if assigned is None else []
-    if cls is ast.Ident or cls is ast.OffsetRef:
-        offset = cls is ast.OffsetRef  # reads a signal even where a variable has its name
-        name, k = (node.signal.name, node.offset) if offset else (node.name, 0)
-        if assigned is not None and (offset or name not in assigned and name not in env.variables):
-            series = env.waveform.signals.get(env.aliases.get(name, name))
-            if series is not None:
-                count = env.count
-                return (lambda index: _read(series, index + k, count)), [(series, k)]
-        if offset:
-            return (lambda index: env.sample(name, index, k)), None
-        resolve, variables = env.resolve, env.variables  # resolve's first test, inline
-        return (lambda index: variables[name] if name in variables
-                else resolve(name, index, cond)), None
-    if cls is ast.Unary:
-        operand, reads = _compile(node.operand, env, cond, assigned)
-        if node.op == "!":
-            return (lambda index: int(not _truthy(operand(index)))), reads
-        return (lambda index: -_as_int(operand(index), "-")), reads
-    if cls is ast.Binary:
-        op = node.op
-        left, left_reads = _compile(node.left, env, cond, assigned)
-        right, right_reads = _compile(node.right, env, cond, assigned)
-        reads = None if left_reads is None or right_reads is None else left_reads + right_reads
-        if op == "&&":
-            return (lambda index: int(_truthy(right(index))) if _truthy(left(index)) else 0), reads
-        if op == "||":
-            return (lambda index: 1 if _truthy(left(index)) else int(_truthy(right(index)))), reads
-        arith = _ARITH.get(op)
-        if arith is not None:
-            def arithmetic(index):
-                lhs, rhs = left(index), right(index)
-                if lhs.__class__ is int and rhs.__class__ is int:  # not bool, not a Value
-                    return arith(lhs, rhs)
-                return _operate(op, lhs, rhs)
-
-            return arithmetic, reads
-        return (lambda index: _operate(op, left(index), right(index))), reads
-    if cls is ast.CurrentIndex:
-        def current(index):
-            if index is None:
-                raise RunFailure("INDEX is only defined during the index sweep")
-            return index
-
-        return current, None
-    if cls is ast.ListLit:
-        items = [_compile(item, env, cond, assigned)[0] for item in node.items]
-        return (lambda index: [item(index) for item in items]), None
-    if cls is ast.Subscript:
-        base = _compile(node.base, env, cond, assigned)[0]
-        at = _compile(node.index, env, cond, assigned)[0]
-        return (lambda index: _subscript(base(index), at(index))), None
-    if cls is ast.Call:
-        func, arg_nodes = node.func, node.args
-        if func == "alias":
-            return (lambda index: env._form_alias(arg_nodes)), None
-        if func == "import":
-            return (lambda index: env._form_import(arg_nodes)), None
-        args = [_compile(a, env, cond, assigned)[0] for a in arg_nodes]
-        if func == "call":  # the target is looked up before the arguments are read
-            args = args[1:]
-            return (lambda index: env._call_target(arg_nodes)([arg(index) for arg in args])), None
-        if func == "printf":
-            def printf(index):
-                values = [arg(index) for arg in args]
-                if not values or not isinstance(values[0], str):
-                    raise RunFailure("printf needs a format string first")
-                env.out.write(_format(values[0], values[1:]))
-                return UNBOUND
-
-            return printf, None
-        builtin = _BUILTINS.get(func)
-        if builtin is None:
-            def unknown(index):
-                raise RunFailure(f"unknown function {func!r}")
-
-            return unknown, None
-        return (lambda index: builtin([arg(index) for arg in args])), None
-    if cls is ast.ExprStmt:
-        return _compile(node.expr, env, False, assigned)[0], None
-    if cls is ast.Assign:
-        name, variables = node.name, env.variables
-        value = _compile(node.value, env, False, assigned)[0]
-
-        def assign(index):
-            variables[name] = value(index)
-
-        return assign, None
-    if cls is ast.If:
-        test = _compile(node.cond, env, True, assigned)[0]
-        then = _compile_body(node.then, env, assigned)
-        orelse = _compile_body(node.orelse, env, assigned)
-        return (lambda index: (then if _truthy(test(index)) else orelse)(index)), None
-    raise TypeError(f"cannot run {node!r}")
+    source = _Source(env, assigned)
+    value, reads = source.expr(node, cond)
+    source.put(f"return {value}")
+    return source.build(), reads
 
 
-def _compile_body(body: tuple, env: Environment, assigned: set | None):
-    """The action `body` as one function of the sweep index (see _compile)."""
-    steps = [_compile(stmt, env, False, assigned)[0] for stmt in body]
-
-    def run(index):
-        for step in steps:
-            step(index)
-
-    return run
+def _visit(env: Environment, assigned: set | None, conditions: tuple, body: tuple):
+    """One function of the sweep index that evaluates `conditions` in
+    order and runs the action `body` where they all hold (see _compile)."""
+    source = _Source(env, assigned)
+    for node in conditions:
+        source.condition(node)
+    source.block(body)
+    return source.build()
 
 
 def _assigned(statements) -> set | None:
@@ -502,16 +548,20 @@ def _assigned(statements) -> set | None:
     return assigned
 
 
-def _can_raise(node) -> bool:
-    """False when evaluating the pure condition `node` cannot raise: it
-    only reads signals and literals through '!', '&&' and '||'."""
-    cls = node.__class__
-    if cls is ast.Unary:
-        return node.op != "!" or _can_raise(node.operand)
-    if cls is ast.Binary:
-        return (node.op not in ("&&", "||")
-                or _can_raise(node.left) or _can_raise(node.right))
-    return False
+def _head(statement, env: Environment, assigned: set | None) -> list:
+    """The (test, reads) that _compile makes of each of the statement's
+    leading pure conditions, up to and including the first that can raise:
+    one with an operator other than '!', '&&' and '||'."""
+    head = []
+    for node in statement.trigger.exprs:
+        test, reads = _compile(node, env, True, assigned)
+        if reads is None:
+            break
+        head.append((test, reads))
+        if any(n.__class__ in (ast.Unary, ast.Binary) and n.op not in ("!", "&&", "||")
+               for n in _walk(node)):
+            break
+    return head
 
 
 def _cuts(r: int, series, k: int, count: int, lo: int, hi: int) -> list:
@@ -617,34 +667,27 @@ def _plan(env: Environment, sweep: list) -> Iterator | None:
     source order, skipping every index where no statement can fire; None
     when every statement must be visited at every index.
 
-    A statement's head is its leading pure conditions (see _compile), up
-    to and including the first that can raise. Between the cuts of its
-    signals each head condition is constant, so a stretch where one is
-    false holds no visit: the sweep would stop at that condition or at an
-    earlier false one without raising. The head is narrowed starting from
-    its condition whose signals change least, and no further than the
-    visits are read (see _gather). A visit is (ordinal, proven): the
-    statement, and how many of its conditions held without raising, all
-    of the head or none, so a proven head is not evaluated again.
+    `sweep` holds (ordinal, statement, head) triples, the head as _head
+    makes it. Between the cuts of its signals each head condition is
+    constant, so a stretch where one is false holds no visit: the sweep
+    would stop at that condition or at an earlier false one without
+    raising. The head is narrowed starting from its condition whose
+    signals change least, and no further than the visits are read (see
+    _gather). A visit is (ordinal, proven): the statement, and how many of
+    its conditions held without raising, all of the head or none, so a
+    proven head is not evaluated again.
 
     The visits depend only on the statements, their ordinals and the
     (series, offset) reads of their heads, their key beside the waveform.
     The first run with a key keeps nothing, since a script run once never
     reads its visits again; the second keeps them for every later run."""
     streams, key = [], []
-    for ordinal, statement, conditions, _ in sweep:
-        head = []
-        for node, (test, reads) in zip(statement.trigger.exprs, conditions):
-            if reads is None:
-                break
-            head.append((sum(len(series.indexes) for series, _ in reads), test, reads))
-            if _can_raise(node):
-                break
+    for ordinal, statement, head in sweep:
         if not head:
             return None
-        key.append((ordinal, statement, tuple(tuple(reads) for _, _, reads in head)))
+        key.append((ordinal, statement, tuple(tuple(reads) for _, reads in head)))
         pieces, unproven = [(0, env.count, (ordinal, len(head)))], (ordinal, 0)
-        for _, test, reads in sorted(head, key=itemgetter(0)):
+        for test, reads in sorted(head, key=lambda h: sum(len(s.indexes) for s, _ in h[1])):
             pieces = _narrow(test, reads, env.count, pieces, unproven)
         streams.append(pieces)
     visits = _gather(streams)
@@ -673,8 +716,9 @@ def execute(
     def run_blocks(kind: type, where: str) -> None:
         for ordinal, stmt in numbered:
             if isinstance(stmt.trigger, kind):
-                try:
-                    _compile_body(stmt.body, env, None)(None)
+                try:  # one statement at a time, so that one shape compiles once
+                    for action in stmt.body:
+                        _visit(env, None, (), (action,))(None)
                 except RunFailure as err:
                     if err.context is None:
                         err.context = f"statement {ordinal} ({where})"
@@ -686,29 +730,21 @@ def execute(
              if isinstance(stmt.trigger, ast.Conditions)]
     if swept:
         assigned = _assigned(stmt for _, stmt in swept)
-        sweep = [(ordinal, stmt, [_compile(c, env, True, assigned) for c in stmt.trigger.exprs],
-                  _compile_body(stmt.body, env, assigned)) for ordinal, stmt in swept]
-        runs = {  # a visit -> the statement's conditions after those proven, and its body
-            (ordinal, proven): (ordinal, [test for test, _ in conditions[proven:]], body)
-            for ordinal, _, conditions, body in sweep
-            for proven in range(len(conditions) + 1)
+        sweep = [(ordinal, stmt, _head(stmt, env, assigned)) for ordinal, stmt in swept]
+        runs = {  # a visit -> the statement's conditions after those proven, then its body
+            (ordinal, proven): _visit(env, assigned, stmt.trigger.exprs[proven:], stmt.body)
+            for ordinal, stmt, head in sweep for proven in {0, len(head)}
         }
         visits = _plan(env, sweep)
         if visits is None:
             visits = zip(range(env.count), repeat([(ordinal, 0) for ordinal, _ in swept]))
-        truthy = _truthy
         for index, statements in visits:
             for visit in statements:
-                ordinal, conditions, body = runs[visit]
                 try:
-                    for condition in conditions:
-                        if not truthy(condition(index)):
-                            break
-                    else:
-                        body(index)
+                    runs[visit](index)
                 except RunFailure as err:
                     if err.context is None:
-                        err.context = f"statement {ordinal} at index {index}"
+                        err.context = f"statement {visit[0]} at index {index}"
                     raise
 
     run_blocks(ast.End, "END")

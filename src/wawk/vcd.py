@@ -57,13 +57,16 @@ _BLOCK = 1 << 13  # characters read at a time from the dump
 def _blocks(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
     """Every line of `stream` without its "\\n", in blocks of (number of
     the first line, lines), read _BLOCK characters at a time."""
-    first, tail, read = 1, "", stream.read
+    first, tail, more, read = 1, "", [], stream.read
     while chunk := read(_BLOCK):
-        lines = (tail + chunk).split("\n")
-        tail = lines.pop()  # a partial line waits for the next block
+        if "\n" not in chunk:  # a long line: its blocks are joined once, where it ends
+            more.append(chunk)
+            continue
+        lines = (tail + "".join(more) + chunk).split("\n")
+        tail, more = lines.pop(), []  # a partial line waits for the next block
         yield first, lines
         first += len(lines)
-    if tail:  # the last line has no "\n"
+    if tail := tail + "".join(more):  # the last line has no "\n"
         yield first, [tail]
 
 

@@ -1,9 +1,9 @@
 """The compiled, planned sweep against the dense one and the reference.
 
-execute() compiles every expression once per run (interp._compile) and
-visits only the indexes where a statement's signal-only head can hold
-(interp._plan); visiting every statement at every index is the order it
-must agree with. Every test here runs a script both ways and requires
+execute() generates one Python function per statement and visit kind
+(interp._Source) and visits only the indexes where a statement's
+signal-only head can hold (interp._plan); visiting every statement at
+every index is the order it must agree with. Every test here runs a script both ways and requires
 the same output, the same final variables and the same error, context
 included: on random well-formed programs over small waveforms with x/z
 bits, late first changes and offsets past the trace, and on the cases
@@ -15,7 +15,8 @@ kind of operand of the compiled int fast path of `+`, `-` and `*`. One
 narrowing (interp._narrow) must read as its head evaluated at every
 index and test each distinct input of the head once, a head the plan
 proved is not evaluated again, and a kept plan holds nothing of the run
-that made it.
+that made it. Scripts at the parser's depth limit generate valid Python,
+and no name or literal of a script becomes Python source text.
 """
 
 import gc
@@ -35,7 +36,7 @@ from printer import to_source  # noqa: E402
 from test_properties import PROGRAMS, PROPERTY, RUNNING, WAVE, bodies, top_exprs  # noqa: E402
 from wawk import ast, interp  # noqa: E402
 from wawk.cli import bundled_script  # noqa: E402
-from wawk.errors import RunFailure  # noqa: E402
+from wawk.errors import RunFailure, WawkSyntaxError  # noqa: E402
 from wawk.interp import Environment, default_native_modules, execute  # noqa: E402
 from wawk.parser import MAX_DEPTH, parse_source  # noqa: E402
 from wawk.riscv import MNEMONICS  # noqa: E402
@@ -517,26 +518,91 @@ def test_arithmetic_reads_as_the_reference(dense_sweep, source, expected):
     assert agree(dense_sweep, program, [SIG], modules=modules) == [("", expected)]
 
 
+# --- the generated source ---
+
+def deepest(template):
+    """The script `template(n)` for the largest n the parser accepts."""
+    n = 1
+    while True:
+        try:
+            parse_source(template(n + 1))
+        except WawkSyntaxError as err:
+            assert err.args[0].endswith(f"nesting deeper than {MAX_DEPTH} levels")
+            return parse_source(template(n))
+        n += 1
+
+
+def nested(n, wraps, leaf):
+    """`leaf` inside n layers, the k-th from the inside `wraps[k % len(wraps)]`."""
+    for k in range(n):
+        leaf = wraps[k % len(wraps)].format(leaf)
+    return leaf
+
+
+# a script at the parser's depth limit in each place the generator nests
+DEEPEST = {
+    "condition": lambda n: nested(n, ["!{}", "-{}", "(s + {})"], "s@1") + ": { n = INDEX; }",
+    "body": lambda n: "s: { n = " + nested(n, ["INDEX - ({})", "({} * 2)", "[{}][0]"], "1") + "; }",
+    "chain": lambda n: nested(n, ["s@-1 && ({})", "s || ({})", "!bus@1 || {}"], "bus")
+    + ": { n = INDEX; }",
+    "ifs": lambda n: "BEGIN: { n = 0; } s@-1: { " + nested(
+        n, ["if (s) {}", "if (!bus) {{ n = n + 1; {} }} else n = n - 1;"], "n = n * 3;") + " }",
+}
+
+
+@pytest.mark.parametrize("where", list(DEEPEST))
+def test_the_deepest_scripts_run_as_the_reference(dense_sweep, monkeypatch, where):
+    monkeypatch.setattr(interp, "_FACTORIES", {})  # so it holds this script's sources
+    program = deepest(DEEPEST[where])
+    expected = outcome(program, SIG, run=reference_eval.execute)
+    assert agree(dense_sweep, program, [SIG]) == [expected]
+    indents = [len(line) - len(line.lstrip(" ")) for source in interp._FACTORIES
+               for line in source.splitlines()]
+    assert max(indents) < 100  # CPython's limit
+    if where == "ifs":
+        assert max(indents) > MAX_DEPTH
+
+
+# names that hold $ and letters past ASCII, literals that would end or
+# escape a Python string, and names the generated source uses itself
+UNSPLICED = r"""
+BEGIN: { größe = 0; a$b = "\"'\n{}%\"\"\"\\"; π$ = "'''\\n{0}%s\")"; n = 987654321;
+         c0 = 2; t0 = 3; index = 4; int = 5; _truthy = 6; make = 7; run = 8; None = 9; }
+s, π$ != a$b: { größe = größe + c0 * t0 - index + int - n; printf("%s|%d|", a$b, größe); }
+!s: { printf("%s|", π$); }
+END: { printf("%d %d\n", make + run + None, _truthy); }
+"""
+LITERALS = ["\"'\n{}%\"\"\"\\", "'''\\n{0}%s\")"]  # a$b's and π$'s values
+
+
+def test_script_text_never_becomes_python_source(dense_sweep, monkeypatch):
+    monkeypatch.setattr(interp, "_FACTORIES", {})  # so it holds this script's sources
+    program = parse_source(UNSPLICED)
+    expected = outcome(program, SIG, run=reference_eval.execute)
+    assert agree(dense_sweep, program, [SIG]) == [expected]
+    ab, pi = LITERALS
+    assert expected[0] == (f"{pi}|{ab}|-987654314|{pi}|{pi}|{ab}|-1975308628|{ab}|-2962962942|"
+                           "24 6\n")
+    texts = ["größe", "a$b", "π$", "987654321", *LITERALS]
+    assert interp._FACTORIES
+    for source in interp._FACTORIES:
+        assert [text for text in texts if text in source] == [], source
+
+
 @pytest.fixture
 def conditions_walked(monkeypatch):
-    """The statement conditions the sweep evaluates, one node per call:
-    the compiled functions that execute() itself calls. The planner's
-    own tests of a head are not counted."""
+    """The statement conditions the sweep evaluates, one node per
+    evaluation: each condition of a generated visit function reports its
+    node where the visit reaches it. The planner's own tests of a head,
+    which _compile makes apart from the visits, are not counted."""
     nodes = []
-    real = interp._compile
-    sweep = interp.execute.__code__
+    real = interp._Source.condition
 
-    def spy(node, env, cond, assigned):
-        compiled, reads = real(node, env, cond, assigned)
+    def spy(source, node):
+        source.put(f"{source.const(nodes.append)}({source.const(node)})")
+        real(source, node)
 
-        def counted(index):
-            if sys._getframe(1).f_code is sweep:
-                nodes.append(node)
-            return compiled(index)
-
-        return counted, reads
-
-    monkeypatch.setattr(interp, "_compile", spy)
+    monkeypatch.setattr(interp._Source, "condition", spy)
     return nodes
 
 

@@ -547,3 +547,33 @@ class TestBlockEdges:
         stamp = "#" + "1" * (limit + 1)
         with raises_exactly(VcdError, f"line 20: invalid timestamp {stamp!r}"):
             parse(BASIC + stamp + "\n")
+
+    # BASIC's change region one token a line (lines 7-22), then `tail`;
+    # `at` is the position in `tail` of the token that fails
+    @pytest.mark.parametrize("tail, message, at", [
+        ([], None, 0),
+        (["#30", "b1x", '"', "$comment", "a", "b", "$end", "1!"], None, 0),
+        (["#30", "b12", '"'], "invalid vector value 'b12'", 2),
+        (["#20"], "timestamp #20 does not increase (previous #20)", 1),
+        (["#30", "1?"], "undeclared id code '?'", 2),
+        (["#30", "b1"], "vector value at end of file has no id code", 2),
+    ], ids=["basic", "comment", "bad-vector", "stamp", "undeclared", "eof-vector"])
+    def test_a_dump_on_one_line_reads_as_its_lines(self, monkeypatch, tail, message, at):
+        header, changes = BASIC.split("#0\n")
+        tokens = ("#0\n" + changes).split() + tail
+        one, lines = (header + sep.join(tokens) + "\n" for sep in " \n")
+        for size in [*range(1, 10), vcd._BLOCK]:
+            monkeypatch.setattr(vcd, "_BLOCK", size)
+            if message is None:
+                assert reading(parse(one)) == reading(parse(lines)), size
+                continue
+            for text, line in ((one, 7), (lines, 22 + at)):
+                with raises_exactly(VcdError, f"line {line}: {message}"):
+                    parse(text)
+
+    def test_a_long_dump_on_one_line_reads_as_its_lines(self, block):
+        text, _ = generate(table1_spec(dummy_signals=2))
+        header, changes = text.split("$enddefinitions $end\n")
+        one = f"{header}$enddefinitions $end\n{changes.replace(chr(10), ' ')}"
+        assert len(one) > 8 * 8192  # several blocks of the default size
+        assert reading(parse(one)) == reading(parse(text))
