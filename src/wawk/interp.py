@@ -388,8 +388,9 @@ class _Source:
     """The lines of one generated function of the sweep index `index`
     (None in BEGIN and END): straight-line temporaries, with an `if` only
     for '&&', '||' and if statements. Names, literals, series and the run's
-    objects reach it only as the arguments c0, c1, ... of its factory
-    `make`, so its source names nothing but them and interp's helpers."""
+    objects reach it only in the tuple `c` that its factory `make` takes
+    (one tuple: CPython compiles thousands of closure variables in time
+    quadratic in their number); the source names `c` and helpers alone."""
 
     def __init__(self, env: Environment, assigned: set | None):
         self.env, self.assigned = env, assigned  # assigned: as _compile takes it
@@ -397,7 +398,7 @@ class _Source:
 
     def const(self, value) -> str:
         self.consts.append(value)
-        return f"c{len(self.consts) - 1}"
+        return f"c[{len(self.consts) - 1}]"
 
     def put(self, line: str) -> None:
         self.lines.append(self.indent + line)
@@ -496,15 +497,14 @@ class _Source:
 
     def build(self):
         """The function of these lines, from the factory of their source."""
-        params = ", ".join(f"c{i}" for i in range(len(self.consts)))
-        source = f"def make({params}):\n def run(index):\n  pass\n" + "\n".join(self.lines)
+        source = "def make(c):\n def run(index):\n  pass\n" + "\n".join(self.lines)
         make = _FACTORIES.get(source)
         if make is None:
             if len(_FACTORIES) >= 4096:  # a bound for a process that runs many scripts
                 _FACTORIES.clear()
             exec(compile(source + "\n return run", "<wawk>", "exec"), globals(), made := {})
             make = _FACTORIES[source] = made["make"]
-        return make(*self.consts)
+        return make(tuple(self.consts))
 
 
 def _compile(node, env: Environment, cond: bool, assigned: set | None) -> tuple:
@@ -549,9 +549,8 @@ def _assigned(statements) -> set | None:
 
 
 def _head(statement, env: Environment, assigned: set | None) -> list:
-    """The (test, reads) that _compile makes of each of the statement's
-    leading pure conditions, up to and including the first that can raise:
-    one with an operator other than '!', '&&' and '||'."""
+    """_compile's (test, reads) of the statement's leading pure conditions,
+    up to and including the first with an operator but '!', '&&' and '||'."""
     head = []
     for node in statement.trigger.exprs:
         test, reads = _compile(node, env, True, assigned)
@@ -731,17 +730,19 @@ def execute(
     if swept:
         assigned = _assigned(stmt for _, stmt in swept)
         sweep = [(ordinal, stmt, _head(stmt, env, assigned)) for ordinal, stmt in swept]
-        runs = {  # a visit -> the statement's conditions after those proven, then its body
-            (ordinal, proven): _visit(env, assigned, stmt.trigger.exprs[proven:], stmt.body)
-            for ordinal, stmt, head in sweep for proven in {0, len(head)}
-        }
         visits = _plan(env, sweep)
         if visits is None:
             visits = zip(range(env.count), repeat([(ordinal, 0) for ordinal, _ in swept]))
-        for index, statements in visits:
-            for visit in statements:
+        statements = {ordinal: (stmt.trigger.exprs, stmt.body) for ordinal, stmt in swept}
+        runs = {}  # a visit -> its conditions after those proven, then its body
+        for index, kinds in visits:
+            for visit in kinds:
+                run = runs.get(visit)
+                if run is None:  # made at its first visit: no sweep changes what it fixes
+                    exprs, body = statements[visit[0]]
+                    run = runs[visit] = _visit(env, assigned, exprs[visit[1]:], body)
                 try:
-                    runs[visit](index)
+                    run(index)
                 except RunFailure as err:
                     if err.context is None:
                         err.context = f"statement {visit[0]} at index {index}"

@@ -518,6 +518,32 @@ def test_arithmetic_reads_as_the_reference(dense_sweep, source, expected):
     assert agree(dense_sweep, program, [SIG], modules=modules) == [("", expected)]
 
 
+# the six comparisons share the int fast path of the arithmetic above
+COMPARISONS = [
+    ("BEGIN: { import(probe); n = call(probe.yes) == 1; }",
+     (RunFailure, "cannot compare bool values with '=='", "statement 1 (BEGIN)")),
+    ("BEGIN: { import(probe); n = 1 < call(probe.yes); }",
+     (RunFailure, "cannot compare bool values with '<'", "statement 1 (BEGIN)")),
+    ("BEGIN: { n = (2 < 3) + (3 <= 3) + (4 > 5) + (5 >= 6) + (1 == 1) + (1 != 1); }",
+     "{'args': [], 'n': 3}"),
+    ('BEGIN: { n = "a" < "b"; m = 1 == "1"; }',
+     (RunFailure, "cannot compare int with string using '=='", "statement 1 (BEGIN)")),
+    ("s: { n = bus == 3; }",
+     (RunFailure, "cannot convert '0x00' to an integer: contains x/z bits",
+      "statement 1 at index 4")),
+    ("BEGIN: { n = 18446744073709551616 > 18446744073709551615; m = -1 >= 0 - 1; }",
+     "{'args': [], 'n': 1, 'm': 1}"),
+]
+
+
+@pytest.mark.parametrize("source, expected", COMPARISONS)
+def test_comparisons_read_as_the_reference(dense_sweep, source, expected):
+    program = parse_source(source)
+    modules = {**default_native_modules(), "probe": {"yes": lambda args: True}}
+    assert outcome(program, SIG, modules=modules, run=reference_eval.execute) == ("", expected)
+    assert agree(dense_sweep, program, [SIG], modules=modules) == [("", expected)]
+
+
 # --- the generated source ---
 
 def deepest(template):
