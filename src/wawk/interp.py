@@ -26,11 +26,11 @@ stretch's values by their position in the signal's change list and tests
 each distinct tuple of them once, keyed by the ids that its cuts carry
 (_narrow). The statement is visited only where its head can hold, and
 where the head held without raising the visit does not evaluate it
-again. The visits are gathered a window of indexes at a time (_gather).
-When a statement's first condition reads anything else, or a sweep
-statement calls `alias`, every statement is visited at every index. A
-plan is kept beside its waveform from its second run on, and `--all`
-reads it instead of narrowing again.
+again. The plan is made one window of indexes at a time (_WINDOW), just
+ahead of the sweep. When a statement's first condition reads anything
+else, or a sweep statement calls `alias`, every statement is visited at
+every index. A plan is kept beside its waveform from its second run on,
+and `--all` reads it instead of narrowing again.
 
 Value domain: Python ints, strings, lists, four-state logic Values, and
 two absence markers. UNBOUND is what reading a never-assigned variable
@@ -47,20 +47,20 @@ list appends the right operand in place and yields the list; `/` is
 integer division truncating toward zero; `average` rounds half up.
 """
 
-import math
 import re
 import sys
 import weakref
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import chain, repeat
-from operator import add, eq, ge, gt, itemgetter, le, lt, mul, ne, sub
+from operator import add, eq, ge, gt, itemgetter, le, lt, ne, sub
 from typing import IO, Iterator, Sequence
 
 from . import ast
 from .errors import RunFailure
 from .riscv import decode as _decode_word
 from .value import Value
+from .vcd import MAX_WIDTH
 from .waveform import Waveform
 
 
@@ -224,7 +224,16 @@ def _divide(lhs: int, rhs: int) -> int:
     return -q if (lhs < 0) != (rhs < 0) else q
 
 
-_ARITH = {"+": add, "-": sub, "*": mul, "/": _divide}
+def _multiply(lhs: int, rhs: int) -> int:
+    # bounded as a $var's width is: a product repeated at every index would
+    # otherwise double its width each time until memory runs out
+    product = lhs * rhs
+    if product.bit_length() > MAX_WIDTH:
+        raise RunFailure(f"product of '*' is wider than {MAX_WIDTH} bits")
+    return product
+
+
+_ARITH = {"+": add, "-": sub, "*": _multiply, "/": _divide}
 _CMP = {"==": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
@@ -443,8 +452,8 @@ class _Source:
                 self.indent = self.indent[:-1]
             else:  # two ints of class int (not bool, not a Value) skip _operate
                 right, right_reads = self.expr(node.right, cond)
-                fast = (f"_divide({left}, {right})" if op == "/" else f"{left} {op} {right}"
-                        if op in _ARITH else f"int({left} {op} {right})")
+                fast = (f"{_ARITH[op].__name__}({left}, {right})" if op in ("*", "/") else
+                        f"{left} {op} {right}" if op in _ARITH else f"int({left} {op} {right})")
                 value = self.temp(f"{fast} if {left}.__class__ is {right}.__class__ is int "
                                   f"else _operate({op!r}, {left}, {right})")
             return value, None if reads is None or right_reads is None else reads + right_reads
@@ -577,85 +586,48 @@ def _cuts(r: int, series, k: int, count: int, lo: int, hi: int) -> list:
     return cuts
 
 
-def _narrow(test, reads: list, count: int, pieces, unproven: tuple) -> Iterator:
-    """The parts of `pieces`, (start, end, statement) triples, where the
-    bound head condition `test` can hold, adjacent parts with the same
-    statement joined. A piece is read up to _SPAN changes of each read at
-    a time and cut where a read of `test` can change (see _cuts). `test`
-    runs once per distinct tuple of values read; where it raised, the part
-    takes the `unproven` statement, which evaluates every condition and so
-    raises the same error in the sweep."""
-    # keyed by the ids of the values read, which the cuts carry: sound only
-    # because each value stays alive while narrowing runs, held by a series,
-    # all_x's cache or a marker
-    memo = {}  # -> held (True), not held (False) or raised (None)
-    start = end = joined = None
-    for lo, last, statement in pieces:
-        while lo < last:
-            hi = last  # or the _SPAN-th change of a read after lo, if sooner
-            if last - lo > _SPAN:  # a shorter piece holds few cuts anyway
-                for series, k in reads:
-                    j = bisect_right(series.indexes, lo + k) + _SPAN
-                    if j < len(series.indexes):
-                        hi = min(hi, series.indexes[j] - k)
-            current = [id(_read(series, lo + k, count)) for series, k in reads] + [None]
-            cuts = []
-            for r, (series, k) in enumerate(reads):
-                cuts += _cuts(r, series, k, count, lo, hi)
-            cuts.sort(key=itemgetter(0))
-            cuts.append((hi, -1, None))  # writes the slot after the reads
-            a = lo
-            for b, r, value_id in cuts:
-                if b != a:
-                    key = tuple(current)
-                    held = memo.get(key, memo)
-                    if held is memo:
-                        try:
-                            held = memo[key] = _truthy(test(a))
-                        except RunFailure:
-                            held = memo[key] = None
-                    visit = statement if held else None if held is False else unproven
-                    if visit is not None:
-                        if a == end and visit is joined:
-                            end = b
-                        else:
-                            if start is not None:
-                                yield start, end, joined
-                            start, end, joined = a, b, visit
-                    a = b
-                current[r] = value_id
-            lo = hi
-    if start is not None:
-        yield start, end, joined
+def _narrow(test, reads: list, count: int, pieces: list, unproven: tuple, memo: dict) -> list:
+    """The parts of `pieces`, ascending (start, end, visit) triples, where
+    the bound head condition `test` can hold, adjacent parts with the same
+    visit joined. Each piece is cut where a read of `test` can change (see
+    _cuts). `test` runs once per distinct tuple of values read, its answer
+    kept in `memo` across pieces and calls; where it raised, the part takes
+    the `unproven` visit, which evaluates every condition and so raises
+    the same error in the sweep."""
+    # keyed by the ids of the values read, which the cuts carry: sound
+    # because a stored value or a marker stays alive while the plan is
+    # made, and a read before a series' first change, a new all-x value,
+    # frees its id for nothing but another all-x read of that slot
+    parts = []
+    for lo, hi, statement in pieces:
+        current = [id(_read(series, lo + k, count)) for series, k in reads] + [None]
+        cuts = []
+        for r, (series, k) in enumerate(reads):
+            cuts += _cuts(r, series, k, count, lo, hi)
+        cuts.sort(key=itemgetter(0))
+        cuts.append((hi, -1, None))  # writes the slot after the reads
+        a = lo
+        for b, r, value_id in cuts:
+            if b != a:
+                key = tuple(current)
+                held = memo.get(key, memo)
+                if held is memo:
+                    try:
+                        held = memo[key] = _truthy(test(a))
+                    except RunFailure:
+                        held = memo[key] = None
+                visit = statement if held else None if held is False else unproven
+                if visit is not None:
+                    if parts and parts[-1][1] == a and parts[-1][2] is visit:
+                        parts[-1][1] = b
+                    else:
+                        parts.append([a, b, visit])
+                a = b
+            current[r] = value_id
+    return parts
 
 
-_SPAN = 16  # changes per read whose cuts a pending narrowing holds
-_WINDOW = 256  # indexes whose visits the gatherer holds
-_DONE = (math.inf, math.inf, None)
-
-
-def _gather(streams: list) -> Iterator:
-    """The visits of `streams`, one iterator of ascending (start, end,
-    visit) pieces per statement in source order, as (index, visits) pairs
-    in index and then source order. Each round buckets the visits of the
-    _WINDOW indexes from the lowest one a pending piece reaches, so nothing
-    is narrowed before it is read and no more than a window is held."""
-    pending = [[*next(pieces, _DONE), pieces] for pieces in streams]
-    while (lo := min(p[0] for p in pending)) < math.inf:
-        hi = lo + _WINDOW
-        buckets = defaultdict(list)
-        for p in pending:
-            start, end, visit, pieces = p
-            while start < hi:
-                for index in range(start, min(end, hi)):
-                    buckets[index].append(visit)
-                if end > hi:
-                    start = hi
-                    break
-                start, end, visit = next(pieces, _DONE)
-            p[:3] = start, end, visit
-        yield from sorted(buckets.items())
-
+_WINDOW = 1024  # indexes the planner narrows and holds at a time
 
 # waveform -> {sweep key: False once seen, then its visits}; see _plan
 _PLANS = weakref.WeakKeyDictionary()
@@ -670,34 +642,47 @@ def _plan(env: Environment, sweep: list) -> Iterator | None:
     makes it. Between the cuts of its signals each head condition is
     constant, so a stretch where one is false holds no visit: the sweep
     would stop at that condition or at an earlier false one without
-    raising. The head is narrowed starting from its condition whose
-    signals change least, and no further than the visits are read (see
-    _gather). A visit is (ordinal, proven): the statement, and how many of
-    its conditions held without raising, all of the head or none, so a
-    proven head is not evaluated again.
+    raising. The plan is made one _WINDOW of indexes at a time, no further
+    than the visits are read: each head is narrowed over the window
+    starting from its condition whose signals change least, and each
+    condition keeps one memo across the windows (see _narrow). A visit is
+    (ordinal, proven): the statement, and how many of its conditions held
+    without raising, all of the head or none, so a proven head is not
+    evaluated again.
 
     The visits depend only on the statements, their ordinals and the
     (series, offset) reads of their heads, their key beside the waveform.
     The first run with a key keeps nothing, since a script run once never
     reads its visits again; the second keeps them for every later run."""
-    streams, key = [], []
+    narrowings, key = [], []
     for ordinal, statement, head in sweep:
         if not head:
             return None
         key.append((ordinal, statement, tuple(tuple(reads) for _, reads in head)))
-        pieces, unproven = [(0, env.count, (ordinal, len(head)))], (ordinal, 0)
-        for test, reads in sorted(head, key=lambda h: sum(len(s.indexes) for s, _ in h[1])):
-            pieces = _narrow(test, reads, env.count, pieces, unproven)
-        streams.append(pieces)
-    visits = _gather(streams)
+        head = sorted(head, key=lambda h: sum(len(s.indexes) for s, _ in h[1]))
+        narrowings.append(((ordinal, len(head)), (ordinal, 0),
+                           [(test, reads, {}) for test, reads in head]))
+
+    def windows() -> Iterator:
+        for lo in range(0, env.count, _WINDOW):
+            buckets = defaultdict(list)
+            for statement, unproven, tests in narrowings:
+                pieces = [(lo, min(lo + _WINDOW, env.count), statement)]
+                for test, reads, memo in tests:
+                    pieces = _narrow(test, reads, env.count, pieces, unproven, memo)
+                for start, end, visit in pieces:
+                    for index in range(start, end):
+                        buckets[index].append(visit)
+            yield from sorted(buckets.items())
+
     plans = _PLANS.setdefault(env.waveform, {})
     key = tuple(key)
     kept = plans.get(key)
     if kept is None:
         plans[key] = False
-        return visits
+        return windows()
     if kept is False:
-        kept = plans[key] = list(visits)
+        kept = plans[key] = list(windows())
     return iter(kept)
 
 

@@ -381,6 +381,15 @@ class TestRun:
         assert main(["run", str(script), str(small_vcd)]) == 1
         assert "index 2" in capsys.readouterr().err
 
+    def test_a_runaway_product_exits_1_where_it_outgrows_a_var(self, tmp_path, table1_vcd,
+                                                             capsys):
+        # x's width doubles at every index: unbounded, only memory would end it
+        script = tmp_path / "s.wawk"
+        script.write_text("BEGIN: { x = 3; } INDEX >= 0: { x = x * x; }")
+        assert main(["run", str(script), str(table1_vcd)]) == 1
+        assert capsys.readouterr() == (
+            "", "wawk: statement 2 at index 15: product of '*' is wider than 65536 bits\n")
+
     @pytest.mark.parametrize("unbuffered, command", [
         ("1", "run"), ("", "run"), ("1", "gen"), ("", "gen")], ids=["1", "", "gen-1", "gen"])
     def test_closed_stdout_exits_1_quietly(self, tmp_path, small_vcd, unbuffered, command):
@@ -689,6 +698,15 @@ class TestUsage:
                  for path in (SRC_DIR / "wawk").glob("*.py")}
         assert "interp.py" in lines
         assert sum(lines.values()) <= LINE_BUDGET, lines
+
+    def test_the_sources_parse_as_the_declared_python_floor(self):
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        floor = (3, int(re.search(r'requires-python = ">=3\.(\d+)"', pyproject)[1]))
+        assert floor == (3, 10)
+        for path in sorted((SRC_DIR / "wawk").glob("*.py")):
+            ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=floor)
+        with pytest.raises(SyntaxError):  # 3.11 syntax: the check can fail
+            ast.parse("try:\n    pass\nexcept* OSError:\n    pass\n", feature_version=floor)
 
     def test_every_error_message_is_pinned_by_a_test(self):
         # each literal piece of 10 or more characters in the message of a

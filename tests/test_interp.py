@@ -264,6 +264,16 @@ class TestValuesAndOperators:
             with raises_exactly(RunFailure, f"statement 1 (BEGIN): {message}"):
                 run_script(f"BEGIN: {{ {HUGE} {action} }}", empty_wave)
 
+    def test_a_product_may_be_as_wide_as_a_var_and_no_wider(self):
+        # w is 2**32767: `w * ...` goes through _operate, `... * 4` on two ints does not
+        wave = make_waveform(1, {"w": (32768, [(0, "1" + "0" * 32767)])})
+        _, env = run_script("1: { v = w * w * 2; }", wave)
+        assert env.variables["v"] == 2**65535
+        for product in ["w * w * 4", "w * (w * 4)", "(0 - w) * w * -4"]:
+            with raises_exactly(RunFailure, "statement 1 at index 0: "
+                                            "product of '*' is wider than 65536 bits"):
+                run_script(f"1: {{ v = {product}; }}", wave)
+
     def test_unary_minus_and_not(self, empty_wave):
         _, env = run_script('BEGIN: { a = -5; b = !5; c = !0; d = !""; }', empty_wave)
         assert env.variables["a"] == -5

@@ -7,13 +7,14 @@ every index is the order it must agree with. Every test here runs a script both 
 the same output, the same final variables and the same error, context
 included: on random well-formed programs over small waveforms with x/z
 bits, late first changes and offsets past the trace, and on the cases
-the planner must get right or decline, also with the planner's spans and
-windows shrunk to one or two. Planned and dense runs share the compiler,
+the planner must get right or decline, also with the planner's window
+shrunk to one or two indexes. Planned and dense runs share the compiler,
 so random programs and random expressions are also run through the tree
 walker in reference_eval.py, which shares none of it, and so is every
-kind of operand of the compiled int fast path of `+`, `-` and `*`. One
-narrowing (interp._narrow) must read as its head evaluated at every
-index and test each distinct input of the head once, a head the plan
+kind of operand of the compiled int fast path of `+`, `-` and `*`.
+Narrowing (interp._narrow), whole or a window at a time, must read as
+its head evaluated at every index and test each distinct input of the
+head once, in the planner too, whatever its window; a head the plan
 proved is not evaluated again, and a kept plan holds nothing of the run
 that made it. Scripts at the parser's depth limit generate valid Python,
 and no name or literal of a script becomes Python source text.
@@ -22,6 +23,7 @@ and no name or literal of a script becomes Python source text.
 import gc
 import io
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -213,7 +215,6 @@ def test_random_programs_run_as_the_reference(dense_sweep, kind, data):
 def test_random_programs_run_the_same_in_narrow_windows(dense_sweep, window, program):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(interp, "_WINDOW", window)
-        patch.setattr(interp, "_SPAN", window)
         agree(dense_sweep, program, WAVES)
 
 
@@ -223,7 +224,6 @@ def test_random_programs_run_the_same_in_narrow_windows(dense_sweep, window, pro
 def test_random_signal_heads_run_the_same_in_narrow_windows(dense_sweep, window, program):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(interp, "_WINDOW", window)
-        patch.setattr(interp, "_SPAN", window)
         agree(dense_sweep, program, WAVES)
 
 
@@ -232,24 +232,38 @@ def test_random_signal_heads_run_the_same_in_narrow_windows(dense_sweep, window,
 HELD, UNPROVEN = ("held",), ("unproven",)
 
 
-def narrowed(node, wave, pieces):
+def narrowed(node, wave, pieces, edges=()):
     """What interp._narrow makes of the pure condition `node` over
-    `pieces`, and what it should make, both as {index: visit}; None when
-    `node` names a signal the wave lacks. The parts must be ascending and
-    apart, and adjacent parts must differ."""
-    test, reads = interp._compile(node, Environment(wave), True, set())
+    `pieces` cut at `edges`, a window between two edges at a time with
+    one memo, and what it should make, both as {index: visit}; None when
+    `node` names a signal the wave lacks. In each window the parts must be
+    ascending and apart, and adjacent parts must differ; over all of them
+    the condition is tested once per distinct input."""
+    compiled, reads = interp._compile(node, Environment(wave), True, set())
     if reads is None:
         return None
-    parts = list(interp._narrow(test, reads, wave.index_count, iter(pieces), UNPROVEN))
-    for (_, end, visit), (start, _, after) in zip(parts, parts[1:]):
-        assert end < start or (end == start and visit is not after), parts
-    assert all(start < end for start, end, _ in parts), parts
-    got = {index: visit for start, end, visit in parts for index in range(start, end)}
+    tested = []
+
+    def test(index):
+        tested.append(index)
+        return compiled(index)
+
+    memo, got = {}, {}
+    bounds = sorted({0, wave.index_count, *edges})
+    for lo, hi in zip(bounds, bounds[1:]):
+        window = [(max(start, lo), min(end, hi), statement)
+                  for start, end, statement in pieces if start < hi and lo < end]
+        parts = interp._narrow(test, reads, wave.index_count, window, UNPROVEN, memo)
+        for (_, end, visit), (start, _, after) in zip(parts, parts[1:]):
+            assert end < start or (end == start and visit is not after), parts
+        assert all(lo <= start < end <= hi for start, end, _ in parts), parts
+        got.update((index, visit) for start, end, visit in parts for index in range(start, end))
+    assert len(tested) == len(memo)
     expected = {}
     for start, end, statement in pieces:
         for index in range(start, end):
             try:
-                if interp._truthy(test(index)):
+                if interp._truthy(compiled(index)):
                     expected[index] = statement
             except RunFailure:
                 expected[index] = UNPROVEN
@@ -265,19 +279,21 @@ def pieces_of(draw, count):
             for start, end in zip(cuts, cuts[1:]) if draw(st.booleans())]
 
 
-@pytest.mark.parametrize("span", [1, 2, None])
+@pytest.mark.parametrize("window", [1, 2, None])
 @PROPERTY
 @given(node=PURE, data=st.data())
-def test_narrowing_reads_as_the_head_at_every_index(span, node, data):
-    with pytest.MonkeyPatch.context() as patch:
-        if span:
-            patch.setattr(interp, "_SPAN", span)
-        for wave in WAVES:
-            found = narrowed(node, wave, data.draw(pieces_of(wave.index_count)))
-            if found is not None:
-                got, expected = found
-                assert got == expected, (to_source(ast.Program((ast.Statement(
-                    ast.Conditions((node,)), ()),))), wave.index_count)
+def test_narrowing_reads_as_the_head_at_every_index(window, node, data):
+    # windows of one width, or between random edges; each reads as one
+    # narrowing of the whole wave, which reads as the head at every index
+    for wave in WAVES:
+        count = wave.index_count
+        pieces = data.draw(pieces_of(count))
+        edges = range(0, count, window) if window else data.draw(st.sets(st.integers(0, count)))
+        found = [narrowed(node, wave, pieces, cuts) for cuts in ((), edges)]
+        if found[0] is not None:
+            (got, expected), (windowed, _) = found
+            assert got == windowed == expected, (to_source(ast.Program((ast.Statement(
+                ast.Conditions((node,)), ()),))), count, sorted(edges))
 
 
 NARROW_WAVE = make_waveform(5, {
@@ -306,12 +322,12 @@ def test_narrowing_examples(source, held):
         assert got == {0: UNPROVEN, 1: UNPROVEN}
 
 
-def test_the_memo_is_kept_per_head_condition():
-    # s and !s read the same values; each narrowing asks its own test
-    for source, held in [("s", [0, 3, 4]), ("!s", [1, 2]), ("s", [0, 3, 4])]:
-        (statement,) = parse_source(f"{source}: {{ }}").statements
-        got, _ = narrowed(statement.trigger.exprs[0], NARROW_WAVE, [(0, 5, HELD)])
-        assert got == dict.fromkeys(held, HELD)
+def test_the_memo_is_kept_per_head_condition(dense_sweep, visited):
+    # s and !s read the same values; each head condition asks its own test
+    out, _ = run_both(dense_sweep, 's: { printf("a%d ", INDEX); }\n'
+                      '!s: { printf("b%d ", INDEX); }\ns: { printf("c%d ", INDEX); }', NARROW_WAVE)
+    assert out == "a0 c0 b1 b2 a3 c3 a4 c4 "
+    assert visited[-1] == [(0, [1, 3]), (1, [2]), (2, [2]), (3, [1, 3]), (4, [1, 3])]
 
 
 # --- the cases the planner must get right or decline ---
@@ -694,7 +710,7 @@ class TestWorkCounts:
             return counted, reads
 
         monkeypatch.setattr(interp, "_compile", spy)
-        count = 120  # several _SPANs of top.a's changes
+        count = 120  # more than a window of 1, 2 or 7 indexes holds
         wave = parse_vcd(io.StringIO(toggle_vcd(count)))
         source = "".join(f"{h}: {{ n{i} = n{i} + 1; }}\n" for i, (h, _) in enumerate(self.HEADS))
         env = execute(parse_source("BEGIN: { n0 = 0; n1 = 0; n2 = 0; n3 = 0; }\n" + source),
@@ -706,6 +722,43 @@ class TestWorkCounts:
         assert tested == distinct == [3, 5, 6, 6]
         assert [caller for _, caller in calls] == ["_narrow"] * len(self.HEADS)
         assert [env.variables[f"n{i}"] for i in range(4)] == [119, 39, 18, 76]
+
+    @pytest.mark.parametrize("window", [1, 2, 7])
+    def test_the_head_tests_do_not_depend_on_the_window(self, monkeypatch, window):
+        # a memo made per window would test the heads again in every window
+        monkeypatch.setattr(interp, "_WINDOW", window)
+        self.test_each_head_is_tested_once_per_distinct_input(monkeypatch)
+
+
+def waves_vcd(count, signals):
+    """`count` indexes of `signals` 1-bit signals: top.sK toggles every
+    K + 1 indexes."""
+    codes = [chr(33 + k) for k in range(signals)]
+    lines = ["$scope module top $end", *(f"$var wire 1 {c} s{k} $end" for k, c in enumerate(codes)),
+             "$upscope $end", "$enddefinitions $end"]
+    for i in range(count):
+        lines.append(f"#{i}")
+        lines += [f"{i // (k + 1) % 2}{c}" for k, c in enumerate(codes) if i % (k + 1) == 0]
+    return "\n".join(lines) + "\n"
+
+
+def test_planning_memory_does_not_grow_with_the_trace():
+    # a first run's plan, read as the sweep reads it, holds one window of
+    # visits and a memo entry per distinct input, not pieces of the trace
+    program = parse_source("".join(f"top.s{k} != top.s{k}@-1: {{ }}\n" for k in range(20)))
+    peaks = []
+    for count in (5_000, 20_000):
+        env = Environment(parse_vcd(io.StringIO(waves_vcd(count, 20))))
+        sweep = [(ordinal, statement, interp._head(statement, env, set()))
+                 for ordinal, statement in enumerate(program.statements, start=1)]
+        tracemalloc.start()
+        try:
+            visits = sum(len(kinds) for _, kinds in interp._plan(env, sweep))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert visits == sum((count - 1) // (k + 1) for k in range(20))  # each change
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 # go high at 0-4; s high at 1, 4 and 5; bus defined at 0-2 and 5, with an x at 3-4
