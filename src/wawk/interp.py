@@ -29,8 +29,8 @@ where the head held without raising the visit does not evaluate it
 again. The plan is made one window of indexes at a time (_WINDOW), just
 ahead of the sweep. When a statement's first condition reads anything
 else, or a sweep statement calls `alias`, every statement is visited at
-every index. A plan is kept beside its waveform from its second run on,
-and `--all` reads it instead of narrowing again.
+every index. A waveform keeps the plan of its latest sweep from that
+sweep's second run in a row on, and `--all` reads it instead of narrowing.
 
 Value domain: Python ints, strings, lists, four-state logic Values, and
 two absence markers. UNBOUND is what reading a never-assigned variable
@@ -594,10 +594,10 @@ def _narrow(test, reads: list, count: int, pieces: list, unproven: tuple, memo: 
     kept in `memo` across pieces and calls; where it raised, the part takes
     the `unproven` visit, which evaluates every condition and so raises
     the same error in the sweep."""
-    # keyed by the ids of the values read, which the cuts carry: sound
-    # because a stored value or a marker stays alive while the plan is
-    # made, and a read before a series' first change, a new all-x value,
-    # frees its id for nothing but another all-x read of that slot
+    # keyed by the ids of the values read, which the cuts carry: stored
+    # values, markers and the cached all-x values stay alive while the plan
+    # is made. Equal values that are distinct objects are distinct keys, and
+    # every vector change the reader stores is a new Value
     parts = []
     for lo, hi, statement in pieces:
         current = [id(_read(series, lo + k, count)) for series, k in reads] + [None]
@@ -629,7 +629,7 @@ def _narrow(test, reads: list, count: int, pieces: list, unproven: tuple, memo: 
 
 _WINDOW = 1024  # indexes the planner narrows and holds at a time
 
-# waveform -> {sweep key: False once seen, then its visits}; see _plan
+# waveform -> (its latest sweep key, that key's visits or None); see _plan
 _PLANS = weakref.WeakKeyDictionary()
 
 
@@ -651,9 +651,10 @@ def _plan(env: Environment, sweep: list) -> Iterator | None:
     evaluated again.
 
     The visits depend only on the statements, their ordinals and the
-    (series, offset) reads of their heads, their key beside the waveform.
-    The first run with a key keeps nothing, since a script run once never
-    reads its visits again; the second keeps them for every later run."""
+    (series, offset) reads of their heads, their key. A waveform keeps one
+    slot: its latest key and, from that key's second run in a row on, its
+    visits. A script run once never reads them again, and a new key takes
+    the slot, so many scripts keep one plan per waveform."""
     narrowings, key = [], []
     for ordinal, statement, head in sweep:
         if not head:
@@ -675,15 +676,14 @@ def _plan(env: Environment, sweep: list) -> Iterator | None:
                         buckets[index].append(visit)
             yield from sorted(buckets.items())
 
-    plans = _PLANS.setdefault(env.waveform, {})
     key = tuple(key)
-    kept = plans.get(key)
-    if kept is None:
-        plans[key] = False
+    kept = _PLANS.get(env.waveform)
+    if kept is None or kept[0] != key:
+        _PLANS[env.waveform] = key, None
         return windows()
-    if kept is False:
-        kept = plans[key] = list(windows())
-    return iter(kept)
+    if kept[1] is None:
+        kept = _PLANS[env.waveform] = key, list(windows())
+    return iter(kept[1])
 
 
 def execute(

@@ -20,7 +20,8 @@ statement, not an expression, and its target is a plain undotted name.
 
 Nesting through parentheses, unary operators, binary operators,
 subscripts, call arguments, list literals and if bodies is limited to
-MAX_DEPTH levels. A chain such as `a + b + c` or `m[i][j]` nests one
+MAX_DEPTH levels, and each such level is parsed through one method,
+`_Parser.nested`. A chain such as `a + b + c` or `m[i][j]` nests one
 level per link: its tree is as deep as it is long.
 """
 
@@ -29,11 +30,20 @@ from .errors import WawkSyntaxError
 from .lexer import Token, tokenize
 
 # The parser, the interpreter and the tests' source printer all recurse
-# once or more per nesting level; a parenthesis costs the parser four
-# frames, 271 at the limit. Without a limit, deep input exhausts Python's
-# default 1000-frame stack, and 64 levels leave room for the caller's own
-# frames, pytest's included.
+# once or more per nesting level. A list literal costs the parser the most,
+# six frames a level (nested, expr_list, expr, unary, postfix, primary):
+# 395 above parse_source's caller at the limit. Without a limit, deep input
+# exhausts Python's default 1000-frame stack, and 64 levels leave room for
+# the caller's own frames, pytest's included.
 MAX_DEPTH = 64
+
+# The expressions one token makes, by the token's kind.
+_LEAVES = {
+    "INT": lambda tok: ast.IntLit(tok.value),
+    "STRING": lambda tok: ast.StrLit(tok.value),
+    "IDENT": lambda tok: ast.Ident(tok.text),
+    "INDEX": lambda tok: ast.CurrentIndex(),
+}
 
 
 class _Parser:
@@ -73,15 +83,18 @@ class _Parser:
             return self.advance()
         self.fail(f"expected {kind!r} {context}", tok)
 
-    def enter(self, tok: Token) -> None:
-        """Open one nesting level at `tok`; the caller closes it with
-        `self.depth -= 1`. The level counts from the deepest one the tree
-        built so far reaches, so each link of a chain such as `a + b + c`
-        or `m[i][j]` adds one."""
+    def nested(self, tok: Token, parse, *args):
+        """Return `parse(*args)` one nesting level deeper, the level opened
+        at `tok`. The level counts from the deepest one the tree built so
+        far reaches, so each link of a chain such as `a + b + c` or
+        `m[i][j]` adds one."""
         self.peak += 1
         if self.peak > MAX_DEPTH:
             raise WawkSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.col)
         self.depth += 1
+        node = parse(*args)
+        self.depth -= 1
+        return node
 
     def fail(self, message: str, tok: Token):
         if tok.kind == "RESERVED":
@@ -155,14 +168,10 @@ class _Parser:
     def body(self) -> tuple:
         """A brace block, or a single statement treated as one."""
         self.peak = self.depth  # count from the if, not from its condition
-        self.enter(self.peek())
         if self.check("{"):
-            body = self.block()
-        else:
-            stmt = self.stmt()
-            body = (stmt,) if stmt is not None else ()
-        self.depth -= 1
-        return body
+            return self.nested(self.peek(), self.block)
+        stmt = self.nested(self.peek(), self.stmt)
+        return (stmt,) if stmt is not None else ()
 
     # --- expressions ---
 
@@ -176,9 +185,7 @@ class _Parser:
         node = self.unary()
         while (prec := ast.PRECEDENCE.get(self.peek().kind, -1)) >= level:
             tok = self.advance()
-            self.enter(tok)
-            node = ast.Binary(tok.kind, node, self.expr(prec + 1))
-            self.depth -= 1
+            node = ast.Binary(tok.kind, node, self.nested(tok, self.expr, prec + 1))
         self.peak = max(outer, self.peak)
         return node
 
@@ -192,10 +199,7 @@ class _Parser:
     def unary(self):
         if self.peek().kind in ("!", "-"):
             tok = self.advance()
-            self.enter(tok)
-            node = ast.Unary(tok.kind, self.unary())
-            self.depth -= 1
-            return node
+            return ast.Unary(tok.kind, self.nested(tok, self.unary))
         return self.postfix()
 
     def postfix(self):
@@ -204,19 +208,13 @@ class _Parser:
             if self.accept("@"):
                 node = self.offset_ref(node)
             elif self.check("["):
-                self.enter(self.advance())
-                index = self.expr()
+                node = ast.Subscript(node, self.nested(self.advance(), self.expr))
                 self.expect("]", "after subscript")
-                self.depth -= 1
-                node = ast.Subscript(node, index)
             elif self.check("("):
                 if not isinstance(node, ast.Ident):
                     self.fail("only a named function can be called", self.peek())
-                self.enter(self.advance())
-                args = self.expr_list(")")
+                node = ast.Call(node.name, self.nested(self.advance(), self.expr_list, ")"))
                 self.expect(")", "after call arguments")
-                self.depth -= 1
-                node = ast.Call(node.name, args)
             else:
                 return node
 
@@ -233,31 +231,17 @@ class _Parser:
 
     def primary(self):
         tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            return ast.IntLit(tok.value)
-        if tok.kind == "STRING":
-            self.advance()
-            return ast.StrLit(tok.value)
-        if tok.kind == "IDENT":
-            self.advance()
-            return ast.Ident(tok.text)
-        if tok.kind == "INDEX":
-            self.advance()
-            return ast.CurrentIndex()
+        if tok.kind in _LEAVES:
+            return _LEAVES[tok.kind](self.advance())
         if tok.kind == "[":
-            self.enter(self.advance())
-            items = self.expr_list("]")
+            node = ast.ListLit(self.nested(self.advance(), self.expr_list, "]"))
             self.expect("]", "after list literal")
-            self.depth -= 1
-            return ast.ListLit(items)
-        if tok.kind == "(":
-            self.enter(self.advance())
-            node = self.expr()
+        elif tok.kind == "(":
+            node = self.nested(self.advance(), self.expr)
             self.expect(")", "after parenthesized expression")
-            self.depth -= 1
-            return node
-        self.fail("expected an expression", tok)
+        else:
+            self.fail("expected an expression", tok)
+        return node
 
 
 def parse_program(tokens: list[Token]) -> ast.Program:

@@ -80,6 +80,11 @@ def ascii_int(text: str, base: int = 10) -> int | None:
         return None
 
 
+def _quote(text: str) -> str:
+    """Dump text as an error message quotes it: its first 64 characters at most."""
+    return repr(text) if len(text) <= 64 else f"{text[:64]!r} (first 64 of {len(text)} characters)"
+
+
 def _is_range(text: str) -> bool:
     return text.startswith("[") and text.endswith("]")
 
@@ -90,7 +95,7 @@ def _parse_timescale(parts: list[str], line: int) -> tuple[int, str]:
     unit = text[len(digits) :]
     magnitude = ascii_int(digits)
     if unit not in _TIME_UNITS or magnitude is None:
-        raise VcdError(f"invalid $timescale {' '.join(parts)!r}", line)
+        raise VcdError(f"invalid $timescale {_quote(' '.join(parts))}", line)
     return magnitude, unit
 
 
@@ -107,10 +112,10 @@ def _line_table(ids: dict[str, SignalSeries]) -> dict[str, tuple[array, list, Va
 
 def _parse_scope(parts: list[str], line: int, scope_path: list[str]) -> None:
     if len(parts) != 2:
-        raise VcdError(f"malformed $scope {' '.join(parts)!r}", line)
+        raise VcdError(f"malformed $scope {_quote(' '.join(parts))}", line)
     scope_type, name = parts
     if scope_type not in _SCOPE_TYPES:
-        raise VcdError(f"unsupported scope type {scope_type!r}", line)
+        raise VcdError(f"unsupported scope type {_quote(scope_type)}", line)
     scope_path.append(name)
 
 
@@ -119,27 +124,27 @@ def _parse_var(parts: list[str], line: int, scope_path: list[str], ids: dict[str
     # $var <type> <width> <id> <name> [<range>] $end; the range may hold spaces
     selected = "".join(parts[4:])  # the range, or ""; it is dropped from the name
     if len(parts) < 4 or (len(parts) > 5 and not _is_range(selected)):
-        raise VcdError(f"malformed $var {' '.join(parts)!r}", line)
+        raise VcdError(f"malformed $var {_quote(' '.join(parts))}", line)
     var_type, width_text, id_code, short_name = parts[:4]
     if var_type not in _VAR_TYPES:
-        raise VcdError(f"unsupported variable type {var_type!r}", line)
+        raise VcdError(f"unsupported variable type {_quote(var_type)}", line)
     width = ascii_int(width_text)
     if width is None or width < 1:
-        raise VcdError(f"invalid $var width {width_text!r}", line)
+        raise VcdError(f"invalid $var width {_quote(width_text)}", line)
     if width > MAX_WIDTH:
         raise VcdError(f"$var width {width_text} is over the limit of {MAX_WIDTH} bits", line)
     if len(parts) == 5 and not _is_range(parts[4]):
-        raise VcdError(f"unexpected trailing token {parts[4]!r} in $var", line)
+        raise VcdError(f"unexpected trailing token {_quote(parts[4])} in $var", line)
     name = ".".join(scope_path + [short_name])
     if name in signals:
         was = ranges[name]
         selects = f" for bit-selects {was} and {selected}" if was and selected else ""
-        raise VcdError(f"duplicate signal name {name!r}{selects}", line)
+        raise VcdError(f"duplicate signal name {_quote(name)}{selects}", line)
     ranges[name] = selected
     series = ids.setdefault(id_code, SignalSeries(width, array("Q"), []))
     if series.width != width:
         raise VcdError(
-            f"id code {id_code!r} re-declared with width {width}, was {series.width}", line)
+            f"id code {_quote(id_code)} re-declared with width {width}, was {series.width}", line)
     signals[name] = series
 
 
@@ -171,10 +176,10 @@ def parse_vcd(stream: IO[str]) -> Waveform:
     def store(bits: str, id_code: str, line: int) -> None:
         series = ids.get(id_code)
         if series is None:
-            raise VcdError(f"undeclared id code {id_code!r}", line)
+            raise VcdError(f"undeclared id code {_quote(id_code)}", line)
         width = series.width
         if len(bits) > width:
-            raise VcdError(f"{len(bits)}-bit value for {width}-bit id code {id_code!r}", line)
+            raise VcdError(f"{len(bits)}-bit value for {width}-bit id code {_quote(id_code)}", line)
         value = SCALARS[bits] if width == 1 else Value(bits, width)
         indexes = series.indexes
         if indexes and indexes[-1] == cur:
@@ -240,12 +245,12 @@ def parse_vcd(stream: IO[str]) -> Waveform:
                 if header:
                     if tok not in _HEADER_DIRECTIVES:
                         what = "unsupported directive" if c == "$" else "unexpected token"
-                        raise VcdError(f"{what} {tok!r} in header", line)
+                        raise VcdError(f"{what} {_quote(tok)} in header", line)
                     name, parts = tok, []
                 elif c == "#":
                     t = ascii_int(tok[1:])
                     if t is None:
-                        raise VcdError(f"invalid timestamp {tok!r}", line)
+                        raise VcdError(f"invalid timestamp {_quote(tok)}", line)
                     if t <= last:
                         message = f"timestamp #{t} does not increase (previous #{last})"
                         raise VcdError(message, line)
@@ -260,18 +265,18 @@ def parse_vcd(stream: IO[str]) -> Waveform:
                 elif c in "bB":
                     bits = tok[1:].lower()
                     if not bits or not BIT_CHARS.issuperset(bits):
-                        raise VcdError(f"invalid vector value {tok!r}", line)
+                        raise VcdError(f"invalid vector value {_quote(tok)}", line)
                     vector_bits = bits
                 elif c in "rR":
-                    raise VcdError(f"real-number change {tok!r} is not supported", line)
+                    raise VcdError(f"real-number change {_quote(tok)} is not supported", line)
                 elif tok in _DUMP_BLOCKS:
                     pass  # a dump block's changes apply at the current index
                 elif tok in _SKIP_DIRECTIVES:
                     name = tok
                 elif c == "$":
-                    raise VcdError(f"unsupported directive {tok!r} in change region", line)
+                    raise VcdError(f"unsupported directive {_quote(tok)} in change region", line)
                 else:
-                    raise VcdError(f"unrecognized token {tok!r} in change region", line)
+                    raise VcdError(f"unrecognized token {_quote(tok)} in change region", line)
             # the table is empty in the header, and with no 1-bit id code or
             # under the tests' token-loop oracle: timestamps take the token loop too
             fast = bool(table) and name is None and vector_bits is None

@@ -38,7 +38,7 @@ def run_script(source: str, waveform: Waveform, args=()):
     return out.getvalue(), env
 
 
-NESTINGS = ("parens", "minus", "not", "subscript", "call", "list", "if", "sum")
+NESTINGS = ("parens", "minus", "not", "subscript", "call", "list", "if", "sum", "block", "else")
 
 
 def nested_statement(kind: str, depth: int) -> str:
@@ -47,6 +47,10 @@ def nested_statement(kind: str, depth: int) -> str:
     subscript kind indexes a variable `l` holding [0]."""
     if kind == "if":
         return "if (1) " * depth + "v_if = 1;"
+    if kind == "block":  # brace bodies
+        return "if (1) { " * depth + "v_block = 1;" + " }" * depth
+    if kind == "else":  # else bodies, each after an empty then body
+        return "if (0) ; else " * depth + "v_else = 1;"
     if kind == "sum":  # a chain of `depth` operators, depth + 1 terms
         return "v_sum = " + "0 + " * depth + "1;"
     if kind == "call":  # min([...]) opens two levels, the call and the list
@@ -66,11 +70,11 @@ def nested_statement(kind: str, depth: int) -> str:
 
 def nested_script(depth: int) -> str:
     """A BEGIN-only script with one statement per NESTINGS kind at `depth`
-    levels; at an even depth it prints "1 1 1 0 1 1 1 1"."""
+    levels; at an even depth it prints "1 1 1 0 1 1 1 1 1 1"."""
     lines = ["BEGIN: {", "l = [0];"]
     lines += [nested_statement(kind, depth) for kind in NESTINGS]
-    lines.append('printf("%d %d %d %d %d %d %d %d\\n", v_parens, v_minus, v_not, '
-                 "v_subscript, v_call, length(v_list), v_if, v_sum);")
+    lines.append('printf("%d %d %d %d %d %d %d %d %d %d\\n", v_parens, v_minus, v_not, '
+                 "v_subscript, v_call, length(v_list), v_if, v_sum, v_block, v_else);")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -418,12 +418,12 @@ class TestRun:
         message = f"{deeper}:3:{col}: nesting deeper than {MAX_DEPTH} levels\n"
 
         assert main(["run", str(deepest), str(small_vcd)]) == 0
-        assert capsys.readouterr().out == "1 1 1 0 1 1 1 1\n"
+        assert capsys.readouterr().out == "1 1 1 0 1 1 1 1 1 1\n"
         assert main(["run", str(deeper), str(small_vcd)]) == 2
         assert capsys.readouterr().err == f"wawk: {message}"
 
         proc = _run_wawk(["run", str(deepest), str(small_vcd)], capture_output=True)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1 1 0 1 1 1 1\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 1 1 0 1 1 1 1 1 1\n", "")
         proc = _run_wawk(["run", str(deeper), str(small_vcd)], capture_output=True)
         assert (proc.returncode, proc.stderr) == (2, f"wawk: {message}")
 

@@ -1,5 +1,6 @@
 import io
 import random
+import sys
 
 import pytest
 
@@ -220,7 +221,7 @@ class TestDepthLimit:
         program = parse_source(nested_script(MAX_DEPTH))
         out = io.StringIO()
         execute(program, make_waveform(0, {}), out=out)
-        assert out.getvalue() == "1 1 1 0 1 1 1 1\n"
+        assert out.getvalue() == "1 1 1 0 1 1 1 1 1 1\n"
         assert to_source(program).startswith("BEGIN: {")
 
     @pytest.mark.parametrize("kind", NESTINGS)
@@ -232,6 +233,31 @@ class TestDepthLimit:
             parse_source("BEGIN: {\n" + nested_statement(kind, MAX_DEPTH + 1) + "\n}")
         assert exc.value.line == 2
         assert exc.value.col > 1
+
+    @pytest.mark.parametrize("kind, body", [("if", "v_if"), ("block", "{"), ("else", "; else")])
+    def test_a_body_past_the_limit_is_located_at_its_first_token(self, kind, body):
+        source = nested_statement(kind, MAX_DEPTH + 1)
+        col = source.rindex(body) + 1  # for else: the innermost if's then body
+        with raises_exactly(WawkSyntaxError, f"2:{col}: nesting deeper than {MAX_DEPTH} levels"):
+            parse_source("BEGIN: {\n" + source + "\n}")
+
+    def test_every_kind_parses_at_the_limit_within_400_frames(self):
+        # a refactor that spends more frames per level fails here, before
+        # deep scripts reach the default 1000-frame stack
+        def calls_left(depth=0):
+            try:
+                return calls_left(depth + 1)
+            except RecursionError:
+                return depth
+
+        sources = ["BEGIN: {\n" + nested_statement(kind, MAX_DEPTH) + "\n}" for kind in NESTINGS]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit - calls_left() + 400)
+        try:
+            for source in sources:
+                parse_source(source)
+        finally:
+            sys.setrecursionlimit(limit)
 
     @pytest.mark.parametrize("link", [" + 1", " && 1", "[0]"])
     def test_a_chain_nests_one_level_per_link(self, link):

@@ -33,7 +33,7 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import reference_eval  # noqa: E402
-from conftest import make_waveform  # noqa: E402
+from conftest import make_waveform, run_script  # noqa: E402
 from printer import to_source  # noqa: E402
 from test_properties import PROGRAMS, PROPERTY, RUNNING, WAVE, bodies, top_exprs  # noqa: E402
 from wawk import ast, interp  # noqa: E402
@@ -691,10 +691,12 @@ class TestWorkCounts:
              ("top.c && !top.a@1", [("top.c", 0), ("top.a", 1)]),
              ("top.b || top.c@-2", [("top.b", 0), ("top.c", -2)])]
 
-    def test_each_head_is_tested_once_per_distinct_input(self, monkeypatch):
-        calls = {}  # (head source, caller) -> calls
-        heads = {parse_source(f"{h}: {{ }}").statements[0].trigger.exprs[0]: h
-                 for h, _ in self.HEADS}
+    @staticmethod
+    def counting(monkeypatch, sources) -> dict:
+        """A dict that counts the calls of each head condition in `sources`
+        by (source, caller), from the next run on."""
+        calls = {}
+        heads = {parse_source(f"{h}: {{ }}").statements[0].trigger.exprs[0]: h for h in sources}
         real = interp._compile
 
         def spy(node, env, cond, assigned):
@@ -710,6 +712,10 @@ class TestWorkCounts:
             return counted, reads
 
         monkeypatch.setattr(interp, "_compile", spy)
+        return calls
+
+    def test_each_head_is_tested_once_per_distinct_input(self, monkeypatch):
+        calls = self.counting(monkeypatch, [h for h, _ in self.HEADS])
         count = 120  # more than a window of 1, 2 or 7 indexes holds
         wave = parse_vcd(io.StringIO(toggle_vcd(count)))
         source = "".join(f"{h}: {{ n{i} = n{i} + 1; }}\n" for i, (h, _) in enumerate(self.HEADS))
@@ -722,6 +728,20 @@ class TestWorkCounts:
         assert tested == distinct == [3, 5, 6, 6]
         assert [caller for _, caller in calls] == ["_narrow"] * len(self.HEADS)
         assert [env.variables[f"n{i}"] for i in range(4)] == [119, 39, 18, 76]
+
+    def test_reads_before_a_first_change_are_one_input(self, monkeypatch):
+        # all_x is cached: every read of `late` before its one change is the
+        # same object, so 1,999 indexes give two inputs and the last a third.
+        # A wave made with a new Value per change (make_waveform) tests this
+        # head at every index: the memo keys values by identity
+        calls = self.counting(monkeypatch, ["s && !late"])
+        count = 2000
+        lines = ["$var wire 1 s s $end", "$var wire 1 l late $end", "$enddefinitions $end"]
+        for i in range(count):
+            lines += [f"#{i}", f"{i % 2}s"]
+        wave = parse_vcd(io.StringIO("\n".join(lines + ["1l"]) + "\n"))
+        assert run_script("s && !late: { n = INDEX; }", wave)[1].variables["n"] == count - 3
+        assert calls == {("s && !late", "_narrow"): 3}
 
     @pytest.mark.parametrize("window", [1, 2, 7])
     def test_the_head_tests_do_not_depend_on_the_window(self, monkeypatch, window):
@@ -846,11 +866,10 @@ class TestPlanReuse:
         program = parse_source("s: { n = INDEX; }")
         wave = reuse_wave()
         outcome(program, wave)
-        assert list(interp._PLANS[wave].values()) == [False]
+        assert interp._PLANS[wave][1] is None
         outcome(program, wave)
-        (kept,) = interp._PLANS[wave].values()
         # (statement ordinal, conditions proven): the head of one held
-        assert kept == [(1, [(1, 1)]), (4, [(1, 1)]), (5, [(1, 1)])]
+        assert interp._PLANS[wave][1] == [(1, [(1, 1)]), (4, [(1, 1)]), (5, [(1, 1)])]
         held = weakref.ref(wave)
         gc.collect()  # so only this waveform can leave the map below
         before = len(interp._PLANS)
@@ -859,6 +878,18 @@ class TestPlanReuse:
         assert held() is None
         assert len(interp._PLANS) == before - 1
 
+    def test_many_scripts_each_run_twice_keep_one_plan(self):
+        # a map of every key seen held 300 such plans, 766 MB over a wide
+        # trace, for as long as the waveform lived
+        wave = reuse_wave()
+        for k in range(50):
+            program = parse_source(f"s: {{ n = INDEX + {k}; }}")
+            for _ in range(2):
+                assert outcome(program, wave) == ("", f"{{'args': [], 'n': {5 + k}}}")
+            key, kept = interp._PLANS[wave]
+            assert key[0][1] is program.statements[0]
+            assert kept == [(1, [(1, 1)]), (4, [(1, 1)]), (5, [(1, 1)])]
+
     def test_a_kept_plan_runs_with_the_state_of_the_run_that_reads_it(self):
         program = parse_source('BEGIN: { n = 0; }\n'
                                's: { printf("%s%d ", args[0], INDEX); n = n + INDEX; }')
@@ -866,7 +897,6 @@ class TestPlanReuse:
         earlier = [io.StringIO(), io.StringIO()]
         for arg, out in zip("ab", earlier):
             execute(program, wave, args=[arg], out=out)
-        (kept,) = interp._PLANS[wave].values()
-        assert kept
+        assert interp._PLANS[wave][1]
         assert outcome(program, wave, ["c"]) == ("c1 c4 c5 ", "{'args': ['c'], 'n': 10}")
         assert [out.getvalue() for out in earlier] == ["a1 a4 a5 ", "b1 b4 b5 "]

@@ -246,7 +246,9 @@ class TestErrors:
         # nor more digits than int() converts (sys.get_int_max_str_digits())
         for stamp in ["#zap", "#", "#1_0", "#+11", "#\u0663", "#\u00b2", "#" + "9" * 5000]:
             text = f"$var wire 1 ! a $end\n$enddefinitions $end\n#0\n{stamp}\n"
-            with raises_exactly(VcdError, f"line 4: invalid timestamp {stamp!r}"):
+            shown = repr(stamp) if len(stamp) <= 64 else (
+                "'#" + "9" * 63 + "' (first 64 of 5001 characters)")
+            with raises_exactly(VcdError, f"line 4: invalid timestamp {shown}"):
                 parse(text)
 
     def test_garbage_token_rejected(self):
@@ -259,22 +261,39 @@ class TestErrors:
         with raises_exactly(VcdError, "line 4: timestamp #4 does not increase (previous #5)"):
             parse(text)
 
+    # dump text past 64 characters is quoted by its first 64 and its length
+    NINES = "'" + "9" * 64 + "' (first 64 of {} characters)"
+
     def test_bad_timescale(self):
         for timescale in ["sometime", "\u00b2ns", "+1ns", "1_0ns", "9" * 5000 + "ns"]:
             text = f"$comment x $end\n$timescale {timescale} $end\n$enddefinitions $end\n"
-            with raises_exactly(VcdError, f"line 2: invalid $timescale {timescale!r}"):
+            shown = repr(timescale) if len(timescale) <= 64 else self.NINES.format(5002)
+            with raises_exactly(VcdError, f"line 2: invalid $timescale {shown}"):
                 parse(text)
 
     def test_bad_var_width(self):
-        for width in ["0", "x", "+8", "1_6", "\u00b2", "\u0663", "9" * 5000, "65537",
-                      "100000000000"]:
+        for width in ["0", "x", "+8", "1_6", "\u00b2", "\u0663", "9" * 5000, "9" * 100_000,
+                      "65537", "100000000000"]:
             text = f"$comment x $end\n$var wire {width} ! a $end\n$enddefinitions $end\n"
             if width in ("65537", "100000000000"):
                 message = f"line 2: $var width {width} is over the limit of 65536 bits"
+            elif len(width) > 64:
+                message = f"line 2: invalid $var width {self.NINES.format(len(width))}"
             else:
                 message = f"line 2: invalid $var width {width!r}"
             with raises_exactly(VcdError, message):
                 parse(text)
+
+    @pytest.mark.parametrize("token, shown", [
+        ("q" * 64, "unrecognized token '" + "q" * 64 + "' in change region"),
+        ("q" * 100_000, "unrecognized token '" + "q" * 64
+         + "' (first 64 of 100000 characters) in change region"),
+        ("b" + "2" * 100_000, "invalid vector value 'b" + "2" * 63
+         + "' (first 64 of 100001 characters)"),
+    ], ids=["64-characters", "100000-characters", "vector-value"])
+    def test_a_long_token_is_quoted_by_its_first_64_characters(self, token, shown):
+        with raises_exactly(VcdError, f"line 20: {shown}"):
+            parse(BASIC + token + "\n")
 
     # a directive's error names the line of its $end, or of the end of file
     @pytest.mark.parametrize("text, message", [
@@ -545,7 +564,8 @@ class TestBlockEdges:
         if not limit:
             pytest.skip("int() converts any number of digits here")
         stamp = "#" + "1" * (limit + 1)
-        with raises_exactly(VcdError, f"line 20: invalid timestamp {stamp!r}"):
+        shown = f"'#{'1' * 63}' (first 64 of {limit + 2} characters)"
+        with raises_exactly(VcdError, f"line 20: invalid timestamp {shown}"):
             parse(BASIC + stamp + "\n")
 
     # BASIC's change region one token a line (lines 7-22), then `tail`;
