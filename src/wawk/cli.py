@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 from importlib import resources
 
-from .errors import ParseFailure, RunFailure, WawkSyntaxError
+from .errors import ParseFailure, RunFailure, WawkSyntaxError, quote
 from .interp import execute
 from .parser import parse_source
 from .riscv import MNEMONICS, decode
@@ -38,7 +38,7 @@ def _option_int(text: str) -> int:
     numbers; the spec check then refuses those out of range."""
     value = ascii_int(text.removeprefix("-"))
     if value is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)}")
     return -value if text.startswith("-") else value
 
 
@@ -106,8 +106,8 @@ def _cmd_run(opts) -> int:
     if opts.script.startswith("@"):
         try:
             source = bundled_script(opts.script[1:])
-        except FileNotFoundError:
-            return _fail(f"no bundled script named {opts.script!r}", 2)
+        except OSError:  # not found, or a name too long to look up
+            return _fail(f"no bundled script named {quote(opts.script)}", 2)
     elif opts.script == "-" and opts.vcd == "-":
         return _fail("only one of the script and the VCD can come from stdin", 2)
     else:
@@ -172,9 +172,9 @@ def _cmd_gen(opts) -> int:
 def _cmd_decode(opts) -> int:
     word = ascii_int(opts.word, 16)
     if word is None:
-        return _fail(f"{opts.word!r} is not a hexadecimal instruction word", 2)
+        return _fail(f"{quote(opts.word)} is not a hexadecimal instruction word", 2)
     if word > 0xFFFFFFFF:
-        return _fail(f"{opts.word!r} does not fit in 32 bits", 2)
+        return _fail(f"{quote(opts.word)} does not fit in 32 bits", 2)
     print(decode(word))
     return 0
 

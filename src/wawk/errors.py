@@ -5,8 +5,18 @@ anything wrong with an input file and maps to exit code 2: VcdError for a
 dump, WawkSyntaxError for script source, InvalidSpecError for a generator
 spec. RunFailure covers errors raised while a parsed script executes and
 maps to exit code 1. The class says which input is at fault; the message
-says what is wrong with it.
+says what is wrong with it, and quote keeps any input text it repeats short.
 """
+
+
+def quote(text: object) -> str:
+    """Input as an error message repeats it: the repr of a str, or of any
+    other value, cut to its first 64 characters and then its length."""
+    shown = text if isinstance(text, str) else repr(text)
+    if len(shown) <= 64:
+        return repr(text)
+    clipped = repr(shown[:64]) if isinstance(text, str) else shown[:64]
+    return f"{clipped} (first 64 of {len(shown)} characters)"
 
 
 class WawkError(Exception):

@@ -57,9 +57,9 @@ from operator import add, eq, ge, gt, itemgetter, le, lt, ne, sub
 from typing import IO, Iterator, Sequence
 
 from . import ast
-from .errors import RunFailure
+from .errors import RunFailure, quote
 from .riscv import decode as _decode_word
-from .value import Value
+from .value import SCALARS, Value
 from .vcd import MAX_WIDTH
 from .waveform import Waveform
 
@@ -294,7 +294,7 @@ class Environment:
         OUT_OF_RANGE when that lands outside the trace. `index` is None
         outside the sweep."""
         if index is None:
-            raise RunFailure(f"signal {name!r} can only be read during the index sweep")
+            raise RunFailure(f"signal {quote(name)} can only be read during the index sweep")
         series = self.waveform.series(self.aliases.get(name, name))  # raises if unknown
         return _read(series, index + offset, self.count)
 
@@ -304,12 +304,12 @@ class Environment:
         if name in self.aliases or name in self.waveform.signals:
             return self.sample(name, index, 0)
         if name in self.modules:
-            raise RunFailure(f"{name!r} is a native module, not a value")
+            raise RunFailure(f"{quote(name)} is a native module, not a value")
         if "." in name:
-            raise RunFailure(f"unknown signal {name!r}")
+            raise RunFailure(f"unknown signal {quote(name)}")
         if cond:
             return UNBOUND
-        raise RunFailure(f"unbound variable {name!r}")
+        raise RunFailure(f"unbound variable {quote(name)}")
 
     # --- special forms: they read their arguments as names ---
 
@@ -318,12 +318,12 @@ class Environment:
             raise RunFailure("alias takes two names: alias(short, target)")
         short, target = (a.name for a in arg_nodes)
         if "." in short:
-            raise RunFailure(f"alias name {short!r} must be a plain identifier")
+            raise RunFailure(f"alias name {quote(short)} must be a plain identifier")
         if short in self.aliases:
-            raise RunFailure(f"alias {short!r} is already defined")
+            raise RunFailure(f"alias {quote(short)} is already defined")
         resolved = self.aliases.get(target, target)
         if resolved not in self.waveform.signals:
-            raise RunFailure(f"unknown signal {resolved!r}")
+            raise RunFailure(f"unknown signal {quote(resolved)}")
         self.aliases[short] = resolved
         return UNBOUND
 
@@ -332,7 +332,7 @@ class Environment:
             raise RunFailure("import takes one module name")
         name = arg_nodes[0].name
         if name not in self.modules:
-            raise RunFailure(f"unknown native module {name!r}")
+            raise RunFailure(f"unknown native module {quote(name)}")
         self.imported.add(name)
         return UNBOUND
 
@@ -349,12 +349,12 @@ class Environment:
         full = arg_nodes[0].name
         module, _, func = full.rpartition(".")
         if not module:
-            raise RunFailure(f"call target {full!r} must be module.function")
+            raise RunFailure(f"call target {quote(full)} must be module.function")
         if module not in self.imported:
-            raise RunFailure(f"module {module!r} has not been imported")
+            raise RunFailure(f"module {quote(module)} has not been imported")
         fn = self.modules[module].get(func)
         if fn is None:
-            raise RunFailure(f"module {module!r} has no function {func!r}")
+            raise RunFailure(f"module {quote(module)} has no function {quote(func)}")
         return fn
 
 
@@ -365,7 +365,7 @@ def _current(index: int | None) -> int:
 
 
 def _unknown(func: str):
-    raise RunFailure(f"unknown function {func!r}")
+    raise RunFailure(f"unknown function {quote(func)}")
 
 
 def _subscript(base: object, index: object) -> object:
@@ -576,11 +576,13 @@ def _cuts(r: int, series, k: int, count: int, lo: int, hi: int) -> list:
     """The cuts in (lo, hi), ascending, of read number `r`, `sig@k`, as
     (b, r, id(value)) triples: from index b on, the read gives `value`. It
     enters the trace at -k with sig's value at 0, takes each of sig's
-    changes at that change's index less k, and leaves the trace at count - k."""
-    indexes, values = series.indexes, series.values
+    changes at that change's index less k, and leaves the trace at count - k.
+    A 1-bit value is decoded from its code as SignalSeries.value_at does."""
+    indexes, values, scalar = series.indexes, series.values, series.width == 1
     cuts = [(-k, r, id(series.value_at(0)))] if lo < -k < hi else []
     changes = range(bisect_right(indexes, lo + k), bisect_left(indexes, min(hi + k, count)))
-    cuts += [(indexes[j] - k, r, id(values[j])) for j in changes]
+    cuts += [(indexes[j] - k, r, id(SCALARS[values[j]] if scalar else values[j]))
+             for j in changes]
     if lo < count - k < hi:
         cuts.append((count - k, r, id(OUT_OF_RANGE)))
     return cuts
@@ -594,10 +596,11 @@ def _narrow(test, reads: list, count: int, pieces: list, unproven: tuple, memo: 
     kept in `memo` across pieces and calls; where it raised, the part takes
     the `unproven` visit, which evaluates every condition and so raises
     the same error in the sweep."""
-    # keyed by the ids of the values read, which the cuts carry: stored
-    # values, markers and the cached all-x values stay alive while the plan
-    # is made. Equal values that are distinct objects are distinct keys, and
-    # every vector change the reader stores is a new Value
+    # keyed by the ids of the values read, which the cuts carry: the shared
+    # 1-bit values, stored vector values, markers and the cached all-x
+    # values stay alive while the plan is made. Equal values that are
+    # distinct objects are distinct keys, and every vector change the
+    # reader stores is a new Value
     parts = []
     for lo, hi, statement in pieces:
         current = [id(_read(series, lo + k, count)) for series, k in reads] + [None]

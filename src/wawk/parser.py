@@ -26,7 +26,7 @@ level per link: its tree is as deep as it is long.
 """
 
 from . import ast
-from .errors import WawkSyntaxError
+from .errors import WawkSyntaxError, quote
 from .lexer import Token, tokenize
 
 # The parser, the interpreter and the tests' source printer all recurse
@@ -99,10 +99,10 @@ class _Parser:
     def fail(self, message: str, tok: Token):
         if tok.kind == "RESERVED":
             raise WawkSyntaxError(
-                f"{tok.text!r} is reserved and not supported here", tok.line, tok.col
+                f"{quote(tok.text)} is reserved and not supported here", tok.line, tok.col
             )
         shown = tok.text if tok.kind != "EOF" else "end of input"
-        raise WawkSyntaxError(f"{message}, found {shown!r}", tok.line, tok.col)
+        raise WawkSyntaxError(f"{message}, found {quote(shown)}", tok.line, tok.col)
 
     # --- grammar ---
 

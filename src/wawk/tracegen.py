@@ -32,7 +32,7 @@ import math
 from bisect import bisect_right
 from collections import namedtuple
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, quote
 from .riscv import MNEMONICS, decode
 from .vcd import ascii_int
 
@@ -143,14 +143,14 @@ def _validate(spec: TraceSpec) -> None:
             raise InvalidSpecError(f"instruction {k}: expected (word, cycles)")
         word, cycles = pair
         if not _int_in(word, 0, 0xFFFFFFFF):
-            raise InvalidSpecError(f"instruction {k}: word {word!r} is not a 32-bit value")
+            raise InvalidSpecError(f"instruction {k}: word {quote(word)} is not a 32-bit value")
         if not _int_in(cycles, 1, math.inf):
-            raise InvalidSpecError(f"instruction {k}: cycle count {cycles!r} must be >= 1")
+            raise InvalidSpecError(f"instruction {k}: cycle count {quote(cycles)} must be >= 1")
     if not _int_in(spec.clock_half_period, 1, math.inf):
-        raise InvalidSpecError(f"clock half period {spec.clock_half_period!r} must be >= 1")
+        raise InvalidSpecError(f"clock half period {quote(spec.clock_half_period)} must be >= 1")
     if not _int_in(spec.dummy_signals, 0, MAX_DUMMY_SIGNALS):
         raise InvalidSpecError(
-            f"dummy signal count {spec.dummy_signals!r} must be 0..{MAX_DUMMY_SIGNALS}"
+            f"dummy signal count {quote(spec.dummy_signals)} must be 0..{MAX_DUMMY_SIGNALS}"
         )
 
 
@@ -330,15 +330,15 @@ def parse_spec_file(text: str) -> TraceSpec:
         parts = line.split()
         if len(parts) != 2:
             raise InvalidSpecError(
-                f"line {lineno}: expected '<hex word> <cycles>', got {raw.strip()!r}"
+                f"line {lineno}: expected '<hex word> <cycles>', got {quote(raw.strip())}"
             )
         word, cycles = ascii_int(parts[0], 16), ascii_int(parts[1])
         if word is None:
-            raise InvalidSpecError(f"line {lineno}: bad instruction word {parts[0]!r}")
+            raise InvalidSpecError(f"line {lineno}: bad instruction word {quote(parts[0])}")
         if cycles is None:
-            raise InvalidSpecError(f"line {lineno}: bad cycle count {parts[1]!r}")
+            raise InvalidSpecError(f"line {lineno}: bad cycle count {quote(parts[1])}")
         if word > 0xFFFFFFFF:
-            raise InvalidSpecError(f"line {lineno}: word {parts[0]!r} does not fit in 32 bits")
+            raise InvalidSpecError(f"line {lineno}: word {quote(parts[0])} does not fit in 32 bits")
         if cycles < 1:
             raise InvalidSpecError(f"line {lineno}: cycle count must be >= 1")
         instructions.append((word, cycles))

@@ -53,8 +53,9 @@ class Value:
 
 
 # Scalar changes dominate any realistic dump (every clock edge is one), so
-# the four one-bit values are shared singletons.
-SCALARS = {b: Value(b) for b in "01xz"}
+# the four one-bit values are shared singletons. A 1-bit SignalSeries keeps
+# each of its values as a one-byte code, that value's position here.
+SCALARS = tuple(Value(b) for b in "01xz")
 
 
 @cache

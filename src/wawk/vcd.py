@@ -18,26 +18,28 @@ changes for one signal at the same index keep the last one. A vector
 change is stored as the dump wrote it, with its id code's declared width
 (see wawk.value for the extension rule). A $var may be at most MAX_WIDTH
 (65,536) bits wide, and names that share an id code share one SignalSeries.
-The time axis and each series' change indexes are kept in array('Q'); the
-axis turns into a list at the first timestamp past 2**64 - 1.
+A 1-bit series stores one byte per change (see SignalSeries). The time
+axis is kept in array('Q'), and turns into a list at the first timestamp
+past 2**64 - 1. Change indexes are kept in array('I') until the axis may
+outgrow it, and from then on every series' indexes are array('Q').
 
 The whole dump is read a block of _BLOCK characters at a time, split
 into lines on "\\n", the only line end left by the universal newlines of
 every stream wawk opens, and one token loop reads the header and then the
 changes; directives may span lines. Past the header, a line that sets a
 1-bit id code to 0 or 1 (`1!`) is looked up whole in a table built at
-$enddefinitions, and a line that is one increasing timestamp of at most
-19 digits (`#40`) is stepped directly; any other line, and every line
-inside a $comment-style block or after a vector that waits for its id
-code, goes through the token loop, which is the reference reading and
-raises every error.
+$enddefinitions, and built again when the indexes widen, and a line that
+is one increasing timestamp of at most 19 digits (`#40`) is stepped
+directly; any other line, and every line inside a $comment-style block
+or after a vector that waits for its id code, goes through the token
+loop, which is the reference reading and raises every error.
 """
 
 from array import array
 from operator import length_hint
 from typing import IO, Iterator
 
-from .errors import VcdError
+from .errors import VcdError, quote
 from .value import BIT_CHARS, SCALARS, Value
 from .waveform import SignalSeries, Waveform
 
@@ -52,6 +54,8 @@ _DUMP_BLOCKS = ("$dumpvars", "$dumpoff", "$dumpon", "$dumpall", "$end")
 # widest $var accepted: the smallest vector-length limit IEEE 1364 lets a tool set
 MAX_WIDTH = 65536
 _BLOCK = 1 << 13  # characters read at a time from the dump
+_CODES = {value.digits: code for code, value in enumerate(SCALARS)}  # a 1-bit change's byte
+_NARROW = 1 << 8 * array("I").itemsize  # indexes below this fit in array('I')
 
 
 def _blocks(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
@@ -80,11 +84,6 @@ def ascii_int(text: str, base: int = 10) -> int | None:
         return None
 
 
-def _quote(text: str) -> str:
-    """Dump text as an error message quotes it: its first 64 characters at most."""
-    return repr(text) if len(text) <= 64 else f"{text[:64]!r} (first 64 of {len(text)} characters)"
-
-
 def _is_range(text: str) -> bool:
     return text.startswith("[") and text.endswith("]")
 
@@ -95,15 +94,15 @@ def _parse_timescale(parts: list[str], line: int) -> tuple[int, str]:
     unit = text[len(digits) :]
     magnitude = ascii_int(digits)
     if unit not in _TIME_UNITS or magnitude is None:
-        raise VcdError(f"invalid $timescale {_quote(' '.join(parts))}", line)
+        raise VcdError(f"invalid $timescale {quote(' '.join(parts))}", line)
     return magnitude, unit
 
 
-def _line_table(ids: dict[str, SignalSeries]) -> dict[str, tuple[array, list, Value]]:
+def _line_table(ids: dict[str, SignalSeries]) -> dict[str, tuple[array, bytearray, int]]:
     """The text of each line that sets a 1-bit id code to 0 or 1, such as
-    "0!", mapped to that id code's indexes and values and the value set."""
+    "0!", mapped to that id code's indexes and values and the code set."""
     return {
-        f"{c}{id_code}": (series.indexes, series.values, SCALARS[c])
+        f"{c}{id_code}": (series.indexes, series.values, _CODES[c])
         for id_code, series in ids.items()
         if series.width == 1
         for c in "01"
@@ -112,39 +111,40 @@ def _line_table(ids: dict[str, SignalSeries]) -> dict[str, tuple[array, list, Va
 
 def _parse_scope(parts: list[str], line: int, scope_path: list[str]) -> None:
     if len(parts) != 2:
-        raise VcdError(f"malformed $scope {_quote(' '.join(parts))}", line)
+        raise VcdError(f"malformed $scope {quote(' '.join(parts))}", line)
     scope_type, name = parts
     if scope_type not in _SCOPE_TYPES:
-        raise VcdError(f"unsupported scope type {_quote(scope_type)}", line)
+        raise VcdError(f"unsupported scope type {quote(scope_type)}", line)
     scope_path.append(name)
 
 
 def _parse_var(parts: list[str], line: int, scope_path: list[str], ids: dict[str, SignalSeries],
-               signals: dict[str, SignalSeries], ranges: dict[str, str]) -> None:
+               signals: dict[str, SignalSeries], ranges: dict[str, str], typecode: str) -> None:
     # $var <type> <width> <id> <name> [<range>] $end; the range may hold spaces
     selected = "".join(parts[4:])  # the range, or ""; it is dropped from the name
     if len(parts) < 4 or (len(parts) > 5 and not _is_range(selected)):
-        raise VcdError(f"malformed $var {_quote(' '.join(parts))}", line)
+        raise VcdError(f"malformed $var {quote(' '.join(parts))}", line)
     var_type, width_text, id_code, short_name = parts[:4]
     if var_type not in _VAR_TYPES:
-        raise VcdError(f"unsupported variable type {_quote(var_type)}", line)
+        raise VcdError(f"unsupported variable type {quote(var_type)}", line)
     width = ascii_int(width_text)
     if width is None or width < 1:
-        raise VcdError(f"invalid $var width {_quote(width_text)}", line)
+        raise VcdError(f"invalid $var width {quote(width_text)}", line)
     if width > MAX_WIDTH:
-        raise VcdError(f"$var width {width_text} is over the limit of {MAX_WIDTH} bits", line)
+        shown = width_text if len(width_text) <= 64 else quote(width_text)
+        raise VcdError(f"$var width {shown} is over the limit of {MAX_WIDTH} bits", line)
     if len(parts) == 5 and not _is_range(parts[4]):
-        raise VcdError(f"unexpected trailing token {_quote(parts[4])} in $var", line)
+        raise VcdError(f"unexpected trailing token {quote(parts[4])} in $var", line)
     name = ".".join(scope_path + [short_name])
     if name in signals:
         was = ranges[name]
         selects = f" for bit-selects {was} and {selected}" if was and selected else ""
-        raise VcdError(f"duplicate signal name {_quote(name)}{selects}", line)
+        raise VcdError(f"duplicate signal name {quote(name)}{selects}", line)
     ranges[name] = selected
-    series = ids.setdefault(id_code, SignalSeries(width, array("Q"), []))
+    series = ids.setdefault(id_code, SignalSeries(width, array(typecode), []))
     if series.width != width:
         raise VcdError(
-            f"id code {_quote(id_code)} re-declared with width {width}, was {series.width}", line)
+            f"id code {quote(id_code)} re-declared with width {width}, was {series.width}", line)
     signals[name] = series
 
 
@@ -164,7 +164,8 @@ def parse_vcd(stream: IO[str]) -> Waveform:
     header = True  # until $enddefinitions $end
     name, parts = None, []  # the directive open, if any; its tokens, in the header
     # filled in place at $enddefinitions, so the rest of that block reads it too
-    table: dict[str, tuple[array, list, Value]] = {}
+    table: dict[str, tuple[array, bytearray, int]] = {}
+    typecode = "I"  # of every series' change indexes; "Q" once widen() runs
     vector_bits: str | None = None
     # past the header with no directive open and no vector waiting: the line
     # table applies (not to the rest of the $enddefinitions line)
@@ -173,14 +174,25 @@ def parse_vcd(stream: IO[str]) -> Waveform:
     cur = 0  # index of the latest '#', and 0 before the first one
     last = -1  # the latest timestamp; every timestamp read is >= 0
 
+    def widen() -> None:
+        """Every change index in array('Q') once the axis may outgrow
+        array('I') in this block: a fast-path line adds at most one stamp."""
+        nonlocal typecode
+        if typecode == "I" and len(timestamps) + len(lines) > _NARROW:
+            typecode = "Q"
+            for series in ids.values():
+                series.indexes = array("Q", series.indexes)
+            if not header:  # the table stays empty in the header
+                table.update(_line_table(ids))
+
     def store(bits: str, id_code: str, line: int) -> None:
         series = ids.get(id_code)
         if series is None:
-            raise VcdError(f"undeclared id code {_quote(id_code)}", line)
+            raise VcdError(f"undeclared id code {quote(id_code)}", line)
         width = series.width
         if len(bits) > width:
-            raise VcdError(f"{len(bits)}-bit value for {width}-bit id code {_quote(id_code)}", line)
-        value = SCALARS[bits] if width == 1 else Value(bits, width)
+            raise VcdError(f"{len(bits)}-bit value for {width}-bit id code {quote(id_code)}", line)
+        value = _CODES[bits] if width == 1 else Value(bits, width)
         indexes = series.indexes
         if indexes and indexes[-1] == cur:
             series.values[-1] = value  # same-index rewrite: last one wins
@@ -189,6 +201,7 @@ def parse_vcd(stream: IO[str]) -> Waveform:
             series.values.append(value)
 
     for first, lines in _blocks(stream):
+        widen()
         # a line is numbered only off the fast path, from the lines left after it
         rest, end = iter(lines), first + len(lines) - 1
         for raw, entry in zip(rest, map(table.get, lines)):
@@ -234,7 +247,7 @@ def parse_vcd(stream: IO[str]) -> Waveform:
                             raise VcdError("$upscope without matching $scope", line)
                         scope_path.pop()
                     elif name == "$var":
-                        _parse_var(parts, line, scope_path, ids, signals, ranges)
+                        _parse_var(parts, line, scope_path, ids, signals, ranges, typecode)
                     name = None
                     continue
                 if vector_bits is not None:
@@ -245,12 +258,12 @@ def parse_vcd(stream: IO[str]) -> Waveform:
                 if header:
                     if tok not in _HEADER_DIRECTIVES:
                         what = "unsupported directive" if c == "$" else "unexpected token"
-                        raise VcdError(f"{what} {_quote(tok)} in header", line)
+                        raise VcdError(f"{what} {quote(tok)} in header", line)
                     name, parts = tok, []
                 elif c == "#":
                     t = ascii_int(tok[1:])
                     if t is None:
-                        raise VcdError(f"invalid timestamp {_quote(tok)}", line)
+                        raise VcdError(f"invalid timestamp {quote(tok)}", line)
                     if t <= last:
                         message = f"timestamp #{t} does not increase (previous #{last})"
                         raise VcdError(message, line)
@@ -260,23 +273,24 @@ def parse_vcd(stream: IO[str]) -> Waveform:
                     except OverflowError:  # past 2**64 - 1
                         timestamps = [*timestamps, t]
                     last = t
+                    widen()  # this line may hold many stamps
                 elif c in "01xzXZ" and len(tok) > 1:
                     store(c.lower(), tok[1:], line)
                 elif c in "bB":
                     bits = tok[1:].lower()
                     if not bits or not BIT_CHARS.issuperset(bits):
-                        raise VcdError(f"invalid vector value {_quote(tok)}", line)
+                        raise VcdError(f"invalid vector value {quote(tok)}", line)
                     vector_bits = bits
                 elif c in "rR":
-                    raise VcdError(f"real-number change {_quote(tok)} is not supported", line)
+                    raise VcdError(f"real-number change {quote(tok)} is not supported", line)
                 elif tok in _DUMP_BLOCKS:
                     pass  # a dump block's changes apply at the current index
                 elif tok in _SKIP_DIRECTIVES:
                     name = tok
                 elif c == "$":
-                    raise VcdError(f"unsupported directive {_quote(tok)} in change region", line)
+                    raise VcdError(f"unsupported directive {quote(tok)} in change region", line)
                 else:
-                    raise VcdError(f"unrecognized token {_quote(tok)} in change region", line)
+                    raise VcdError(f"unrecognized token {quote(tok)} in change region", line)
             # the table is empty in the header, and with no 1-bit id code or
             # under the tests' token-loop oracle: timestamps take the token loop too
             fast = bool(table) and name is None and vector_bits is None

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from typing import IO, Sequence
 
 from wawk import ast
-from wawk.errors import RunFailure
+from wawk.errors import RunFailure, quote
 from wawk.interp import (
     _BUILTINS,
     UNBOUND,
@@ -89,7 +89,7 @@ class Walker(Environment):
             return UNBOUND
         builtin = _BUILTINS.get(func)
         if builtin is None:
-            raise RunFailure(f"unknown function {func!r}")
+            raise RunFailure(f"unknown function {quote(func)}")
         return builtin([self.eval(a, cond) for a in arg_nodes])
 
     def exec_body(self, body: tuple) -> None:

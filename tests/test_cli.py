@@ -570,6 +570,48 @@ def test_each_kind_of_error_gives_its_exact_message(tmp_path, capsys, kind):
     assert capsys.readouterr() == ("", expected)
 
 
+def _first_64(c: str, n: int) -> str:
+    return f"'{c * 64}' (first 64 of {n} characters)"
+
+
+# a script, spec or argument of a million characters prints one short line
+@pytest.mark.parametrize("argv, text, code, message", [
+    (["run", "{path}", "{vcd}"], "BEGIN: { x = 1 " + "n" * 1_000_000 + "; }", 2,
+     "{path}:1:16: expected ';' after assignment, found " + _first_64("n", 1_000_000)),
+    (["run", "{path}", "{vcd}"], "BEGIN: { x = " + "u" * 100_000 + "; }", 1,
+     "statement 1 (BEGIN): unbound variable " + _first_64("u", 100_000)),
+    (["gen", "spec", "{path}", "-"], "13 " + "9" * 1_000_000 + "\n", 2,
+     "line 1: bad cycle count " + _first_64("9", 1_000_000)),
+    (["gen", "spec", "{path}", "-"], "g" * 1_000_000 + " 2\n", 2,
+     "line 1: bad instruction word " + _first_64("g", 1_000_000)),
+    (["gen", "spec", "{path}", "-"], "1" * 1_000 + " 2\n", 2,
+     "line 1: word " + _first_64("1", 1_000) + " does not fit in 32 bits"),
+    (["decode", "g" * 1_000_000], "", 2,
+     _first_64("g", 1_000_000) + " is not a hexadecimal instruction word"),
+    (["gen", "table1", "-", "--half-period", "-" + "9" * 4_000], "", 2,
+     "clock half period -" + "9" * 63 + " (first 64 of 4001 characters) must be >= 1"),
+    (["run", "@" + "y" * 1_000_000, "{vcd}"], "", 2,
+     "no bundled script named '@" + "y" * 63 + "' (first 64 of 1000001 characters)"),
+], ids=["script-name", "unbound-name", "cycle-count", "instruction-word", "wide-word",
+        "decode-word", "half-period", "bundled-name"])
+def test_long_input_text_is_quoted_by_its_first_64_characters(tmp_path, capsys, argv, text,
+                                                               code, message):
+    path, vcd = tmp_path / "input", tmp_path / "t.vcd"
+    path.write_text(text)
+    vcd.write_text(ERROR_VCD)
+    assert main([arg.format(path=path, vcd=vcd) for arg in argv]) == code
+    expected = f"wawk: {message.format(path=path)}\n"
+    assert capsys.readouterr() == ("", expected)
+    assert len(expected) - len(str(path)) < 200
+
+
+def test_a_long_option_number_is_quoted_by_its_first_64_characters(capsys):
+    assert main(["gen", "table1", "-", "--half-period", "x" * 1_000_000]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"invalid int value: {_first_64('x', 1_000_000)}\n")
+    assert len(err) < 1_000
+
+
 class TestStdin:
     """`-` decodes the bytes under stdin the way the same file is decoded,
     whatever codec the locale or PYTHONIOENCODING gives sys.stdin."""

@@ -592,6 +592,31 @@ def test_each_script_error_gives_its_exact_message(clocked_wave, kind):
         execute(parse_source(source), clocked_wave, out=io.StringIO(), modules=modules)
 
 
+# a name the script repeats in an error is quoted by its first 64 characters
+LONG = "n" * 100
+SHOWN = "'" + "n" * 64 + "' (first 64 of 100 characters)"
+
+
+@pytest.mark.parametrize("source, message", [
+    (f"BEGIN: {{ v = {LONG}; }}", f"statement 1 (BEGIN): unbound variable {SHOWN}"),
+    (f"1: {{ v = top.{LONG}; }}",
+     "statement 1 at index 0: unknown signal 'top." + "n" * 60 + "' (first 64 of 104 characters)"),
+    (f"1: {{ v = {LONG}@1; }}", f"statement 1 at index 0: unknown signal {SHOWN}"),
+    (f"BEGIN: {{ alias(c, {LONG}); }}", f"statement 1 (BEGIN): unknown signal {SHOWN}"),
+    (f"BEGIN: {{ alias({LONG}.a, top.clk); }}",
+     "statement 1 (BEGIN): alias name '" + "n" * 64 + "' (first 64 of 102 characters) "
+     "must be a plain identifier"),
+    (f"BEGIN: {{ v = {LONG}(1); }}", f"statement 1 (BEGIN): unknown function {SHOWN}"),
+    (f"BEGIN: {{ import({LONG}); }}", f"statement 1 (BEGIN): unknown native module {SHOWN}"),
+    (f"BEGIN: {{ v = call({LONG}.f); }}",
+     f"statement 1 (BEGIN): module {SHOWN} has not been imported"),
+], ids=["unbound", "unknown-dotted", "unknown-offset", "unknown-alias-target", "alias-name",
+        "unknown-function", "unknown-module", "not-imported"])
+def test_a_long_name_is_quoted_by_its_first_64_characters(clocked_wave, source, message):
+    with raises_exactly(RunFailure, message):
+        run_script(source, clocked_wave)
+
+
 def test_a_defined_logic_value_prints_and_subscripts_as_an_integer(clocked_wave):
     # top.counter reads 3 at index 6, as arithmetic and decode read it
     out, _ = run_script('BEGIN: { l = [10, 11, 12, 13]; }\n'

@@ -294,7 +294,7 @@ def _reading(text):
         return type(err), str(err)
     signals = wave.signals
     return wave.timestamps, {
-        name: (s.width, s.indexes, [v.bits for v in s.values],
+        name: (s.width, s.indexes, [s.value_at(k).bits for k in s.indexes],
                min(n for n in signals if signals[n] is s))
         for name, s in signals.items()
     }

@@ -55,8 +55,8 @@ class TestValue:
             Value("0X")  # case is normalized before construction
 
     def test_scalar_singletons(self):
-        assert SCALARS["1"].bits == "1"
-        assert SCALARS["x"].has_xz
+        assert [v.bits for v in SCALARS] == ["0", "1", "x", "z"]
+        assert SCALARS[2].has_xz
 
     def test_all_x(self):
         v = all_x(32)

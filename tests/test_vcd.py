@@ -1,4 +1,7 @@
 import io
+import pathlib
+import shutil
+import subprocess
 import sys
 import tracemalloc
 
@@ -47,7 +50,7 @@ class TestBasics:
     def test_axis_and_change_indexes_are_machine_words(self):
         wave = parse(BASIC)
         assert wave.timestamps.typecode == "Q"
-        assert {s.indexes.typecode for s in wave.signals.values()} == {"Q"}
+        assert {s.indexes.typecode for s in wave.signals.values()} == {"I"}
         assert list(wave.series("top.clk").indexes) == [0, 1, 2, 3]
 
     def test_timescale(self):
@@ -96,7 +99,7 @@ class TestValueRules:
             tracemalloc.stop()
         assert peak < 5_000_000
         series = wave.series("w")
-        assert [v.digits for v in series.values[-2:]] == ["1111100110", "1111100111"]
+        assert [series.value_at(k).digits for k in (998, 999)] == ["1111100110", "1111100111"]
         assert series.value_at(999).bits == format(999, "065536b")
 
     def test_value_before_first_change_is_all_x(self):
@@ -145,7 +148,7 @@ b11 !
         text = "$var wire 1 ! a $end\n$var wire 4 \" b $end\n$enddefinitions $end\n1!\nb1 \"\n"
         wave = parse(text)
         assert wave.index_count == 0
-        assert [(len(s.indexes), s.values) for s in wave.signals.values()] == [(0, [])] * 2
+        assert [(len(s.indexes), len(s.values)) for s in wave.signals.values()] == [(0, 0)] * 2
 
     def test_every_hash_makes_an_index_even_without_changes(self):
         text = "$var wire 1 ! a $end\n$enddefinitions $end\n#0\n1!\n#7\n#9\n"
@@ -273,10 +276,12 @@ class TestErrors:
 
     def test_bad_var_width(self):
         for width in ["0", "x", "+8", "1_6", "\u00b2", "\u0663", "9" * 5000, "9" * 100_000,
-                      "65537", "100000000000"]:
+                      "65537", "100000000000", "0" * 4000 + "65537"]:
             text = f"$comment x $end\n$var wire {width} ! a $end\n$enddefinitions $end\n"
-            if width in ("65537", "100000000000"):
-                message = f"line 2: $var width {width} is over the limit of 65536 bits"
+            if width.lstrip("0") in ("65537", "100000000000"):  # quoted past 64 characters
+                zeros = "'" + "0" * 64 + "' (first 64 of 4005 characters)"
+                shown = width if len(width) <= 64 else zeros
+                message = f"line 2: $var width {shown} is over the limit of 65536 bits"
             elif len(width) > 64:
                 message = f"line 2: invalid $var width {self.NINES.format(len(width))}"
             else:
@@ -554,7 +559,7 @@ class TestBlockEdges:
         assert type(wave.timestamps) is list
         assert wave.timestamps == [0, stamp, stamp + 1]
         assert list(wave.series("a").indexes) == [0, 1, 2]
-        assert [v.bits for v in wave.series("a").values] == ["1", "0", "1"]
+        assert [wave.series("a").value_at(k).bits for k in range(3)] == ["1", "0", "1"]
         for fits in (10**19 - 1, 2**64 - 1):  # stepped inline; read by the token loop
             stamps = parse(BASIC + f"#{fits}\n").timestamps
             assert (stamps.typecode, stamps[-1]) == ("Q", fits)
@@ -597,3 +602,84 @@ class TestBlockEdges:
         one = f"{header}$enddefinitions $end\n{changes.replace(chr(10), ' ')}"
         assert len(one) > 8 * 8192  # several blocks of the default size
         assert reading(parse(one)) == reading(parse(text))
+
+
+# --- storage: one byte per 1-bit change, indexes in array('I') while they fit ---
+
+WIDE_HEADER = "$var wire 1 ! a $end\n$var wire 1 % b $end\n$var wire 4 \" v $end\n" \
+              "$enddefinitions $end\n"
+WIDE_LINES = "".join(f"#{k}\n{'01xz'[k % 4]}!\n{k % 2}%\nb{k:b} \"\n" for k in range(12))
+WIDE_TEXTS = {
+    "lines": WIDE_HEADER + WIDE_LINES,
+    "one-line": WIDE_HEADER + WIDE_LINES.replace("\n", " ") + "\n",
+    # ten stamps on one line, then a stamp or a change a line
+    "mixed": WIDE_HEADER + WIDE_LINES[:WIDE_LINES.index("#10")].replace("\n", " ") + "\n"
+             + WIDE_LINES[WIDE_LINES.index("#10"):],
+    "no-stamps": WIDE_HEADER + "".join(raw for raw in WIDE_LINES.splitlines(True) if raw[0] != "#"),
+    # refused in the header: blank lines make blocks that widen there
+    "header-change": WIDE_HEADER.replace("$end\n$enddefinitions", "$end\n" + "\n" * 8
+                                         + "1!\n$enddefinitions") + WIDE_LINES,
+}
+
+
+def stored(text):
+    """The error that `text` raises, or its axis and, per name, each
+    change's index and bits; and the types of the indexes."""
+    try:
+        wave = parse(text)
+    except VcdError as err:
+        return str(err), set()
+    return (list(wave.timestamps), {
+        name: (list(s.indexes), [s.value_at(i).bits for i in s.indexes])
+        for name, s in wave.signals.items()}), {s.indexes.typecode for s in wave.signals.values()}
+
+
+class TestStorage:
+    def test_a_scalar_change_holds_at_most_6_bytes(self):
+        ids = [chr(65 + i) for i in range(50)]
+        text = "".join(f"$var wire 1 {c} s{c} $end\n" for c in ids) + "$enddefinitions $end\n"
+        text += "".join(f"#{k}\n" + "".join(f"{k % 2}{c}\n" for c in ids) for k in range(4000))
+        tracemalloc.start()
+        try:
+            wave = parse(text)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        changes = sum(len(s.indexes) for s in wave.signals.values())
+        assert changes == 200_000
+        assert held <= 6 * changes  # 16 bytes each as an 8-byte index and a list pointer
+
+    # the limit patched low: the axis outgrows it at every point of each dump
+    @pytest.mark.parametrize("size", [1, 2, 7, len(WIDE_HEADER), vcd._BLOCK],
+                             ids=["block1", "block2", "block7", "header-block", "block8192"])
+    @pytest.mark.parametrize("name", WIDE_TEXTS)
+    def test_indexes_widen_when_the_axis_outgrows_them(self, monkeypatch, token_path, name,
+                                                       size):
+        text = WIDE_TEXTS[name]
+        with token_path():
+            expected, typecodes = stored(text)
+        assert typecodes <= {"I"}
+        if name in ("lines", "one-line", "mixed"):
+            assert set(expected[1]["a"][1]) == set("01xz")
+        monkeypatch.setattr(vcd, "_BLOCK", size)
+        for narrow in range(1, 16):
+            monkeypatch.setattr(vcd, "_NARROW", narrow)
+            reading, typecodes = stored(text)
+            assert reading == expected, narrow
+            if typecodes and len(reading[0]) > narrow:  # an index past the limit
+                assert typecodes == {"Q"}, narrow
+
+
+def test_the_reader_differential_agrees_with_head():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    if shutil.which("git") is None or shutil.which("tar") is None:
+        pytest.skip("no git or tar on PATH to extract HEAD with")
+    head = subprocess.run(["git", "-C", str(root), "rev-parse", "--verify", "HEAD"],
+                          capture_output=True)
+    if head.returncode:
+        pytest.skip("no git history here to compare the reader with")
+    proc = subprocess.run([sys.executable, str(root / "tests" / "differential.py"),
+                           "--against", "HEAD", "--dumps", "50", "--seed", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("50 dumps against HEAD, seed 1: "), proc.stdout

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import make_waveform
+from conftest import make_waveform, wave_from_vcd
 from wawk.errors import RunFailure
 from wawk.value import Value
 
@@ -52,3 +52,16 @@ class TestShape:
     def test_empty_waveform(self):
         empty = make_waveform(0, {"x": (1, [])})
         assert empty.index_count == 0
+
+
+class TestScalarCodes:
+    def test_a_hand_built_series_reads_as_the_reader_builds_it(self):
+        changes = [(0, "1"), (2, "x"), (3, "z"), (5, "0"), (6, "1")]
+        built = make_waveform(8, {"a": (1, changes)}).series("a")
+        dump = "$var wire 1 ! a $end\n$enddefinitions $end\n" + "".join(
+            f"#{k}\n" + "".join(f"{bits}!\n" for i, bits in changes if i == k) for k in range(8))
+        read = wave_from_vcd(dump).series("a")
+        assert (built.values, list(built.indexes)) == (read.values, list(read.indexes))
+        for k in range(8):  # the same shared object, the one the planner's memo keys on
+            assert built.value_at(k) is read.value_at(k)
+        assert [built.value_at(k).bits for k in range(8)] == list("11xzz011")
