@@ -9,14 +9,21 @@ says what is wrong with it, and quote keeps any input text it repeats short.
 """
 
 
+def shown(value: object) -> str:
+    """`value` as an error message shows it: its repr, or `a N-bit
+    integer` for an int too long for repr (sys.get_int_max_str_digits())."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {value.bit_length()}-bit integer"
+
+
 def quote(text: object) -> str:
-    """Input as an error message repeats it: the repr of a str, or of any
-    other value, cut to its first 64 characters and then its length."""
-    shown = text if isinstance(text, str) else repr(text)
-    if len(shown) <= 64:
-        return repr(text)
-    clipped = repr(shown[:64]) if isinstance(text, str) else shown[:64]
-    return f"{clipped} (first 64 of {len(shown)} characters)"
+    """Input as an error message repeats it: the repr of a str, or shown()
+    of any other value, cut to its first 64 characters and then its length."""
+    full = text if isinstance(text, str) else shown(text)
+    clipped = repr(full[:64]) if isinstance(text, str) else full[:64]
+    return clipped if len(full) <= 64 else f"{clipped} (first 64 of {len(full)} characters)"
 
 
 class WawkError(Exception):

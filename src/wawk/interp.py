@@ -10,7 +10,7 @@ Each run turns a statement's conditions and body into one generated
 Python function of the sweep index (_Source), with straight-line
 temporaries. Names, literals and series reach it only as arguments of its
 factory, never as source text, so its source depends on the statement's
-shape alone; each source is compiled once per process (_FACTORIES). A
+shape alone; each source is compiled once per process (_factory). A
 name is read from the variables first, inline, then as Environment.resolve
 reads it, except in a sweep where nothing can change the signal it names.
 Arithmetic and comparisons on two ints of class int skip _operate, which
@@ -47,6 +47,8 @@ list appends the right operand in place and yields the list; `/` is
 integer division truncating toward zero; `average` rounds half up.
 """
 
+import enum
+import functools
 import re
 import sys
 import weakref
@@ -57,37 +59,28 @@ from operator import add, eq, ge, gt, itemgetter, le, lt, ne, sub
 from typing import IO, Iterator, Sequence
 
 from . import ast
-from .errors import RunFailure, quote
+from .errors import RunFailure, quote, shown
 from .riscv import decode as _decode_word
 from .value import SCALARS, Value
 from .vcd import MAX_WIDTH
 from .waveform import Waveform
 
 
-class _Marker:
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
+class _Marker(enum.Enum):
+    UNBOUND = "unbound"
+    OUT_OF_RANGE = "out-of-range"
 
     def __repr__(self) -> str:
-        return self._name
+        return self.value
+
+    __str__ = __repr__
 
 
-UNBOUND = _Marker("unbound")
-OUT_OF_RANGE = _Marker("out-of-range")
+UNBOUND, OUT_OF_RANGE = _Marker
 
 
 def _read(series, index: int, count: int) -> object:
     return series.value_at(index) if 0 <= index < count else OUT_OF_RANGE
-
-
-def _shown(n: int) -> str:
-    """`n` for an error message; str() raises past sys.get_int_max_str_digits()."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"a {n.bit_length()}-bit integer"
 
 
 def _extern_decode(args: list) -> str:
@@ -95,7 +88,7 @@ def _extern_decode(args: list) -> str:
         raise RunFailure(f"decode takes 1 argument, got {len(args)}")
     word = _integer(args[0], "decode needs an instruction word, got ")
     if not 0 <= word <= 0xFFFFFFFF:
-        raise RunFailure(f"decode needs a 32-bit instruction word, got {_shown(word)}")
+        raise RunFailure(f"decode needs a 32-bit instruction word, got {shown(word)}")
     return _decode_word(word)
 
 
@@ -219,7 +212,7 @@ _BUILTINS = {
 
 def _divide(lhs: int, rhs: int) -> int:
     if rhs == 0:
-        raise RunFailure(f"{_shown(lhs)} / 0")
+        raise RunFailure(f"{shown(lhs)} / 0")
     q = abs(lhs) // abs(rhs)
     return -q if (lhs < 0) != (rhs < 0) else q
 
@@ -374,7 +367,7 @@ def _subscript(base: object, index: object) -> object:
         raise RunFailure(f"cannot subscript {_type_name(base)}")
     index = _integer(index, "list index must be an integer, got ")
     if not 0 <= index < len(base):
-        raise RunFailure(f"list index {_shown(index)} out of range for length {len(base)}")
+        raise RunFailure(f"list index {shown(index)} out of range for length {len(base)}")
     return base[index]
 
 
@@ -390,7 +383,10 @@ def _walk(node) -> Iterator:
 
 # generated source -> the factory compiled from it, for every run: the
 # source holds no script text, so each shape of statement compiles once
-_FACTORIES = {}
+@functools.lru_cache(maxsize=4096)  # a bound for a process that runs many scripts
+def _factory(source: str):
+    exec(compile(source + "\n return run", "<wawk>", "exec"), globals(), made := {})
+    return made["make"]
 
 
 class _Source:
@@ -507,13 +503,7 @@ class _Source:
     def build(self):
         """The function of these lines, from the factory of their source."""
         source = "def make(c):\n def run(index):\n  pass\n" + "\n".join(self.lines)
-        make = _FACTORIES.get(source)
-        if make is None:
-            if len(_FACTORIES) >= 4096:  # a bound for a process that runs many scripts
-                _FACTORIES.clear()
-            exec(compile(source + "\n return run", "<wawk>", "exec"), globals(), made := {})
-            make = _FACTORIES[source] = made["make"]
-        return make(tuple(self.consts))
+        return _factory(source)(tuple(self.consts))
 
 
 def _compile(node, env: Environment, cond: bool, assigned: set | None) -> tuple:

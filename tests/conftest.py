@@ -1,5 +1,9 @@
 import io
+import pathlib
 import re
+import shutil
+import subprocess
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -119,3 +123,23 @@ def token_path():
             yield
 
     return tokens_only
+
+
+@pytest.fixture(scope="session")
+def differential():
+    """A function that runs tests/differential.py against HEAD with the
+    arguments it is given; skips where git, tar or the history is missing."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    if shutil.which("git") is None or shutil.which("tar") is None:
+        pytest.skip("no git or tar on PATH to extract HEAD with")
+    head = subprocess.run(["git", "-C", str(root), "rev-parse", "--verify", "HEAD"],
+                          capture_output=True)
+    if head.returncode:
+        pytest.skip("no git history here to compare with")
+
+    def run(*args):
+        return subprocess.run([sys.executable, str(root / "tests" / "differential.py"),
+                               "--against", "HEAD", *args],
+                              capture_output=True, text=True, timeout=300)
+
+    return run

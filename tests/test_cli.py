@@ -612,6 +612,16 @@ def test_a_long_option_number_is_quoted_by_its_first_64_characters(capsys):
     assert len(err) < 1_000
 
 
+# a str is quoted as its repr, anything else as errors.shown gives it
+@pytest.mark.parametrize("value, quoted", [
+    ("ab", "'ab'"), ("n" * 65, _first_64("n", 65)), (5, "5"),
+    (-10**64, "-1" + "0" * 62 + " (first 64 of 66 characters)"),
+    (10**5000, "a 16610-bit integer"),  # too long for repr, which raises ValueError
+], ids=["str", "long-str", "int", "long-int", "int-past-the-digit-limit"])
+def test_quote_shows_any_value_in_at_most_64_characters(value, quoted):
+    assert errors.quote(value) == quoted
+
+
 class TestStdin:
     """`-` decodes the bytes under stdin the way the same file is decoded,
     whatever codec the locale or PYTHONIOENCODING gives sys.stdin."""

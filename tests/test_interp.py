@@ -539,6 +539,9 @@ class TestMarkers:
     def test_markers_are_falsy_singletons(self):
         assert repr(UNBOUND) == "unbound"
         assert repr(OUT_OF_RANGE) == "out-of-range"
+        assert [str(UNBOUND), f"{OUT_OF_RANGE}"] == ["unbound", "out-of-range"]
+        # true as Python objects: only a script's truth (_truthy) is false
+        assert UNBOUND and OUT_OF_RANGE and UNBOUND is not OUT_OF_RANGE
 
 
 # Errors that each take one script to reach: the script over clocked_wave
@@ -623,3 +626,9 @@ def test_a_defined_logic_value_prints_and_subscripts_as_an_integer(clocked_wave)
                         'INDEX == 6: { printf("%d %d", top.counter, l[top.counter]); }',
                         clocked_wave)
     assert out == "3 13"
+
+
+def test_the_scripts_differential_agrees_with_head(differential):
+    proc = differential("--scripts", "50", "--seed", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("50 programs against HEAD, seed 1: "), proc.stdout

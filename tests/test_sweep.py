@@ -592,13 +592,26 @@ DEEPEST = {
 }
 
 
+@pytest.fixture
+def built_sources(monkeypatch):
+    """The generated sources built from here on, each time one is built,
+    whether or not interp._factory has compiled it before."""
+    sources, factory = [], interp._factory
+
+    def spy(source):
+        sources.append(source)
+        return factory(source)
+
+    monkeypatch.setattr(interp, "_factory", spy)
+    return sources
+
+
 @pytest.mark.parametrize("where", list(DEEPEST))
-def test_the_deepest_scripts_run_as_the_reference(dense_sweep, monkeypatch, where):
-    monkeypatch.setattr(interp, "_FACTORIES", {})  # so it holds this script's sources
+def test_the_deepest_scripts_run_as_the_reference(dense_sweep, built_sources, where):
     program = deepest(DEEPEST[where])
     expected = outcome(program, SIG, run=reference_eval.execute)
     assert agree(dense_sweep, program, [SIG]) == [expected]
-    indents = [len(line) - len(line.lstrip(" ")) for source in interp._FACTORIES
+    indents = [len(line) - len(line.lstrip(" ")) for source in built_sources
                for line in source.splitlines()]
     assert max(indents) < 100  # CPython's limit
     if where == "ifs":
@@ -617,8 +630,7 @@ END: { printf("%d %d\n", make + run + None, _truthy); }
 LITERALS = ["\"'\n{}%\"\"\"\\", "'''\\n{0}%s\")"]  # a$b's and π$'s values
 
 
-def test_script_text_never_becomes_python_source(dense_sweep, monkeypatch):
-    monkeypatch.setattr(interp, "_FACTORIES", {})  # so it holds this script's sources
+def test_script_text_never_becomes_python_source(dense_sweep, built_sources):
     program = parse_source(UNSPLICED)
     expected = outcome(program, SIG, run=reference_eval.execute)
     assert agree(dense_sweep, program, [SIG]) == [expected]
@@ -626,9 +638,26 @@ def test_script_text_never_becomes_python_source(dense_sweep, monkeypatch):
     assert expected[0] == (f"{pi}|{ab}|-987654314|{pi}|{pi}|{ab}|-1975308628|{ab}|-2962962942|"
                            "24 6\n")
     texts = ["größe", "a$b", "π$", "987654321", *LITERALS]
-    assert interp._FACTORIES
-    for source in interp._FACTORIES:
+    assert built_sources
+    for source in built_sources:
         assert [text for text in texts if text in source] == [], source
+
+
+def test_each_shape_of_statement_is_compiled_once():
+    # 40 statements that each count one signal's toggles share their
+    # compiles, and the same script run again compiles nothing
+    signals = 40
+    script = "".join(f"BEGIN: {{ n{k} = 0; }}\ntop.s{k} != top.s{k}@-1: {{ n{k} = n{k} + 1; }}\n"
+                     for k in range(signals)) + 'END: { printf("%d\\n", n0 + n39); }\n'
+    wave = parse_vcd(io.StringIO(waves_vcd(100, signals)))
+    interp._factory.cache_clear()
+    assert run_script(script, wave)[0] == f"{99 + 99 // signals}\n"
+    first = interp._factory.cache_info()  # a BEGIN action, a head and a visit a statement
+    assert first.hits + first.misses > 3 * signals and 1 <= first.misses <= 6, first
+    for _ in range(2):
+        run_script(script, wave)
+        assert interp._factory.cache_info().misses == first.misses
+    assert first.maxsize == 4096
 
 
 @pytest.fixture

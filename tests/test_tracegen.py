@@ -196,6 +196,21 @@ class TestValidation:
         with raises_exactly(InvalidSpecError, message):
             generate(spec)
 
+    # an int too long for repr (sys.get_int_max_str_digits()) is shown by its width
+    @pytest.mark.parametrize("spec, message", [
+        (TraceSpec(((10**5000, 1),)),
+         "instruction 0: word a 16610-bit integer is not a 32-bit value"),
+        (TraceSpec(((0x13, -10**5000),)),
+         "instruction 0: cycle count a 16610-bit integer must be >= 1"),
+        (TraceSpec(((0x13, 1),), clock_half_period=-10**5000),
+         "clock half period a 16610-bit integer must be >= 1"),
+        (TraceSpec(((0x13, 1),), dummy_signals=10**5000),
+         f"dummy signal count a 16610-bit integer must be 0..{MAX_DUMMY_SIGNALS}"),
+    ], ids=["word", "cycles", "half-period", "dummy-signals"])
+    def test_a_number_too_long_to_print_is_shown_by_its_width(self, spec, message):
+        with raises_exactly(InvalidSpecError, message):
+            generate(spec)
+
     def test_determinism(self):
         spec = TraceSpec(instructions=((0x33, 3), (0x13, 2)), dummy_signals=4)
         assert generate(spec)[0] == generate(spec)[0]

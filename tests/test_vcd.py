@@ -1,7 +1,4 @@
 import io
-import pathlib
-import shutil
-import subprocess
 import sys
 import tracemalloc
 
@@ -670,16 +667,7 @@ class TestStorage:
                 assert typecodes == {"Q"}, narrow
 
 
-def test_the_reader_differential_agrees_with_head():
-    root = pathlib.Path(__file__).resolve().parent.parent
-    if shutil.which("git") is None or shutil.which("tar") is None:
-        pytest.skip("no git or tar on PATH to extract HEAD with")
-    head = subprocess.run(["git", "-C", str(root), "rev-parse", "--verify", "HEAD"],
-                          capture_output=True)
-    if head.returncode:
-        pytest.skip("no git history here to compare the reader with")
-    proc = subprocess.run([sys.executable, str(root / "tests" / "differential.py"),
-                           "--against", "HEAD", "--dumps", "50", "--seed", "1"],
-                          capture_output=True, text=True, timeout=300)
+def test_the_reader_differential_agrees_with_head(differential):
+    proc = differential("--dumps", "50", "--seed", "1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("50 dumps against HEAD, seed 1: "), proc.stdout
