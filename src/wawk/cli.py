@@ -142,7 +142,7 @@ def _cmd_run(opts) -> int:
 
 
 def _cmd_gen(opts) -> int:
-    from .tracegen import generate, parse_spec_file, table1_spec
+    from .tracegen import parse_spec_file, render, table1_spec
 
     try:
         if opts.generator == "table1":
@@ -155,15 +155,15 @@ def _cmd_gen(opts) -> int:
                 return _fail(f"cannot read spec: {err}", 2)
             spec = spec._replace(clock_half_period=opts.half_period,
                                  dummy_signals=opts.dummy_signals)
-        text, _ = generate(spec)
+        pieces, _ = render(spec)  # written as they are made: a long trace is never held
     except ParseFailure as err:
         return _fail(str(err), 2)
     if opts.out == "-":
-        sys.stdout.write(text)  # a BrokenPipeError goes to main
+        sys.stdout.writelines(pieces)  # a BrokenPipeError goes to main
         return 0
     try:
         with open(opts.out, "w", encoding="ascii") as f:
-            f.write(text)
+            f.writelines(pieces)
     except OSError as err:
         return _fail(f"cannot write output: {err}", 2)
     return 0

@@ -21,16 +21,16 @@ The sweep visits only the indexes where a statement can fire, which
 gives the same output, variables and errors as visiting every one (see
 _plan). A statement's head is its leading conditions that read only
 fixed signals and literals. Each head condition is constant between the
-indexes where a signal it reads changes, and the planner reads each
-stretch's values by their position in the signal's change list and tests
-each distinct tuple of them once, keyed by the ids that its cuts carry
-(_narrow). The statement is visited only where its head can hold, and
-where the head held without raising the visit does not evaluate it
-again. The plan is made one window of indexes at a time (_WINDOW), just
-ahead of the sweep. When a statement's first condition reads anything
-else, or a sweep statement calls `alias`, every statement is visited at
-every index. A waveform keeps the plan of its latest sweep from that
-sweep's second run in a row on, and `--all` reads it instead of narrowing.
+indexes where a signal it reads changes, and the planner tests it once
+per distinct tuple of the items its signals store for a stretch, so
+equal values share one test (_narrow). The statement is visited only
+where its head can hold, and where the head held without raising the
+visit does not evaluate it again. The plan is made one window of indexes
+at a time (_WINDOW), just ahead of the sweep. When a statement's first
+condition reads anything else, or a sweep statement calls `alias`, every
+statement is visited at every index. A waveform keeps the plan of its
+latest sweep from that sweep's second run in a row on, and `--all` reads
+it instead of narrowing.
 
 Value domain: Python ints, strings, lists, four-state logic Values, and
 two absence markers. UNBOUND is what reading a never-assigned variable
@@ -61,7 +61,7 @@ from typing import IO, Iterator, Sequence
 from . import ast
 from .errors import RunFailure, quote, shown
 from .riscv import decode as _decode_word
-from .value import SCALARS, Value
+from .value import Value
 from .vcd import MAX_WIDTH
 from .waveform import Waveform
 
@@ -563,18 +563,22 @@ def _head(statement, env: Environment, assigned: set | None) -> list:
 
 
 def _cuts(r: int, series, k: int, count: int, lo: int, hi: int) -> list:
-    """The cuts in (lo, hi), ascending, of read number `r`, `sig@k`, as
-    (b, r, id(value)) triples: from index b on, the read gives `value`. It
-    enters the trace at -k with sig's value at 0, takes each of sig's
-    changes at that change's index less k, and leaves the trace at count - k.
-    A 1-bit value is decoded from its code as SignalSeries.value_at does."""
-    indexes, values, scalar = series.indexes, series.values, series.width == 1
-    cuts = [(-k, r, id(series.value_at(0)))] if lo < -k < hi else []
-    changes = range(bisect_right(indexes, lo + k), bisect_left(indexes, min(hi + k, count)))
-    cuts += [(indexes[j] - k, r, id(SCALARS[values[j]] if scalar else values[j]))
-             for j in changes]
+    """The cuts in [lo, hi), ascending, of read number `r`, `sig@k`, as
+    (b, r, key) triples: from index b on, the read gives the value `key`
+    stands for. A key is what the series stores for a change (a 1-bit code
+    or a vector Value), None before sig's first change, or OUT_OF_RANGE
+    outside the trace: within one read, equal keys are equal values. The
+    first cut holds the key at lo. The read enters the trace at -k before
+    sig's first change, takes each change at its index less k (one at 0
+    right after the entry), and leaves the trace at count - k."""
+    indexes, values = series.indexes, series.values
+    at, first = lo + k, bisect_right(indexes, lo + k)
+    key = (values[first - 1] if first else None) if 0 <= at < count else OUT_OF_RANGE
+    cuts = [(lo, r, key), (-k, r, None)] if lo < -k < hi else [(lo, r, key)]
+    cuts += [(indexes[j] - k, r, values[j])
+             for j in range(first, bisect_left(indexes, min(hi + k, count)))]
     if lo < count - k < hi:
-        cuts.append((count - k, r, id(OUT_OF_RANGE)))
+        cuts.append((count - k, r, OUT_OF_RANGE))
     return cuts
 
 
@@ -582,33 +586,27 @@ def _narrow(test, reads: list, count: int, pieces: list, unproven: tuple, memo: 
     """The parts of `pieces`, ascending (start, end, visit) triples, where
     the bound head condition `test` can hold, adjacent parts with the same
     visit joined. Each piece is cut where a read of `test` can change (see
-    _cuts). `test` runs once per distinct tuple of values read, its answer
-    kept in `memo` across pieces and calls; where it raised, the part takes
-    the `unproven` visit, which evaluates every condition and so raises
-    the same error in the sweep."""
-    # keyed by the ids of the values read, which the cuts carry: the shared
-    # 1-bit values, stored vector values, markers and the cached all-x
-    # values stay alive while the plan is made. Equal values that are
-    # distinct objects are distinct keys, and every vector change the
-    # reader stores is a new Value
+    _cuts). `test` runs once per distinct tuple of the keys of its reads,
+    its answer kept in `memo` across pieces and calls; where it raised, the
+    part takes the `unproven` visit, which evaluates every condition and so
+    raises the same error in the sweep."""
     parts = []
     for lo, hi, statement in pieces:
-        current = [id(_read(series, lo + k, count)) for series, k in reads] + [None]
-        cuts = []
+        current, cuts = [None] * (len(reads) + 1), []
         for r, (series, k) in enumerate(reads):
             cuts += _cuts(r, series, k, count, lo, hi)
         cuts.sort(key=itemgetter(0))
         cuts.append((hi, -1, None))  # writes the slot after the reads
         a = lo
-        for b, r, value_id in cuts:
+        for b, r, key in cuts:
             if b != a:
-                key = tuple(current)
-                held = memo.get(key, memo)
+                inputs = tuple(current)
+                held = memo.get(inputs, memo)
                 if held is memo:
                     try:
-                        held = memo[key] = _truthy(test(a))
+                        held = memo[inputs] = _truthy(test(a))
                     except RunFailure:
-                        held = memo[key] = None
+                        held = memo[inputs] = None
                 visit = statement if held else None if held is False else unproven
                 if visit is not None:
                     if parts and parts[-1][1] == a and parts[-1][2] is visit:
@@ -616,7 +614,7 @@ def _narrow(test, reads: list, count: int, pieces: list, unproven: tuple, memo: 
                     else:
                         parts.append([a, b, visit])
                 a = b
-            current[r] = value_id
+            current[r] = key
     return parts
 
 

@@ -31,6 +31,7 @@ The final instruction has no following ack, so it is never measured
 import math
 from bisect import bisect_right
 from collections import namedtuple
+from typing import Iterator
 
 from .errors import InvalidSpecError, quote
 from .riscv import MNEMONICS, decode
@@ -154,20 +155,19 @@ def _validate(spec: TraceSpec) -> None:
         )
 
 
-def generate(spec: TraceSpec) -> tuple[str, GroundTruth]:
-    """Render a dump for `spec`; returns (vcd text, ground truth).
+_PIECE_LINES = 4096  # lines that render() holds at a time
 
-    Output is deterministic: the same spec always yields the same text.
-    """
+
+def render(spec: TraceSpec) -> tuple[Iterator[str], GroundTruth]:
+    """The text of a dump for `spec`, in pieces of lines made as they are
+    read, and the dump's ground truth. The spec is checked here, before
+    the first piece."""
     _validate(spec)
-    half = spec.clock_half_period
-
     rises = []
     a = 2
     for _, cycles in spec.instructions:
         rises.append(a)
         a += 2 * (cycles + 1)
-    index_count = a
 
     last = len(spec.instructions) - 1
     instructions = [
@@ -176,24 +176,27 @@ def generate(spec: TraceSpec) -> tuple[str, GroundTruth]:
         for k, (word, cycles) in enumerate(spec.instructions)
     ]
     truth = GroundTruth(
-        half_period=half,
-        index_count=index_count,
+        half_period=spec.clock_half_period,
+        index_count=a,
         dummy_signals=spec.dummy_signals,
         instructions=instructions,
         rises=rises,
         words=[word for word, _ in spec.instructions],
     )
+    return _pieces(truth), truth
 
+
+def _pieces(truth: GroundTruth) -> Iterator[str]:
     ack_at: dict[int, str] = {}
     rdt_at: dict[int, str] = {}
-    for k, rise in enumerate(rises):
+    for rise, word in zip(truth.rises, truth.words):
         ack_at[rise] = "1"
         ack_at[rise + 2] = "0"
-        rdt_at[rise] = format(spec.instructions[k][0], "b")
+        rdt_at[rise] = format(word, "b")
 
     clk_id, ack_id, rdt_id = "!", '"', "#"
-    dummy_ids = [chr(37 + j) for j in range(spec.dummy_signals)]
-    dummy_periods = [_dummy_period(j) for j in range(spec.dummy_signals)]
+    dummy_ids = [chr(37 + j) for j in range(truth.dummy_signals)]
+    dummy_periods = [_dummy_period(j) for j in range(truth.dummy_signals)]
 
     lines = ["$timescale 1ns $end"]
     for scope in SCOPE_PATH:
@@ -210,9 +213,12 @@ def generate(spec: TraceSpec) -> tuple[str, GroundTruth]:
     lines.extend(f"0{dummy_id}" for dummy_id in dummy_ids)
     lines.append("$end")
 
-    append = lines.append
+    append, half = lines.append, truth.half_period
     clk_tokens = (f"1{clk_id}", f"0{clk_id}")
-    for i in range(1, index_count):
+    for i in range(1, truth.index_count):
+        if len(lines) >= _PIECE_LINES:
+            yield "\n".join(lines) + "\n"
+            lines.clear()
         append(f"#{i * half}")
         append(clk_tokens[i & 1])
         ack = ack_at.get(i)
@@ -224,7 +230,16 @@ def generate(spec: TraceSpec) -> tuple[str, GroundTruth]:
         for j, period in enumerate(dummy_periods):
             if i % period == 0:
                 append(f"{'01'[(i // period) & 1]}{dummy_ids[j]}")
-    return "\n".join(lines) + "\n", truth
+    yield "\n".join(lines) + "\n"
+
+
+def generate(spec: TraceSpec) -> tuple[str, GroundTruth]:
+    """Render a dump for `spec`; returns (vcd text, ground truth).
+
+    Output is deterministic: the same spec always yields the same text.
+    """
+    pieces, truth = render(spec)
+    return "".join(pieces), truth
 
 
 # Canned per-mnemonic instruction words for generated traces, assembled

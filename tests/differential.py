@@ -26,7 +26,9 @@ over a waveform read from one of the well-formed dumps above, at a random
 planner window (`interp._WINDOW`) and three times in a row, so that a
 kept plan is made and then read. The programs mix signal-only heads the
 planner narrows with conditions that read variables, `INDEX`, lists and
-calls; `sig@k` offsets past both ends of the trace; `alias` in BEGIN and
+calls; `sig@k` offsets past both ends of the trace; vector samples compared
+with int literals, over dumps that write one value to an id code again
+in other digits (`b101`, `b00000101`); `alias` in BEGIN and
 in the sweep; builtins, `printf`, `if`/`else`, and the runtime errors of
 x/z bits made an int, `/ 0` and unbound names. Both trees must give each
 run the same stdout and then the same `repr` of the final variables, or
@@ -109,8 +111,18 @@ def _header(rng: random.Random, faulty: float) -> tuple[list[str], dict[str, int
     return tokens, widths
 
 
+def _spellings(digits: str, width: int) -> list[str]:
+    """Every way to write the value `digits` stands for at `width`: the
+    tails of its bits that the reader widens back to them."""
+    def widened(tail: str) -> str:
+        return tail.rjust(width, "0" if tail[0] in "01" else tail[0])
+
+    bits = widened(digits.lower())
+    return [bits[i:] for i in range(width) if widened(bits[i:]) == bits]
+
+
 def _changes(rng: random.Random, widths: dict[str, int], faulty: float) -> list[str]:
-    tokens, stamp = [], -1
+    tokens, stamp, written = [], -1, {}  # written: id code -> the vector values written to it
     ids = list(widths) or ["!"]
     for _ in range(rng.randint(0, 40)):
         pick = rng.random()
@@ -124,8 +136,15 @@ def _changes(rng: random.Random, widths: dict[str, int], faulty: float) -> list[
             tokens += [rng.choice("0101xzXZ") + rng.choice(ids), "\n"]
         elif pick < 0.8:
             id_code = rng.choice(ids)
-            size = rng.randint(1, widths.get(id_code, 1) + (rng.random() < faulty))
-            bits = "".join(rng.choice("0011xzXZ") for _ in range(size))
+            width = widths.get(id_code, 1)
+            if written.get(id_code) and rng.random() < 0.4:  # a value again, in other digits
+                bits = rng.choice(_spellings(rng.choice(written[id_code]), width))
+            else:
+                size = rng.randint(1, width + (rng.random() < faulty))
+                digits = rng.choice(["01", "0011xzXZ"])
+                bits = "".join(rng.choice(digits) for _ in range(size))
+            if len(bits) <= width:
+                written.setdefault(id_code, []).append(bits)
             on_next_line = ["\n"] if rng.random() < 0.1 else []  # the id code waits a line
             tokens += [rng.choice("bB") + bits, *on_next_line, id_code, "\n"]
         elif pick < 0.9:
@@ -173,9 +192,9 @@ def random_dump(rng: random.Random, well_formed: bool = False) -> str:
     return text
 
 
-def signal_names(dump: str) -> list[str]:
-    """The full names of the signals a well-formed `dump` declares."""
-    names, scopes, tokens = [], [], iter(dump.split())
+def signal_widths(dump: str) -> dict[str, int]:
+    """The full name and width of each signal a well-formed `dump` declares."""
+    widths, scopes, tokens = {}, [], iter(dump.split())
     for tok in tokens:
         if tok in ("$comment", "$date", "$version"):
             while next(tokens) != "$end":
@@ -185,15 +204,17 @@ def signal_names(dump: str) -> list[str]:
         elif tok == "$upscope":
             scopes.pop()
         elif tok == "$var":
-            names.append(".".join(scopes + [[next(tokens) for _ in range(4)][-1]]))
-    return names
+            _, width, _, name = (next(tokens) for _ in range(4))
+            widths[".".join(scopes + [name])] = int(width)
+    return widths
 
 
-def random_script(rng: random.Random, names: list[str]) -> str:
-    """A program over the signals `names` (see the module docstring).
+def random_script(rng: random.Random, widths: dict[str, int]) -> str:
+    """A program over the signals of `widths` (see the module docstring).
     About half the programs draw from every form; the others only from
     forms that cannot raise, so that most of them reach END."""
     risky, sweep_alias, swept = rng.random() < 0.5, rng.random() < 0.2, False
+    names, vectors = list(widths), [name for name, width in widths.items() if width > 1]
     aliases = [f"a{k}" for k in range(rng.randint(0, 2))]
 
     def signal() -> str:
@@ -202,18 +223,22 @@ def random_script(rng: random.Random, names: list[str]) -> str:
             return "top.none"  # an unknown signal
         return rng.choice(aliases) if aliases and pick < 0.3 else rng.choice(names)
 
-    def sample() -> str:  # an offset may land past either end of the trace
+    def sample(name: str | None = None) -> str:  # an offset may land past either end
+        name = name or signal()
         if rng.random() < 0.5:
-            return signal()
-        return f"{signal()}@{rng.choice([-60, -3, -2, -1, 1, 2, 3, 60])}"
+            return name
+        return f"{name}@{rng.choice([-60, -3, -2, -1, 1, 2, 3, 60])}"
 
     def head(depth: int = 0) -> str:
         """A condition that reads only signals and literals."""
         pick = rng.random()
         if depth > 2 or pick < 0.45:
             return rng.choice(["", "!"]) + sample()
-        if pick < 0.9 or not risky:
+        if pick < 0.8 or not risky:
             return f"({head(depth + 1)}) {rng.choice(['&&', '||'])} ({head(depth + 1)})"
+        if pick < 0.9 and vectors:  # equal values written in other digits read as one
+            op = rng.choice(['==', '!=', '<', '>='])
+            return f"{sample(rng.choice(vectors))} {op} {rng.randint(0, 7)}"
         if pick < 0.96:  # x/z bits raise
             right = sample() if rng.random() < 0.5 else str(rng.randint(0, 3))
             return f"{sample()} {rng.choice(['==', '!=', '<', '>='])} {right}"
@@ -394,9 +419,9 @@ def _programs(rng: random.Random, count: int) -> list:
     cases = []
     while len(cases) < count:
         dump = random_dump(rng, well_formed=True)
-        names = signal_names(dump)
-        if names:
-            cases += [(dump, random_script(rng, names), rng.choice(WINDOWS))
+        widths = signal_widths(dump)
+        if widths:
+            cases += [(dump, random_script(rng, widths), rng.choice(WINDOWS))
                       for _ in range(PROGRAMS_PER_DUMP)]
     return cases[:count]
 

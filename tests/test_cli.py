@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -187,6 +188,25 @@ class TestGen:
         assert err.startswith("usage: wawk gen table1 ")
         assert err.endswith(f"\nwawk gen table1: error: argument {option}: "
                             f"invalid int value: {value!r}\n")
+
+    def test_a_long_trace_is_written_as_it_is_made(self, tmp_path):
+        # 200,006 indexes, 2,089,319 bytes: held whole, the text alone is 2 MiB
+        spec, out = tmp_path / "long.spec", tmp_path / "trace.vcd"
+        spec.write_text("13 100000\n00000013 1\n")
+        tracemalloc.start()
+        try:
+            assert main(["gen", "spec", str(spec), str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert out.read_text() == generate(TraceSpec(((0x13, 100_000), (0x13, 1))))[0]
+
+    def test_a_spec_error_opens_no_output_file(self, tmp_path, capsys):
+        out = tmp_path / "trace.vcd"
+        assert main(["gen", "table1", str(out), "--half-period", "0"]) == 2
+        assert capsys.readouterr() == ("", "wawk: clock half period 0 must be >= 1\n")
+        assert not out.exists()
 
     def test_spec_file(self, tmp_path):
         spec = tmp_path / "prog.spec"

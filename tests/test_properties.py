@@ -7,10 +7,15 @@ digits reads as its full-width bits would, the VCD reader's line table
 reads any dump, or fails on it, exactly as its token loop does, and a
 generated trace reads back as its ground truth; and a well-formed program
 prints to source that parses back to it, and runs raising nothing but
-WawkError; and most programs built to run to their END get there."""
+WawkError; most programs built to run to their END get there; and the
+command line, given any script, dump or spec text, exits 0, 1 or 2 with
+nothing or one short line on stderr."""
 
+import contextlib
 import functools
 import io
+import os
+import tempfile
 
 import pytest
 
@@ -20,7 +25,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import make_waveform  # noqa: E402
 from printer import to_source  # noqa: E402
-from wawk import ast, interp, vcd  # noqa: E402
+from wawk import ast, cli, interp, vcd  # noqa: E402
 from wawk.errors import ParseFailure, RunFailure, WawkError  # noqa: E402
 from wawk.interp import execute  # noqa: E402
 from wawk.lexer import tokenize  # noqa: E402
@@ -548,3 +553,85 @@ def test_most_running_programs_run_to_their_end():
     run()
     assert len(ends) >= 100
     assert sum(ends) >= 0.6 * len(ends), f"{sum(ends)} of {len(ends)}"
+
+
+# --- the command line, in process ---
+# Random script, dump and spec text, long tokens mixed in, through
+# cli.main as `wawk run` and `wawk gen spec` read them from files. Cycle
+# counts stay at or below 1,000, so a spec renders at most a few
+# thousand indexes per line.
+
+LONG = ["n" * 5000, "9" * 5000, '"' + "%d" * 2000 + '"', "top." + "b" * 5000, "1" * 70]
+CLI_SCRIPTS = st.one_of(
+    SCRIPT_TEXT,
+    st.lists(st.sampled_from(SCRIPT_WORDS + LONG), max_size=20).map(" ".join),
+    PROGRAMS.map(to_source),
+    RUNNING.map(to_source),
+    RUNNING.map(to_source),
+)
+CLI_HEADER = "$var wire 1 ! clk $end\n$scope module top $end\n$var wire 8 \" bus $end\n" \
+             "$upscope $end\n$enddefinitions $end\n"
+CLI_CHANGES = st.lists(st.tuples(st.sampled_from("01xz"), st.text("01xz", min_size=1, max_size=9)),
+                       max_size=20)
+WELL_FORMED = st.one_of(  # clk and top.bus, or a generated trace's signals
+    CLI_CHANGES.map(lambda changes: CLI_HEADER + "".join(
+        f"#{10 * i}\n{clk}!\nb{bits} \"\n" for i, (clk, bits) in enumerate(changes))),
+    SPECS.map(lambda spec: generate(spec)[0]),
+)
+
+
+def _spoiled(texts):
+    """`texts` with one long or stray token put in as a line."""
+    def put(text, at, token):
+        lines = text.split("\n")
+        lines.insert(at % (len(lines) + 1), token)
+        return "\n".join(lines)
+    return st.builds(put, texts, st.integers(0, 200), st.sampled_from(LONG + ["$bogus", "#3"]))
+
+
+CLI_DUMPS = st.one_of(VCD_TEXT, WELL_FORMED, WELL_FORMED, WELL_FORMED, _spoiled(WELL_FORMED))
+VALID_SPEC_LINES = st.builds("{:x} {}".format, st.one_of(st.sampled_from(sorted(WORDS.values())),
+                                                          st.integers(0, 2**32 - 1)),
+                             st.integers(1, 1000))
+SPEC_LINES = st.one_of(
+    VALID_SPEC_LINES,
+    st.builds("{} {}".format, st.one_of(FIELD, st.sampled_from(LONG)), FIELD),
+    st.sampled_from(["# a comment", "", "13 0", "13", "13 2 3", "13 " + "9" * 5000]),
+)
+CLI_SPECS = st.one_of(st.lists(VALID_SPEC_LINES, min_size=1, max_size=4),
+                      st.lists(SPEC_LINES, max_size=4)).map("\n".join)
+GEN_OPTIONS = st.lists(st.sampled_from([["--half-period", "3"], ["--half-period", "0"],
+                                        ["--half-period", "9" * 70], ["--dummy-signals", "2"],
+                                        ["--dummy-signals", "65"], ["--dummy-signals", "-1"]]),
+                       max_size=2).map(lambda options: sum(options, []))
+COMMANDS = st.one_of(
+    st.tuples(st.just("run"), CLI_SCRIPTS, CLI_DUMPS,
+              st.lists(st.sampled_from(["lw", "add", "x", "n" * 5000]), max_size=2)),
+    st.tuples(st.just("cpi"), st.just(""), CLI_DUMPS,
+              st.sampled_from([["lw"], ["--all"], ["n" * 5000]])),
+    st.tuples(st.just("gen"), CLI_SPECS, st.just(""), GEN_OPTIONS),
+)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(COMMANDS, st.booleans())
+def test_the_command_line_exits_0_1_or_2_with_at_most_one_short_line(command, to_file):
+    kind, text, dump, rest = command
+    with tempfile.TemporaryDirectory() as tmp:
+        text_path, vcd, out = (os.path.join(tmp, name) for name in ("in", "t.vcd", "o.vcd"))
+        with open(text_path, "wb") as f:
+            f.write(text.encode("utf-8", "surrogatepass"))  # a lone surrogate is not UTF-8
+        with open(vcd, "wb") as f:
+            f.write(dump.encode("utf-8", "surrogatepass"))
+        argv = {"run": ["run", text_path, vcd, *rest], "cpi": ["run", "@cpi", vcd, *rest],
+                "gen": ["gen", "spec", text_path, out if to_file else "-", *rest]}[kind]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), (argv, err)
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("wawk: ") and err.count("\n") == 1 and err.endswith("\n"), err
+            assert len(err.replace(tmp, "")) <= 300, err

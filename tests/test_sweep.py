@@ -712,8 +712,9 @@ def toggle_vcd(count):
 
 class TestWorkCounts:
     """How often the planner tests a head, counted rather than timed: at
-    most once per distinct tuple of the values it reads (their identity),
-    and never again in the sweep where it held."""
+    most once per distinct tuple of the values it reads (equal values
+    count once, a value before a signal's first change and one outside
+    the trace once each), and never again in the sweep where it held."""
 
     HEADS = [("top.a != top.a@-1", [("top.a", 0), ("top.a", -1)]),
              ("top.b != top.b@-1", [("top.b", 0), ("top.b", -1)]),
@@ -759,10 +760,9 @@ class TestWorkCounts:
         assert [env.variables[f"n{i}"] for i in range(4)] == [119, 39, 18, 76]
 
     def test_reads_before_a_first_change_are_one_input(self, monkeypatch):
-        # all_x is cached: every read of `late` before its one change is the
-        # same object, so 1,999 indexes give two inputs and the last a third.
-        # A wave made with a new Value per change (make_waveform) tests this
-        # head at every index: the memo keys values by identity
+        # every read of `late` before its one change is one input, whatever
+        # `s` reads with it, so 1,999 indexes give two inputs and the last a
+        # third; a wave made by make_waveform tests it as often
         calls = self.counting(monkeypatch, ["s && !late"])
         count = 2000
         lines = ["$var wire 1 s s $end", "$var wire 1 l late $end", "$enddefinitions $end"]
@@ -771,6 +771,35 @@ class TestWorkCounts:
         wave = parse_vcd(io.StringIO("\n".join(lines + ["1l"]) + "\n"))
         assert run_script("s && !late: { n = INDEX; }", wave)[1].variables["n"] == count - 3
         assert calls == {("s && !late", "_narrow"): 3}
+
+    def test_equal_vector_values_are_one_input_however_they_are_written(self, monkeypatch):
+        # a 32-bit bus revisits 8 values over 2,000 stamps, each change a new
+        # Value and half of them written with all 32 digits: one test a value
+        calls = self.counting(monkeypatch, ["top.bus == 5"])
+        count, values = 2000, [5, 0, 7, 5, 1, 9, 3, 12, 7, 40]
+        lines = ["$scope module top $end", "$var wire 1 ! clk $end",
+                 "$var wire 32 # bus $end", "$upscope $end", "$enddefinitions $end"]
+        for i in range(count):
+            lines += [f"#{i}", f"{i % 2}!"]
+            if i % 2 == 0:
+                value = values[i // 2 % len(values)]
+                lines.append(f"b{value:032b} #" if i % 4 else f"b{value:b} #")
+        wave = parse_vcd(io.StringIO("\n".join(lines) + "\n"))
+        bus = wave.series("top.bus")
+        assert len(bus.indexes) == count // 2
+        out, _ = run_script('top.bus == 5: { printf("%d ", INDEX); }', wave)
+        assert out == "".join(f"{i} " for i in range(count) if values[i // 2 % 10] == 5)
+        assert len(set(values)) == 8
+        assert calls == {("top.bus == 5", "_narrow"): 8}
+
+    def test_equal_values_built_as_distinct_objects_are_one_input(self, monkeypatch):
+        # make_waveform builds a new Value for every change, equal or not
+        calls = self.counting(monkeypatch, ["top.bus == 5"])
+        changes = [(i, format([5, 6, 5, 200][i % 4], "08b")) for i in range(2000)]
+        wave = make_waveform(2000, {"top.bus": (8, changes)})
+        _, env = run_script("BEGIN: { n = 0; }\ntop.bus == 5: { n = n + 1; }", wave)
+        assert env.variables["n"] == 1000
+        assert calls == {("top.bus == 5", "_narrow"): 3}
 
     @pytest.mark.parametrize("window", [1, 2, 7])
     def test_the_head_tests_do_not_depend_on_the_window(self, monkeypatch, window):
