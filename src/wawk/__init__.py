@@ -7,9 +7,8 @@ from .errors import ParseFailure, RunFailure, WawkError
 from .interp import execute, run_source
 from .parser import parse_source
 from .riscv import decode
-from .value import Value
 from .vcd import parse_vcd, parse_vcd_file
-from .waveform import Waveform
+from .waveform import Value, Waveform
 
 __version__ = "0.1.0"
 

@@ -61,9 +61,8 @@ from typing import IO, Iterator, Sequence
 from . import ast
 from .errors import RunFailure, quote, shown
 from .riscv import decode as _decode_word
-from .value import Value
 from .vcd import MAX_WIDTH
-from .waveform import Waveform
+from .waveform import Value, Waveform
 
 
 class _Marker(enum.Enum):

@@ -16,7 +16,7 @@ Every `#` directive opens a new index on the time axis, even if no change
 follows it; changes before the first `#` belong to index 0, and repeated
 changes for one signal at the same index keep the last one. A vector
 change is stored as the dump wrote it, with its id code's declared width
-(see wawk.value for the extension rule). A $var may be at most MAX_WIDTH
+(see wawk.waveform for the extension rule). A $var may be at most MAX_WIDTH
 (65,536) bits wide, and names that share an id code share one SignalSeries.
 A 1-bit series stores one byte per change (see SignalSeries). The time
 axis is kept in array('Q'), and turns into a list at the first timestamp
@@ -40,8 +40,7 @@ from operator import length_hint
 from typing import IO, Iterator
 
 from .errors import VcdError, quote
-from .value import BIT_CHARS, SCALARS, Value
-from .waveform import SignalSeries, Waveform
+from .waveform import BIT_CHARS, CODES, SignalSeries, Value, Waveform
 
 _TIME_UNITS = ("fs", "ps", "ns", "us", "ms", "s")
 _SCOPE_TYPES = ("module", "begin", "task", "function", "fork")
@@ -54,17 +53,22 @@ _DUMP_BLOCKS = ("$dumpvars", "$dumpoff", "$dumpon", "$dumpall", "$end")
 # widest $var accepted: the smallest vector-length limit IEEE 1364 lets a tool set
 MAX_WIDTH = 65536
 _BLOCK = 1 << 13  # characters read at a time from the dump
-_CODES = {value.digits: code for code, value in enumerate(SCALARS)}  # a 1-bit change's byte
 _NARROW = 1 << 8 * array("I").itemsize  # indexes below this fit in array('I')
 
 
 def _blocks(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
     """Every line of `stream` without its "\\n", in blocks of (number of
-    the first line, lines), read _BLOCK characters at a time."""
+    the first line, lines), read _BLOCK characters at a time. A block inside
+    a long line yields it up to its last space or tab, under its number."""
     first, tail, more, read = 1, "", [], stream.read
     while chunk := read(_BLOCK):
-        if "\n" not in chunk:  # a long line: its blocks are joined once, where it ends
-            more.append(chunk)
+        if "\n" not in chunk:
+            cut = max(chunk.rfind(" "), chunk.rfind("\t"))
+            if cut < 0:  # joined once, where a blank or the line end comes
+                more.append(chunk)
+                continue
+            yield first, [tail + "".join(more) + chunk[:cut]]  # read as that blank
+            tail, more = chunk[cut + 1 :], []
             continue
         lines = (tail + "".join(more) + chunk).split("\n")
         tail, more = lines.pop(), []  # a partial line waits for the next block
@@ -102,7 +106,7 @@ def _line_table(ids: dict[str, SignalSeries]) -> dict[str, tuple[array, bytearra
     """The text of each line that sets a 1-bit id code to 0 or 1, such as
     "0!", mapped to that id code's indexes and values and the code set."""
     return {
-        f"{c}{id_code}": (series.indexes, series.values, _CODES[c])
+        f"{c}{id_code}": (series.indexes, series.values, CODES[c])
         for id_code, series in ids.items()
         if series.width == 1
         for c in "01"
@@ -192,7 +196,7 @@ def parse_vcd(stream: IO[str]) -> Waveform:
         width = series.width
         if len(bits) > width:
             raise VcdError(f"{len(bits)}-bit value for {width}-bit id code {quote(id_code)}", line)
-        value = _CODES[bits] if width == 1 else Value(bits, width)
+        value = CODES[bits] if width == 1 else Value(bits, width)
         indexes = series.indexes
         if indexes and indexes[-1] == cur:
             series.values[-1] = value  # same-index rewrite: last one wins

@@ -11,9 +11,8 @@ import pytest
 from wawk import interp, vcd
 from wawk.interp import execute
 from wawk.parser import parse_source
-from wawk.value import Value
 from wawk.vcd import parse_vcd
-from wawk.waveform import SignalSeries, Waveform
+from wawk.waveform import SignalSeries, Value, Waveform
 
 
 def make_waveform(count: int, signals: dict) -> Waveform:

@@ -11,6 +11,7 @@ import tracemalloc
 
 import pytest
 
+import wawk
 from conftest import nested_script
 from wawk import cli, errors, parser
 from wawk.cli import main
@@ -754,6 +755,17 @@ class TestUsage:
             "ParseFailure", "RunFailure", "Value", "Waveform", "WawkError", "decode",
             "execute", "generate", "parse_source", "parse_vcd", "parse_vcd_file",
             "run_source"])]
+
+    def test_the_package_root_names_only_its_exports(self):
+        with pytest.raises(AttributeError) as caught:
+            wawk.nope
+        assert str(caught.value) == "module 'wawk' has no attribute 'nope'"
+        assert not hasattr(wawk, "nope")
+        namespace = {}
+        exec("from wawk import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(wawk.__all__)
+        assert len(wawk.__all__) == 12
+        assert namespace["generate"] is generate  # wawk.tracegen's
 
     def test_the_cli_imports_neither_dataclasses_nor_inspect(self, tmp_path):
         # against the modules loaded just before, so a `site` that loads

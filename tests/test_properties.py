@@ -31,8 +31,8 @@ from wawk.interp import execute  # noqa: E402
 from wawk.lexer import tokenize  # noqa: E402
 from wawk.parser import MAX_DEPTH, parse_source  # noqa: E402
 from wawk.tracegen import WORDS, TraceSpec, generate  # noqa: E402
-from wawk.value import Value  # noqa: E402
 from wawk.vcd import parse_vcd  # noqa: E402
+from wawk.waveform import Value  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import raises_exactly
 from wawk.errors import RunFailure
-from wawk.value import SCALARS, Value, all_x
+from wawk.waveform import SCALARS, Value, all_x
 
 
 class TestValue:
@@ -45,6 +45,9 @@ class TestValue:
         assert Value("01") != Value("1")  # width matters
         assert Value("x") != Value("z")
         assert len({Value("01"), Value("01"), Value("10")}) == 2
+        for short, full in [(Value("101", 8), Value("00000101")), (Value("x1", 4), Value("xxx1")),
+                            (Value("0x", 3), Value("00x"))]:
+            assert short == full and hash(short) == hash(full)
 
     def test_rejects_bad_bit_strings(self):
         with pytest.raises(ValueError):

@@ -646,6 +646,22 @@ class TestStorage:
         assert changes == 200_000
         assert held <= 6 * changes  # 16 bytes each as an 8-byte index and a list pointer
 
+    def test_a_dump_on_one_line_peaks_as_its_lines(self):
+        # joined whole, a 0.4 MB line peaked at over three times its lines' peak
+        changes = [f"#{k} {k % 2}!" for k in range(40_000)]
+        peaks = []
+        for sep in "\t\n":
+            text = "$var wire 1 ! a $end\n$enddefinitions $end\n" + sep.join(changes) + "\n"
+            tracemalloc.start()
+            try:
+                wave = parse(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(wave.series("a").indexes) == 40_000
+        one, lines = peaks
+        assert one < 1.25 * lines, peaks
+
     # the limit patched low: the axis outgrows it at every point of each dump
     @pytest.mark.parametrize("size", [1, 2, 7, len(WIDE_HEADER), vcd._BLOCK],
                              ids=["block1", "block2", "block7", "header-block", "block8192"])

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import make_waveform, wave_from_vcd
 from wawk.errors import RunFailure
-from wawk.value import Value
+from wawk.waveform import Value
 
 
 @pytest.fixture
