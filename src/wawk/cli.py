@@ -15,7 +15,6 @@ import io
 import os
 import sys
 from contextlib import contextmanager
-from importlib import resources
 
 from .errors import ParseFailure, RunFailure, WawkSyntaxError, quote
 from .interp import execute
@@ -27,10 +26,11 @@ from .vcd import ascii_int, parse_vcd, parse_vcd_file
 def bundled_script(name: str) -> str:
     """Source text of a script shipped inside the package (see `@name`
     on the run subcommand)."""
-    path = resources.files("wawk").joinpath("scripts", f"{name}.wawk")
-    if not path.is_file():
+    path = os.path.join(os.path.dirname(__file__), "scripts", f"{name}.wawk")
+    if not os.path.isfile(path):
         raise FileNotFoundError(f"no bundled script named {name!r}")
-    return path.read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def _option_int(text: str) -> int:

@@ -54,9 +54,9 @@ import sys
 import weakref
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from collections.abc import Iterator, Sequence
 from itertools import chain, repeat
 from operator import add, eq, ge, gt, itemgetter, le, lt, ne, sub
-from typing import IO, Iterator, Sequence
 
 from . import ast
 from .errors import RunFailure, quote, shown
@@ -268,7 +268,7 @@ class Environment:
         self,
         waveform: Waveform,
         args: Sequence[str] = (),
-        out: IO[str] | None = None,
+        out=None,
         modules: dict[str, dict] | None = None,
     ):
         self.waveform = waveform
@@ -380,9 +380,12 @@ def _walk(node) -> Iterator:
                 yield from _walk(item)
 
 
+_CACHED = 4096  # the most entries _factory and each memo of _narrow keep
+
+
 # generated source -> the factory compiled from it, for every run: the
 # source holds no script text, so each shape of statement compiles once
-@functools.lru_cache(maxsize=4096)  # a bound for a process that runs many scripts
+@functools.lru_cache(maxsize=_CACHED)
 def _factory(source: str):
     exec(compile(source + "\n return run", "<wawk>", "exec"), globals(), made := {})
     return made["make"]
@@ -586,9 +589,9 @@ def _narrow(test, reads: list, count: int, pieces: list, unproven: tuple, memo: 
     the bound head condition `test` can hold, adjacent parts with the same
     visit joined. Each piece is cut where a read of `test` can change (see
     _cuts). `test` runs once per distinct tuple of the keys of its reads,
-    its answer kept in `memo` across pieces and calls; where it raised, the
-    part takes the `unproven` visit, which evaluates every condition and so
-    raises the same error in the sweep."""
+    its answer kept in `memo` across pieces and calls until it holds _CACHED
+    answers; where it raised, the part takes the `unproven` visit, which
+    evaluates every condition and so raises the same error in the sweep."""
     parts = []
     for lo, hi, statement in pieces:
         current, cuts = [None] * (len(reads) + 1), []
@@ -603,9 +606,11 @@ def _narrow(test, reads: list, count: int, pieces: list, unproven: tuple, memo: 
                 held = memo.get(inputs, memo)
                 if held is memo:
                     try:
-                        held = memo[inputs] = _truthy(test(a))
+                        held = _truthy(test(a))
                     except RunFailure:
-                        held = memo[inputs] = None
+                        held = None
+                    if len(memo) < _CACHED:  # a bus that never repeats would fill it
+                        memo[inputs] = held
                 visit = statement if held else None if held is False else unproven
                 if visit is not None:
                     if parts and parts[-1][1] == a and parts[-1][2] is visit:
@@ -680,7 +685,7 @@ def execute(
     program: ast.Program,
     waveform: Waveform,
     args: Sequence[str] = (),
-    out: IO[str] | None = None,
+    out=None,
     modules: dict[str, dict] | None = None,
 ) -> Environment:
     """Run a parsed script over a waveform; returns the final Environment."""
@@ -731,7 +736,7 @@ def run_source(
     source: str,
     waveform: Waveform,
     args: Sequence[str] = (),
-    out: IO[str] | None = None,
+    out=None,
     modules: dict[str, dict] | None = None,
 ) -> Environment:
     """Parse and execute script source in one step."""

@@ -5,7 +5,10 @@ instruction-bus acknowledge strobe, and the fetched instruction word,
 under TOP.servant_sim.dut.cpu. Each generated trace comes with a
 GroundTruth that records exactly which per-instruction values a
 spacing-based cycle measurement must observe, so analysis results can be
-checked against intent rather than against another implementation.
+checked against intent rather than against another implementation. The
+ground truth is data: the trace's shape, its instructions and their ack
+indexes. Its two queries, expected_bits and stats, are the ones the
+benchmark's oracle asks; the tests ask theirs of it in tests/direct_scan.py.
 
 Timing layout, with H the clock half period in ns:
 
@@ -31,7 +34,7 @@ The final instruction has no following ack, so it is never measured
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import InvalidSpecError, quote
 from .riscv import MNEMONICS, decode
@@ -60,30 +63,15 @@ TraceSpec = namedtuple("TraceSpec", "instructions clock_half_period dummy_signal
 
 # formula_value is what the spacing measurement reports for the
 # instruction, or None for the final instruction, which no later ack closes
-Instruction = namedtuple("Instruction", "word mnemonic cycles ack_index formula_value")
+Instruction = namedtuple("Instruction", "word mnemonic cycles formula_value")
 
 
 class GroundTruth(namedtuple(
-        "GroundTruth", "half_period index_count dummy_signals instructions rises words")):
-    """What a generated trace holds; `rises` and `words` give each
-    instruction's ack index and word."""
+        "GroundTruth", "half_period index_count dummy_signals instructions rises")):
+    """What a generated trace holds; `rises` gives each instruction's ack
+    index, in the order of `instructions`."""
 
     __slots__ = ()
-
-    def timestamp_of(self, index: int) -> int:
-        return index * self.half_period
-
-    def signal_names(self) -> list[str]:
-        names = [CLOCK_SIGNAL, ACK_SIGNAL, RDT_SIGNAL]
-        names += [dummy_signal_name(j) for j in range(self.dummy_signals)]
-        return names
-
-    def width_of(self, name: str) -> int:
-        if name == RDT_SIGNAL:
-            return 32
-        if name in self.signal_names():
-            return 1
-        raise ValueError(f"unknown signal {name!r}")
 
     def expected_bits(self, name: str, index: int) -> str:
         """Bit string the generated dump must show for `name` at `index`."""
@@ -99,29 +87,18 @@ class GroundTruth(namedtuple(
             pos = bisect_right(self.rises, index) - 1
             if pos < 0:
                 return "x" * 32
-            return format(self.words[pos], "032b")
+            return format(self.instructions[pos].word, "032b")
         j = ascii_int(name.rpartition(".dbg")[2])  # a dummy signal's number
         if j is not None and j < self.dummy_signals and name == dummy_signal_name(j):
             return str((index // _dummy_period(j)) % 2)
         raise ValueError(f"unknown signal {name!r}")
 
-    def formula_values(self, mnemonic: str) -> list[int]:
-        return [
-            ins.formula_value
-            for ins in self.instructions
-            if ins.mnemonic == mnemonic and ins.formula_value is not None
-        ]
-
-    def measured_mnemonics(self) -> list[str]:
-        """Each measured mnemonic once, in trace order."""
-        return list(dict.fromkeys(
-            ins.mnemonic for ins in self.instructions if ins.formula_value is not None))
-
     def stats(self, mnemonic: str) -> tuple[int, int, int] | None:
         """(average, min, max) of the measured values, or None if the
         mnemonic is never measured. Average rounds exact halves up,
         matching the script builtin."""
-        values = self.formula_values(mnemonic)
+        values = [ins.formula_value for ins in self.instructions
+                  if ins.mnemonic == mnemonic and ins.formula_value is not None]
         if not values:
             return None
         avg = (2 * sum(values) + len(values)) // (2 * len(values))
@@ -171,8 +148,7 @@ def render(spec: TraceSpec) -> tuple[Iterator[str], GroundTruth]:
 
     last = len(spec.instructions) - 1
     instructions = [
-        Instruction(word, decode(word), cycles, ack_index=rises[k],
-                    formula_value=cycles if k != last else None)
+        Instruction(word, decode(word), cycles, formula_value=cycles if k != last else None)
         for k, (word, cycles) in enumerate(spec.instructions)
     ]
     truth = GroundTruth(
@@ -181,7 +157,6 @@ def render(spec: TraceSpec) -> tuple[Iterator[str], GroundTruth]:
         dummy_signals=spec.dummy_signals,
         instructions=instructions,
         rises=rises,
-        words=[word for word, _ in spec.instructions],
     )
     return _pieces(truth), truth
 
@@ -189,10 +164,10 @@ def render(spec: TraceSpec) -> tuple[Iterator[str], GroundTruth]:
 def _pieces(truth: GroundTruth) -> Iterator[str]:
     ack_at: dict[int, str] = {}
     rdt_at: dict[int, str] = {}
-    for rise, word in zip(truth.rises, truth.words):
+    for rise, ins in zip(truth.rises, truth.instructions):
         ack_at[rise] = "1"
         ack_at[rise + 2] = "0"
-        rdt_at[rise] = format(word, "b")
+        rdt_at[rise] = format(ins.word, "b")
 
     clk_id, ack_id, rdt_id = "!", '"', "#"
     dummy_ids = [chr(37 + j) for j in range(truth.dummy_signals)]

@@ -32,12 +32,14 @@ $enddefinitions, and built again when the indexes widen, and a line that
 is one increasing timestamp of at most 19 digits (`#40`) is stepped
 directly; any other line, and every line inside a $comment-style block
 or after a vector that waits for its id code, goes through the token
-loop, which is the reference reading and raises every error.
+loop, which is the reference reading and raises every error. No fast path
+takes a line that starts with a blank, so the tests read a dump through
+the token loop alone by indenting its lines.
 """
 
 from array import array
+from collections.abc import Iterator
 from operator import length_hint
-from typing import IO, Iterator
 
 from .errors import VcdError, quote
 from .waveform import BIT_CHARS, CODES, SignalSeries, Value, Waveform
@@ -56,7 +58,7 @@ _BLOCK = 1 << 13  # characters read at a time from the dump
 _NARROW = 1 << 8 * array("I").itemsize  # indexes below this fit in array('I')
 
 
-def _blocks(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
+def _blocks(stream) -> Iterator[tuple[int, list[str]]]:
     """Every line of `stream` without its "\\n", in blocks of (number of
     the first line, lines), read _BLOCK characters at a time. A block inside
     a long line yields it up to its last space or tab, under its number."""
@@ -152,7 +154,7 @@ def _parse_var(parts: list[str], line: int, scope_path: list[str], ids: dict[str
     signals[name] = series
 
 
-def parse_vcd(stream: IO[str]) -> Waveform:
+def parse_vcd(stream) -> Waveform:
     """Parse a dump from a text stream into a Waveform. The stream is read
     only through read(), and one token loop reads the header and then the
     changes. Lines end at "\\n", as in a stream opened with universal
@@ -171,8 +173,8 @@ def parse_vcd(stream: IO[str]) -> Waveform:
     table: dict[str, tuple[array, bytearray, int]] = {}
     typecode = "I"  # of every series' change indexes; "Q" once widen() runs
     vector_bits: str | None = None
-    # past the header with no directive open and no vector waiting: the line
-    # table applies (not to the rest of the $enddefinitions line)
+    # past the header with no directive open and no vector waiting: the fast
+    # paths apply (not to the rest of the $enddefinitions line)
     fast = False
     line = 0
     cur = 0  # index of the latest '#', and 0 before the first one
@@ -295,9 +297,7 @@ def parse_vcd(stream: IO[str]) -> Waveform:
                     raise VcdError(f"unsupported directive {quote(tok)} in change region", line)
                 else:
                     raise VcdError(f"unrecognized token {quote(tok)} in change region", line)
-            # the table is empty in the header, and with no 1-bit id code or
-            # under the tests' token-loop oracle: timestamps take the token loop too
-            fast = bool(table) and name is None and vector_bits is None
+            fast = not header and name is None and vector_bits is None
     if header and name is None:
         raise VcdError("missing $enddefinitions", line)
     if name is not None:

@@ -18,8 +18,8 @@ list once a timestamp is past 2**64 - 1.
 """
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from functools import cache
-from typing import Sequence
 
 from .errors import RunFailure, quote
 

@@ -5,10 +5,12 @@ import shutil
 import subprocess
 import sys
 from contextlib import contextmanager
+from operator import length_hint
 
 import pytest
 
 from wawk import interp, vcd
+from wawk.errors import ParseFailure
 from wawk.interp import execute
 from wawk.parser import parse_source
 from wawk.vcd import parse_vcd
@@ -109,19 +111,37 @@ def dense_sweep():
     return dense
 
 
-@pytest.fixture(scope="session")
-def token_path():
-    """A context manager under which parse_vcd() reads every line of the
-    change region through the token loop, the reading the line table must
-    agree with."""
+@contextmanager
+def token_loop_lines():
+    """A list that gets, for each line that parse_vcd() sends to the token
+    loop, the number of lines after it in its block: the reader calls
+    length_hint once per such line, to number it."""
+    seen = []
 
-    @contextmanager
-    def tokens_only():
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(vcd, "_line_table", lambda ids: {})
-            yield
+    def hint(rest):
+        seen.append(length_hint(rest))
+        return seen[-1]
 
-    return tokens_only
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vcd, "length_hint", hint)
+        yield seen
+
+
+def parse_by_token_loop(text: str) -> Waveform:
+    """parse_vcd() of `text` with one space before every non-empty line.
+    No fast path takes such a line, so the token loop, the reading the fast
+    paths must agree with, reads every line; this asserts that it did."""
+    text = re.sub(r"(?m)^(?=.)", " ", text)
+    every = [after for _, lines in vcd._blocks(io.StringIO(text))
+             for after in reversed(range(len(lines)))]
+    with token_loop_lines() as seen:
+        try:
+            wave = parse_vcd(io.StringIO(text))
+        except ParseFailure:
+            assert seen == every[:len(seen)]  # each line up to the error's
+            raise
+    assert seen == every
+    return wave
 
 
 @pytest.fixture(scope="session")

@@ -6,11 +6,47 @@ posedge where the acknowledge strobe is low now but high two indexes
 later, record (index - start_of_current_instruction) / 2. Implemented
 separately, against the measurement's definition, so interpreter results
 can be checked against something that shares none of its code paths.
+
+Also the queries the tests ask of a generated trace's ground truth
+(wawk.tracegen.GroundTruth), as functions of it: its timestamps, signal
+names and widths, and the measurements it says each mnemonic must show.
 """
 
 from wawk.riscv import decode
-from wawk.tracegen import ACK_SIGNAL, CLOCK_SIGNAL, RDT_SIGNAL
+from wawk.tracegen import ACK_SIGNAL, CLOCK_SIGNAL, RDT_SIGNAL, GroundTruth, dummy_signal_name
 from wawk.waveform import Waveform
+
+
+def timestamp_of(truth: GroundTruth, index: int) -> int:
+    return index * truth.half_period
+
+
+def signal_names(truth: GroundTruth) -> list[str]:
+    names = [CLOCK_SIGNAL, ACK_SIGNAL, RDT_SIGNAL]
+    names += [dummy_signal_name(j) for j in range(truth.dummy_signals)]
+    return names
+
+
+def width_of(truth: GroundTruth, name: str) -> int:
+    if name == RDT_SIGNAL:
+        return 32
+    if name in signal_names(truth):
+        return 1
+    raise ValueError(f"unknown signal {name!r}")
+
+
+def formula_values(truth: GroundTruth, mnemonic: str) -> list[int]:
+    return [
+        ins.formula_value
+        for ins in truth.instructions
+        if ins.mnemonic == mnemonic and ins.formula_value is not None
+    ]
+
+
+def measured_mnemonics(truth: GroundTruth) -> list[str]:
+    """Each measured mnemonic once, in trace order."""
+    return list(dict.fromkeys(
+        ins.mnemonic for ins in truth.instructions if ins.formula_value is not None))
 
 
 def scan_all(waveform: Waveform) -> dict[str, list[int]]:

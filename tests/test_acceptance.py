@@ -17,7 +17,15 @@ from contextlib import contextmanager
 import pytest
 
 from conftest import make_waveform, raises_exactly, run_script
-from direct_scan import expected_report_line, scan_all
+from direct_scan import (
+    expected_report_line,
+    formula_values,
+    measured_mnemonics,
+    scan_all,
+    signal_names,
+    timestamp_of,
+    width_of,
+)
 from printer import to_source
 from rv32i_golden import GOLDEN, NON_INSTRUCTIONS
 from wawk import ast
@@ -144,10 +152,10 @@ def test_a2_randomized_cross_validation(criterion, dense_sweep):
 
             scanned = scan_all(wave)
             for mnemonic in list(MNEMONICS) + ["unknown"]:
-                assert scanned.get(mnemonic, []) == truth.formula_values(mnemonic), (
+                assert scanned.get(mnemonic, []) == formula_values(truth, mnemonic), (
                     k, mnemonic)
 
-            measured = truth.measured_mnemonics()
+            measured = measured_mnemonics(truth)
             if measured:
                 mnemonic = rng.choice(measured)
                 oracle = scanned[mnemonic]
@@ -175,12 +183,12 @@ def test_a3_generated_traces_parse_back_bit_exact(criterion):
 
         assert wave.index_count == truth.index_count
         assert wave.index_count >= 5000
-        names = sorted(truth.signal_names())
+        names = sorted(signal_names(truth))
         assert sorted(wave.signals) == names
         for i in range(wave.index_count):
-            assert wave.timestamps[i] == truth.timestamp_of(i)
+            assert wave.timestamps[i] == timestamp_of(truth, i)
         for name in names:
-            assert wave.series(name).width == truth.width_of(name)
+            assert wave.series(name).width == width_of(truth, name)
             for i in range(wave.index_count):
                 assert wave.series(name).value_at(i).bits == truth.expected_bits(name, i), (
                     name, i)

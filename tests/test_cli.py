@@ -776,6 +776,17 @@ class TestUsage:
                  "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))\n")
         assert _fresh_python(check, tmp_path) == ["[]"]
 
+    def test_the_cli_imports_neither_importlib_resources_nor_typing(self, tmp_path):
+        # each costs milliseconds at every start; -S keeps a .pth file from
+        # importing them before wawk does
+        probe = ("import sys, wawk.cli; "
+                 "print(sorted({'importlib.resources', 'typing'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        proc = subprocess.run([sys.executable, "-S", "-c", probe], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_the_sources_stay_within_the_line_budget(self):
         # lines as `wc -l src/wawk/*.py` counts them: newline bytes
         lines = {path.name: path.read_bytes().count(b"\n")

@@ -23,7 +23,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import make_waveform  # noqa: E402
+from conftest import make_waveform, parse_by_token_loop, wave_from_vcd  # noqa: E402
+from direct_scan import signal_names, timestamp_of, width_of  # noqa: E402
 from printer import to_source  # noqa: E402
 from wawk import ast, cli, interp, vcd  # noqa: E402
 from wawk.errors import ParseFailure, RunFailure, WawkError  # noqa: E402
@@ -289,12 +290,12 @@ def change_dumps(draw):
     return text.rstrip("\r\n") + draw(st.sampled_from(["\n", "\r\n", ""]))
 
 
-def _reading(text):
-    """What parse_vcd makes of `text`: the error's class and message, or
+def _reading(text, parse=wave_from_vcd):
+    """What `parse` makes of `text`: the error's class and message, or
     the time axis and, per name, its width, changes and the first name
     that shares its id code."""
     try:
-        wave = parse_vcd(io.StringIO(text))
+        wave = parse(text)
     except ParseFailure as err:
         return type(err), str(err)
     signals = wave.signals
@@ -307,9 +308,8 @@ def _reading(text):
 
 @settings(PROPERTY, max_examples=500)
 @given(change_dumps())
-def test_line_table_reads_as_the_token_loop(token_path, text):
-    with token_path():
-        expected = _reading(text)
+def test_line_table_reads_as_the_token_loop(text):
+    expected = _reading(text, parse_by_token_loop)
     assert _reading(text) == expected
 
 
@@ -341,10 +341,10 @@ SPECS = st.builds(
 def test_generated_traces_read_back_as_their_ground_truth(spec):
     text, truth = generate(spec)
     wave = parse_vcd(io.StringIO(text))
-    assert list(wave.timestamps) == [truth.timestamp_of(k) for k in range(truth.index_count)]
-    assert sorted(wave.signals) == sorted(truth.signal_names())
-    for name in truth.signal_names():
-        assert wave.series(name).width == truth.width_of(name)
+    assert list(wave.timestamps) == [timestamp_of(truth, k) for k in range(truth.index_count)]
+    assert sorted(wave.signals) == sorted(signal_names(truth))
+    for name in signal_names(truth):
+        assert wave.series(name).width == width_of(truth, name)
         assert [wave.series(name).value_at(k).bits for k in range(wave.index_count)] == [
             truth.expected_bits(name, k) for k in range(truth.index_count)]
 

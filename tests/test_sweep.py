@@ -839,6 +839,27 @@ def test_planning_memory_does_not_grow_with_the_trace():
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+def test_a_head_over_a_counter_keeps_a_bounded_memo():
+    # a bus with a new value at every stamp never repeats a head's input:
+    # the memo stops at interp._CACHED entries, not one per change
+    program = parse_source("BEGIN: { n = 0; } top.bus > 5: { n = n + 1; }")
+    peaks = []
+    for count in (10_000, 40_000):
+        lines = ["$scope module top $end", "$var wire 32 # bus $end", "$upscope $end",
+                 "$enddefinitions $end"]
+        for i in range(count):
+            lines += [f"#{i}", f"b{i:b} #"]
+        wave = parse_vcd(io.StringIO("\n".join(lines) + "\n"))
+        tracemalloc.start()
+        try:
+            env = execute(program, wave, out=io.StringIO())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert env.variables["n"] == count - 6
+    assert peaks[1] < 2 * peaks[0], peaks  # 4 times the stamps, 4 times the memo unbounded
+
+
 # go high at 0-4; s high at 1, 4 and 5; bus defined at 0-2 and 5, with an x at 3-4
 REUSE_SIGNALS = {
     "go": (1, [(0, "1"), (5, "0")]),

@@ -3,7 +3,14 @@ import io
 import pytest
 
 from conftest import raises_exactly
-from direct_scan import scan_cpis
+from direct_scan import (
+    formula_values,
+    measured_mnemonics,
+    scan_cpis,
+    signal_names,
+    timestamp_of,
+    width_of,
+)
 from wawk.errors import InvalidSpecError
 from wawk.riscv import MNEMONICS, decode
 from wawk.tracegen import (
@@ -12,6 +19,7 @@ from wawk.tracegen import (
     MAX_DUMMY_SIGNALS,
     RDT_SIGNAL,
     WORDS,
+    GroundTruth,
     Instruction,
     TraceSpec,
     dummy_signal_name,
@@ -42,7 +50,7 @@ class TestHandTrace:
 
     def test_ack_indexes(self):
         _, truth, _ = build(self.WORDS)
-        assert [i.ack_index for i in truth.instructions] == [2, 10]
+        assert truth.rises == [2, 10]
 
     def test_index_count(self):
         _, truth, wave = build(self.WORDS)
@@ -56,7 +64,7 @@ class TestHandTrace:
     def test_timestamps_follow_half_period(self):
         _, truth, wave = build(self.WORDS, clock_half_period=5)
         assert [wave.timestamps[i] for i in range(4)] == [0, 5, 10, 15]
-        assert truth.timestamp_of(3) == 15
+        assert timestamp_of(truth, 3) == 15
 
     def test_clock_alternates_from_high(self):
         _, _, wave = build(self.WORDS)
@@ -78,15 +86,15 @@ class TestHandTrace:
         _, truth, wave = build(self.WORDS)
         assert scan_cpis(wave, "add") == [3]
         assert scan_cpis(wave, "addi") == []
-        assert truth.formula_values("add") == [3]
+        assert formula_values(truth, "add") == [3]
 
 
 class TestGroundTruth:
     def test_expected_bits_match_parsed_waveform(self):
         text, truth, wave = build(
             ((0x00000033, 2), (0x00000013, 4), (0x00000033, 1)), dummy_signals=3)
-        assert sorted(truth.signal_names()) == sorted(wave.signals)
-        for name in truth.signal_names():
+        assert sorted(signal_names(truth)) == sorted(wave.signals)
+        for name in signal_names(truth):
             for i in range(truth.index_count):
                 assert wave.series(name).value_at(i).bits == truth.expected_bits(name, i), (
                     name, i)
@@ -94,7 +102,7 @@ class TestGroundTruth:
     def test_repeated_mnemonic_collects_all_measured(self):
         _, truth, wave = build(
             ((0x00000033, 2), (0x00000033, 5), (0x00000033, 1)))
-        assert truth.formula_values("add") == [2, 5]
+        assert formula_values(truth, "add") == [2, 5]
         assert scan_cpis(wave, "add") == [2, 5]
 
     def test_stats_round_half_up(self):
@@ -105,7 +113,7 @@ class TestGroundTruth:
 
     def test_measured_mnemonics_excludes_final(self):
         _, truth, _ = build(((0x00000033, 2), (0x00000013, 2)))
-        assert truth.measured_mnemonics() == ["add"]
+        assert measured_mnemonics(truth) == ["add"]
 
     def test_dummy_signals_toggle_at_their_period(self):
         _, truth, wave = build(((0x00000033, 2), (0x00000013, 1)),
@@ -119,25 +127,25 @@ class TestGroundTruth:
     # does not hold is refused, not answered. The trace has dbg0 and dbg1,
     # and int() would read the number of dbg-1, "dbg 1" and dbg01
     @pytest.mark.parametrize("query, message", [
-        (("width_of", "top.nope"), "unknown signal 'top.nope'"),
-        (("width_of", DBG + "2"), f"unknown signal '{DBG}2'"),
-        (("expected_bits", "top.nope", 0), "unknown signal 'top.nope'"),
-        (("expected_bits", DBG + "2", 0), f"unknown signal '{DBG}2'"),
-        (("expected_bits", DBG + "-1", 0), f"unknown signal '{DBG}-1'"),
-        (("expected_bits", DBG + " 1", 0), f"unknown signal '{DBG} 1'"),
-        (("expected_bits", DBG + "01", 0), f"unknown signal '{DBG}01'"),
-        (("expected_bits", DBG + "x", 0), f"unknown signal '{DBG}x'"),
-        (("expected_bits", CLOCK_SIGNAL, 12), "index 12 out of range"),
-        (("expected_bits", RDT_SIGNAL, -1), "index -1 out of range"),
+        ((width_of, "top.nope"), "unknown signal 'top.nope'"),
+        ((width_of, DBG + "2"), f"unknown signal '{DBG}2'"),
+        ((GroundTruth.expected_bits, "top.nope", 0), "unknown signal 'top.nope'"),
+        ((GroundTruth.expected_bits, DBG + "2", 0), f"unknown signal '{DBG}2'"),
+        ((GroundTruth.expected_bits, DBG + "-1", 0), f"unknown signal '{DBG}-1'"),
+        ((GroundTruth.expected_bits, DBG + " 1", 0), f"unknown signal '{DBG} 1'"),
+        ((GroundTruth.expected_bits, DBG + "01", 0), f"unknown signal '{DBG}01'"),
+        ((GroundTruth.expected_bits, DBG + "x", 0), f"unknown signal '{DBG}x'"),
+        ((GroundTruth.expected_bits, CLOCK_SIGNAL, 12), "index 12 out of range"),
+        ((GroundTruth.expected_bits, RDT_SIGNAL, -1), "index -1 out of range"),
     ], ids=["width-unknown", "width-dummy-past-count", "bits-unknown",
             "bits-dummy-past-count", "bits-dummy-minus-1", "bits-dummy-space-1",
             "bits-dummy-01", "bits-dummy-x", "bits-index-past-end", "bits-index-negative"])
     def test_queries_outside_the_trace_are_refused(self, query, message):
         _, truth, _ = build(((0x00000033, 2), (0x00000013, 1)), dummy_signals=2)
         assert truth.index_count == 12
-        method, *args = query
+        ask, *args = query  # a function of the ground truth
         with raises_exactly(ValueError, message):
-            getattr(truth, method)(*args)
+            ask(truth, *args)
 
 
 class TestValidation:
@@ -282,4 +290,4 @@ class TestTable1Spec:
         text, truth = generate(table1_spec())
         wave = parse_vcd(io.StringIO(text))
         for mnemonic in MNEMONICS:
-            assert scan_cpis(wave, mnemonic) == truth.formula_values(mnemonic), mnemonic
+            assert scan_cpis(wave, mnemonic) == formula_values(truth, mnemonic), mnemonic

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import raises_exactly
+from conftest import parse_by_token_loop, raises_exactly, token_loop_lines
 from wawk import vcd
 from wawk.errors import VcdError
 from wawk.tracegen import generate, table1_spec
@@ -601,6 +601,16 @@ class TestBlockEdges:
         assert reading(parse(one)) == reading(parse(text))
 
 
+def test_a_dump_with_no_1_bit_signal_steps_its_timestamps_inline():
+    # the token loop reads the header and the vector lines, and no timestamp
+    text = "$var wire 32 ! bus $end\n$enddefinitions $end\n"
+    text += "".join(f"#{k}\nb{k:b} !\n" for k in range(1000))
+    with token_loop_lines() as seen:
+        wave = parse(text)
+    assert len(seen) == 2 + 1000
+    assert reading(wave) == reading(parse_by_token_loop(text))
+
+
 # --- storage: one byte per 1-bit change, indexes in array('I') while they fit ---
 
 WIDE_HEADER = "$var wire 1 ! a $end\n$var wire 1 % b $end\n$var wire 4 \" v $end\n" \
@@ -619,11 +629,11 @@ WIDE_TEXTS = {
 }
 
 
-def stored(text):
-    """The error that `text` raises, or its axis and, per name, each
+def stored(text, read=parse):
+    """The error that `read(text)` raises, or its axis and, per name, each
     change's index and bits; and the types of the indexes."""
     try:
-        wave = parse(text)
+        wave = read(text)
     except VcdError as err:
         return str(err), set()
     return (list(wave.timestamps), {
@@ -666,11 +676,9 @@ class TestStorage:
     @pytest.mark.parametrize("size", [1, 2, 7, len(WIDE_HEADER), vcd._BLOCK],
                              ids=["block1", "block2", "block7", "header-block", "block8192"])
     @pytest.mark.parametrize("name", WIDE_TEXTS)
-    def test_indexes_widen_when_the_axis_outgrows_them(self, monkeypatch, token_path, name,
-                                                       size):
+    def test_indexes_widen_when_the_axis_outgrows_them(self, monkeypatch, name, size):
         text = WIDE_TEXTS[name]
-        with token_path():
-            expected, typecodes = stored(text)
+        expected, typecodes = stored(text, parse_by_token_loop)
         assert typecodes <= {"I"}
         if name in ("lines", "one-line", "mixed"):
             assert set(expected[1]["a"][1]) == set("01xz")
