@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an analysis script over a dump")
-    run.add_argument("script", help="script path, or @name for a bundled script (@cpi)")
+    run.add_argument("script", help="script path, - for stdin, or @name of a bundled script (@cpi)")
     run.add_argument("vcd", help="VCD file, or - for stdin")
     run.add_argument("script_args", nargs="*", help="arguments exposed to the script as args")
     run.add_argument(
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="canned benchmark mix" if name == "table1" else "mix from a spec file",
         )
         if needs_spec:
-            g.add_argument("specfile", help="lines of '<hex word> <cycles>'")
+            g.add_argument("specfile", help="lines of '<hex word> <cycles>', or - for stdin")
         g.add_argument("out", help="output VCD path, or - for stdout")
         g.add_argument("--half-period", type=_option_int, default=1,
                        help="clock half period in ns")

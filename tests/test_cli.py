@@ -706,6 +706,19 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv, lines", [
+        (["run"], ["  script       script path, - for stdin, or @name of a bundled script (@cpi)",
+                   "  vcd          VCD file, or - for stdin"]),
+        (["gen", "spec"], ["  specfile              lines of '<hex word> <cycles>', or - for stdin",
+                           "  out                   output VCD path, or - for stdout"]),
+    ])
+    def test_help_names_stdin_and_stdout_wherever_they_are_taken(self, capsys, monkeypatch,
+                                                                 argv, lines):
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
+        assert main([*argv, "--help"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line in out] == lines
+
     def test_entry_point_installed(self, tmp_path, capsys):
         # Checks the `wawk` command the package declares, without needing an
         # install: the declared target must be wawk.cli.main, return an int

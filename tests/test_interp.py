@@ -1,3 +1,4 @@
+import enum
 import io
 
 import pytest
@@ -494,6 +495,25 @@ class TestNativeCalls:
                                         "to an integer: contains x/z bits"):
             run_script("BEGIN: { import(extern); }\n1: { m = call(extern.decode, w); }",
                        wave)
+
+    def test_natives_may_return_subclasses_of_int_and_str(self, clocked_wave):
+        class Three(enum.IntEnum):
+            K = 3
+
+        class Text(str):
+            pass
+
+        modules = {**default_native_modules(), "probe": {
+            "k": lambda args: Three.K, "s": lambda args: Text("ab"), "yes": lambda args: True}}
+        source = ('BEGIN: { import(probe); a = call(probe.k) == 3; b = call(probe.k) < 4;\n'
+                  'c = 3 + call(probe.k); d = call(probe.s) == "ab"; }')
+        env = execute(parse_source(source), clocked_wave, out=io.StringIO(), modules=modules)
+        assert [env.variables[name] for name in "abcd"] == [1, 1, 6, 1]
+        # a bool is an int too, but no value a script compares
+        with raises_exactly(RunFailure,
+                            "statement 1 (BEGIN): cannot compare bool values with '=='"):
+            execute(parse_source("BEGIN: { import(probe); v = call(probe.yes) == 1; }"),
+                    clocked_wave, out=io.StringIO(), modules=modules)
 
 
 class TestIfStatement:
