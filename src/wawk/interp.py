@@ -27,11 +27,11 @@ per distinct tuple of the items its signals store for a stretch, so
 equal values share one test (_narrow). The statement is visited only
 where its head can hold, and where the head held without raising the
 visit does not evaluate it again. The plan is made one window of indexes
-at a time (_WINDOW), just ahead of the sweep. A statement whose first
-condition reads anything else is visited at every index, and so is every
-statement when a sweep statement calls `alias`. A waveform keeps the
-narrowed visits of its latest sweep from that sweep's second run in a
-row on, and `--all` reads them instead of narrowing.
+at a time (_WINDOW), just ahead of the sweep. When a statement's first
+condition reads anything else, or a sweep statement calls `alias`, every
+statement is visited at every index. A waveform keeps the plan of its
+latest sweep from that sweep's second run in a row on, and `--all` reads
+it instead of narrowing.
 
 Value domain: Python ints, strings, lists, four-state logic Values, and
 two absence markers. UNBOUND is what reading a never-assigned variable
@@ -629,40 +629,36 @@ _WINDOW = 1024  # indexes the planner narrows and holds at a time
 _PLANS = weakref.WeakKeyDictionary()
 
 
-def _plan(env: Environment, sweep: list) -> Iterator:
+def _plan(env: Environment, sweep: list) -> Iterator | None:
     """The sweep's visits as (index, visits) pairs, in index and then
-    source order, skipping every index where no statement can fire.
+    source order, skipping every index where no statement can fire; None
+    when every statement must be visited at every index.
 
     `sweep` holds (ordinal, statement, head) triples, the head as _head
-    makes it; a statement with no head is visited at every index. A head
-    reads only fixed signals, which no statement changes, and between
-    their cuts each head condition is constant, so a stretch where one is
-    false holds no visit of its statement: the sweep would stop at that
-    condition or at an earlier false one without raising. The plan is made
-    one _WINDOW of indexes at a time, no further than the visits are read:
-    each head is narrowed over the window starting from its condition
-    whose signals change least, and each condition keeps one memo across
-    the windows (see _narrow). A visit is (ordinal, proven): the
-    statement, and how many of its conditions held without raising, all
-    of the head or none, so a proven head is not evaluated again.
+    makes it. Between the cuts of its signals each head condition is
+    constant, so a stretch where one is false holds no visit: the sweep
+    would stop at that condition or at an earlier false one without
+    raising. The plan is made one _WINDOW of indexes at a time, no further
+    than the visits are read: each head is narrowed over the window
+    starting from its condition whose signals change least, and each
+    condition keeps one memo across the windows (see _narrow). A visit is
+    (ordinal, proven): the statement, and how many of its conditions held
+    without raising, all of the head or none, so a proven head is not
+    evaluated again.
 
-    The narrowed visits depend only on the statements with a head, their
-    ordinals and the (series, offset) reads of their heads, their key. A
-    waveform keeps one slot: its latest key and, from that key's second
-    run in a row on, those visits, into which the every-index ones are
-    merged as they are read. A script run once never reads them again, and
-    a new key takes the slot, so many scripts keep one plan per waveform."""
-    narrowings, key, always = [], [], []
+    The visits depend only on the statements, their ordinals and the
+    (series, offset) reads of their heads, their key. A waveform keeps one
+    slot: its latest key and, from that key's second run in a row on, its
+    visits. A script run once never reads them again, and a new key takes
+    the slot, so many scripts keep one plan per waveform."""
+    narrowings, key = [], []
     for ordinal, statement, head in sweep:
         if not head:
-            always.append((ordinal, 0))
-            continue
+            return None
         key.append((ordinal, statement, tuple(tuple(reads) for _, reads in head)))
         head = sorted(head, key=lambda h: sum(len(s.indexes) for s, _ in h[1]))
         narrowings.append(((ordinal, len(head)), (ordinal, 0),
                            [(test, reads, {}) for test, reads in head]))
-    if not narrowings:  # every statement at every index; the kept plan stays
-        return zip(range(env.count), repeat(always))
 
     def windows() -> Iterator:
         for lo in range(0, env.count, _WINDOW):
@@ -676,21 +672,14 @@ def _plan(env: Environment, sweep: list) -> Iterator:
                         buckets[index].append(visit)
             yield from sorted(buckets.items())
 
-    def merged(visits) -> Iterator:  # chain reads each run between two visits in C
-        start = 0
-        for index, kinds in visits:
-            yield zip(range(start, index), repeat(always))
-            yield [(index, sorted(kinds + always))]
-            start = index + 1
-        yield zip(range(start, env.count), repeat(always))
-
-    key, kept = tuple(key), _PLANS.get(env.waveform)
+    key = tuple(key)
+    kept = _PLANS.get(env.waveform)
     if kept is None or kept[0] != key:
-        kept = _PLANS[env.waveform] = key, None
-    elif kept[1] is None:  # the key's second run in a row
+        _PLANS[env.waveform] = key, None
+        return windows()
+    if kept[1] is None:
         kept = _PLANS[env.waveform] = key, list(windows())
-    visits = windows() if kept[1] is None else iter(kept[1])
-    return chain.from_iterable(merged(visits)) if always else visits
+    return iter(kept[1])
 
 
 def execute(
@@ -722,9 +711,12 @@ def execute(
     if swept:
         assigned = _assigned(stmt for _, stmt in swept)
         sweep = [(ordinal, stmt, _head(stmt, env, assigned)) for ordinal, stmt in swept]
+        visits = _plan(env, sweep)
+        if visits is None:
+            visits = zip(range(env.count), repeat([(ordinal, 0) for ordinal, _ in swept]))
         statements = {ordinal: (stmt.trigger.exprs, stmt.body) for ordinal, stmt in swept}
         runs = {}  # a visit -> its conditions after those proven, then its body
-        for index, kinds in _plan(env, sweep):
+        for index, kinds in visits:
             for visit in kinds:
                 run = runs.get(visit)
                 if run is None:  # made at its first visit: no sweep changes what it fixes

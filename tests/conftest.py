@@ -100,13 +100,12 @@ def clocked_wave():
 @pytest.fixture(scope="session")
 def dense_sweep():
     """A context manager under which execute() visits every statement at
-    every index, the order the planned sweep must agree with: every head
-    is empty, so the planner narrows nothing."""
+    every index, the order the planned sweep must agree with."""
 
     @contextmanager
     def dense():
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(interp, "_head", lambda statement, env, assigned: [])
+            patch.setattr(interp, "_plan", lambda env, sweep: None)
             yield
 
     return dense
