@@ -19,8 +19,9 @@ change is stored as the dump wrote it, with its id code's declared width
 (see wawk.waveform for the extension rule). A $var may be at most MAX_WIDTH
 (65,536) bits wide, and names that share an id code share one SignalSeries.
 A 1-bit series stores one byte per change (see SignalSeries). The time
-axis is kept in array('Q'), and turns into a list at the first timestamp
-past 2**64 - 1. Change indexes are kept in array('I') until the axis may
+axis is kept in array('I'), widens once to array('Q') at the first
+timestamp past 2**32 - 1, and turns into a list at the first past
+2**64 - 1. Change indexes are kept in array('I') until the axis may
 outgrow it, and from then on every series' indexes are array('Q').
 
 The whole dump is read a block of _BLOCK characters at a time, split
@@ -30,11 +31,12 @@ changes; directives may span lines. Past the header, a line that sets a
 1-bit id code to 0 or 1 (`1!`) is looked up whole in a table built at
 $enddefinitions, and built again when the indexes widen, and a line that
 is one increasing timestamp of at most 19 digits (`#40`) is stepped
-directly; any other line, and every line inside a $comment-style block
-or after a vector that waits for its id code, goes through the token
-loop, which is the reference reading and raises every error. No fast path
-takes a line that starts with a blank, so the tests read a dump through
-the token loop alone by indenting its lines.
+directly unless the axis widens for it; any other line, and every line
+inside a $comment-style block or after a vector that waits for its id
+code, goes through the token loop, which is the reference reading and
+raises every error. No fast path takes a line that starts with a blank,
+so the tests read a dump through the token loop alone by indenting its
+lines.
 """
 
 from array import array
@@ -165,8 +167,8 @@ def parse_vcd(stream) -> Waveform:
     ids: dict[str, SignalSeries] = {}
     signals: dict[str, SignalSeries] = {}
     ranges: dict[str, str] = {}  # hierarchical name -> the range after it, or ""
-    # machine words while every stamp fits; a list from the first that does not
-    timestamps: array | list[int] = array("Q")
+    # 32-bit words, then 64-bit, while every stamp fits; a list from the first that does not
+    timestamps: array | list[int] = array("I")
     header = True  # until $enddefinitions $end
     name, parts = None, []  # the directive open, if any; its tokens, in the header
     # filled in place at $enddefinitions, so the rest of that block reads it too
@@ -227,9 +229,12 @@ def parse_vcd(stream) -> Waveform:
                         t = int(digits)
                         if t > last:
                             cur = len(timestamps)
-                            timestamps.append(t)
-                            last = t
-                            continue
+                            try:
+                                timestamps.append(t)
+                                last = t
+                                continue
+                            except OverflowError:  # past 2**32 - 1: the token loop widens
+                                pass
             line = end - length_hint(rest)
             for tok in raw.split():
                 if name is not None:  # up to the directive's $end
@@ -276,8 +281,9 @@ def parse_vcd(stream) -> Waveform:
                     cur = len(timestamps)
                     try:
                         timestamps.append(t)
-                    except OverflowError:  # past 2**64 - 1
-                        timestamps = [*timestamps, t]
+                    except OverflowError:  # past 2**32 - 1 in array('I'), or past 2**64 - 1
+                        timestamps = array("Q", timestamps) if t < 1 << 64 else [*timestamps]
+                        timestamps.append(t)
                     last = t
                     widen()  # this line may hold many stamps
                 elif c in "01xzXZ" and len(tok) > 1:

@@ -13,8 +13,9 @@ not raw timestamps. Each signal stores only its change points; lookups
 between changes return the value carried forward, and lookups before the
 first change return all-x. The axis and each signal's change indexes are
 sequences of ints: the VCD reader keeps the indexes in array('I') while
-the axis fits it, else in array('Q'), and the axis in array('Q'), or in a
-list once a timestamp is past 2**64 - 1.
+the axis fits it, else in array('Q'), and the axis in array('I') while
+its timestamps fit it, then in array('Q'), or in a list once a timestamp
+is past 2**64 - 1.
 """
 
 from bisect import bisect_right

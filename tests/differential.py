@@ -9,10 +9,10 @@ Each tree's `wawk.vcd.parse_vcd` runs in a child process of its own. The
 dumps are drawn from a seeded `random.Random`: nested scopes, every
 variable type, ranges with and without spaces, shared id codes,
 directives that span lines, dump blocks, scalar and vector changes,
-stamps past 2**64, `\\r\\n` line ends, no final newline, newlines turned
-into spaces, and faults (a token inserted, cut short or deleted). Each
-dump is read at one of the block sizes 1-9 and 8,192, through universal
-newlines or `newline=""`.
+stamps around 2**32 and past 2**64, `\\r\\n` line ends, no final
+newline, newlines turned into spaces, and faults (a token inserted, cut
+short or deleted). Each dump is read at one of the block sizes 1-9 and
+8,192, through universal newlines or `newline=""`.
 
 Both trees must give each dump the same reading, a form that does not
 depend on how changes are stored: the error's class and text, or the
@@ -128,8 +128,8 @@ def _changes(rng: random.Random, widths: dict[str, int], faulty: float) -> list[
         pick = rng.random()
         if pick < 0.25:
             step = _choose(rng, _STEPS, faulty) if stamp >= 0 else rng.choice([1, 4])
-            if rng.random() < 0.03:
-                step = max(1, 2**64 - stamp + rng.randint(-1, 2))  # around the end of 64 bits
+            if rng.random() < 0.05:  # around the end of 32 or of 64 bits
+                step = max(1, rng.choice([2**32, 2**64]) - stamp + rng.randint(-1, 2))
             stamp += step
             tokens += [f"#{stamp}", "\n"]
         elif pick < 0.6:

@@ -1,6 +1,7 @@
 import io
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -46,7 +47,7 @@ class TestBasics:
 
     def test_axis_and_change_indexes_are_machine_words(self):
         wave = parse(BASIC)
-        assert wave.timestamps.typecode == "Q"
+        assert wave.timestamps.typecode == "I"
         assert {s.indexes.typecode for s in wave.signals.values()} == {"I"}
         assert list(wave.series("top.clk").indexes) == [0, 1, 2, 3]
 
@@ -454,6 +455,10 @@ def block(request, monkeypatch):
     return request.param
 
 
+def axis_kind(stamps):
+    return stamps.typecode if isinstance(stamps, array) else type(stamps).__name__
+
+
 def reading(wave):
     return wave.timestamps, {name: [s.value_at(k).bits for k in range(wave.index_count)]
                              for name, s in wave.signals.items()}
@@ -546,8 +551,8 @@ class TestBlockEdges:
         with raises_exactly(VcdError, "line 21: undeclared id code '?'"):
             vcd.parse_vcd_file(path)
 
-    # the axis is array('Q') up to 2**64 - 1 and a list from the first larger
-    # stamp, on a line of its own or among changes
+    # the axis is a list from the first stamp past 2**64 - 1, on a line of
+    # its own or among changes
     @pytest.mark.parametrize("stamp", [2**64, 10**4299], ids=["2**64", "4300-digits"])
     @pytest.mark.parametrize("sep", ["\n", " "], ids=["lines", "one-line"])
     def test_timestamps_past_64_bits_read(self, block, stamp, sep):
@@ -560,6 +565,24 @@ class TestBlockEdges:
         for fits in (10**19 - 1, 2**64 - 1):  # stepped inline; read by the token loop
             stamps = parse(BASIC + f"#{fits}\n").timestamps
             assert (stamps.typecode, stamps[-1]) == ("Q", fits)
+
+    # 32-bit words up to 2**32 - 1, 64-bit up to 2**64 - 1, then a list; the
+    # token loop reads each dump at the default block size, the reader at each
+    @pytest.mark.parametrize("sep", ["\n", " "], ids=["lines", "one-line"])
+    def test_the_axis_widens_at_its_limits(self, monkeypatch, sep):
+        limits = [(2**32 - 1, "I"), (2**32, "Q"), (10**10, "Q"), (2**64 - 1, "Q"), (2**64, "list")]
+        for k, (_, kind) in enumerate(limits, 1):
+            stamps = [0] + [stamp for stamp, _ in limits[:k]]
+            changes = sep.join(f"#{stamp}{sep}{n % 2}!" for n, stamp in enumerate(stamps))
+            text = "$var wire 1 ! a $end\n$enddefinitions $end\n" + changes + "\n"
+            oracle = parse_by_token_loop(text)
+            assert (axis_kind(oracle.timestamps), list(oracle.timestamps)) == (kind, stamps)
+            for size in BLOCKS:
+                monkeypatch.setattr(vcd, "_BLOCK", size)
+                wave = parse(text)
+                assert axis_kind(wave.timestamps) == kind, size
+                assert (list(wave.timestamps), reading(wave)[1]) == (stamps, reading(oracle)[1])
+            monkeypatch.undo()
 
     def test_timestamp_longer_than_int_reads(self, block):
         limit = sys.get_int_max_str_digits()
@@ -611,6 +634,20 @@ def test_a_dump_with_no_1_bit_signal_steps_its_timestamps_inline():
     assert reading(wave) == reading(parse_by_token_loop(text))
 
 
+def test_stamps_that_outgrow_32_bits_widen_the_axis_once_inline():
+    # 10-digit stamps that fit 32 bits and those past it are stepped inline:
+    # the token loop reads the header and the one stamp that widens the axis
+    stamps = [10**9 + k * 4_000_000 for k in range(1000)]  # past 2**32 at k = 824
+    for count, kind, sent in ((824, "I", 2), (1000, "Q", 2 + 1)):
+        text = "$var wire 1 ! a $end\n$enddefinitions $end\n"
+        text += "".join(f"#{stamp}\n{k % 2}!\n" for k, stamp in enumerate(stamps[:count]))
+        with token_loop_lines() as seen:
+            wave = parse(text)
+        assert (len(seen), axis_kind(wave.timestamps)) == (sent, kind)
+        assert list(wave.timestamps) == stamps[:count]
+        assert reading(wave)[1] == reading(parse_by_token_loop(text))[1]
+
+
 # --- storage: one byte per 1-bit change, indexes in array('I') while they fit ---
 
 WIDE_HEADER = "$var wire 1 ! a $end\n$var wire 1 % b $end\n$var wire 4 \" v $end\n" \
@@ -655,6 +692,21 @@ class TestStorage:
         changes = sum(len(s.indexes) for s in wave.signals.values())
         assert changes == 200_000
         assert held <= 6 * changes  # 16 bytes each as an 8-byte index and a list pointer
+
+    def test_a_stamp_holds_at_most_4_5_bytes_and_widens_in_one_copy(self):
+        header = "$var wire 1 ! a $end\n$enddefinitions $end\n"
+        stamps = "".join(f"#{k}\n" for k in range(199_999))
+        for last, most, peak in ((200_000, 4.5, 5), (2**32, 8.75, 13.5)):
+            stream = io.StringIO(f"{header}{stamps}#{last}\n")  # made before tracemalloc starts
+            tracemalloc.start()
+            try:
+                wave = parse_vcd(stream)
+                held, peaked = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert wave.index_count == 200_000
+            # 4.25 bytes a stamp in array('I'), 8.5 in array('Q'); both at once as it widens
+            assert held <= most * 200_000 and peaked <= peak * 200_000, (held, peaked)
 
     def test_a_dump_on_one_line_peaks_as_its_lines(self):
         # joined whole, a 0.4 MB line peaked at over three times its lines' peak
