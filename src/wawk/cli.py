@@ -25,11 +25,11 @@ from .vcd import ascii_int, parse_vcd, parse_vcd_file
 
 def bundled_script(name: str) -> str:
     """Source text of a script shipped inside the package (see `@name`
-    on the run subcommand)."""
-    path = os.path.join(os.path.dirname(__file__), "scripts", f"{name}.wawk")
-    if not os.path.isfile(path):
+    on the run subcommand); `name` is looked up, never read as a path."""
+    folder = os.path.join(os.path.dirname(__file__), "scripts")
+    if f"{name}.wawk" not in os.listdir(folder):
         raise FileNotFoundError(f"no bundled script named {name!r}")
-    with open(path, encoding="utf-8") as f:
+    with open(os.path.join(folder, f"{name}.wawk"), encoding="utf-8") as f:
         return f.read()
 
 
@@ -106,7 +106,7 @@ def _cmd_run(opts) -> int:
     if opts.script.startswith("@"):
         try:
             source = bundled_script(opts.script[1:])
-        except OSError:  # not found, or a name too long to look up
+        except OSError:  # not a shipped script, or unreadable
             return _fail(f"no bundled script named {quote(opts.script)}", 2)
     elif opts.script == "-" and opts.vcd == "-":
         return _fail("only one of the script and the VCD can come from stdin", 2)

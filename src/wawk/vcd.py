@@ -21,22 +21,23 @@ change is stored as the dump wrote it, with its id code's declared width
 A 1-bit series stores one byte per change (see SignalSeries). The time
 axis is kept in array('I'), widens once to array('Q') at the first
 timestamp past 2**32 - 1, and turns into a list at the first past
-2**64 - 1. Change indexes are kept in array('I') until the axis may
-outgrow it, and from then on every series' indexes are array('Q').
+2**64 - 1. Each series' change indexes stay array('I') until one of its
+changes lands past index 2**32 - 1; the token loop then widens that
+series to array('Q'), as it widens the axis.
 
 The whole dump is read a block of _BLOCK characters at a time, split
 into lines on "\\n", the only line end left by the universal newlines of
 every stream wawk opens, and one token loop reads the header and then the
 changes; directives may span lines. Past the header, a line that sets a
 1-bit id code to 0 or 1 (`1!`) is looked up whole in a table built at
-$enddefinitions, and built again when the indexes widen, and a line that
-is one increasing timestamp of at most 19 digits (`#40`) is stepped
-directly unless the axis widens for it; any other line, and every line
-inside a $comment-style block or after a vector that waits for its id
-code, goes through the token loop, which is the reference reading and
-raises every error. No fast path takes a line that starts with a blank,
-so the tests read a dump through the token loop alone by indenting its
-lines.
+$enddefinitions, and a line that is one increasing timestamp of at most
+19 digits (`#40`) is stepped directly. Any other line, a fast-path line
+whose append overflows an array('I'), and every line inside a
+$comment-style block or after a vector that waits for its id code go
+through the token loop: the reference reading, the one place an array
+widens, and the one that raises every error. No fast path takes a line
+that starts with a blank, so the tests read a dump through the token
+loop alone by indenting its lines.
 """
 
 from array import array
@@ -57,7 +58,6 @@ _DUMP_BLOCKS = ("$dumpvars", "$dumpoff", "$dumpon", "$dumpall", "$end")
 # widest $var accepted: the smallest vector-length limit IEEE 1364 lets a tool set
 MAX_WIDTH = 65536
 _BLOCK = 1 << 13  # characters read at a time from the dump
-_NARROW = 1 << 8 * array("I").itemsize  # indexes below this fit in array('I')
 
 
 def _blocks(stream) -> Iterator[tuple[int, list[str]]]:
@@ -127,7 +127,7 @@ def _parse_scope(parts: list[str], line: int, scope_path: list[str]) -> None:
 
 
 def _parse_var(parts: list[str], line: int, scope_path: list[str], ids: dict[str, SignalSeries],
-               signals: dict[str, SignalSeries], ranges: dict[str, str], typecode: str) -> None:
+               signals: dict[str, SignalSeries], ranges: dict[str, str]) -> None:
     # $var <type> <width> <id> <name> [<range>] $end; the range may hold spaces
     selected = "".join(parts[4:])  # the range, or ""; it is dropped from the name
     if len(parts) < 4 or (len(parts) > 5 and not _is_range(selected)):
@@ -149,7 +149,7 @@ def _parse_var(parts: list[str], line: int, scope_path: list[str], ids: dict[str
         selects = f" for bit-selects {was} and {selected}" if was and selected else ""
         raise VcdError(f"duplicate signal name {quote(name)}{selects}", line)
     ranges[name] = selected
-    series = ids.setdefault(id_code, SignalSeries(width, array(typecode), []))
+    series = ids.setdefault(id_code, SignalSeries(width, array("I"), []))
     if series.width != width:
         raise VcdError(
             f"id code {quote(id_code)} re-declared with width {width}, was {series.width}", line)
@@ -173,7 +173,6 @@ def parse_vcd(stream) -> Waveform:
     name, parts = None, []  # the directive open, if any; its tokens, in the header
     # filled in place at $enddefinitions, so the rest of that block reads it too
     table: dict[str, tuple[array, bytearray, int]] = {}
-    typecode = "I"  # of every series' change indexes; "Q" once widen() runs
     vector_bits: str | None = None
     # past the header with no directive open and no vector waiting: the fast
     # paths apply (not to the rest of the $enddefinitions line)
@@ -181,17 +180,6 @@ def parse_vcd(stream) -> Waveform:
     line = 0
     cur = 0  # index of the latest '#', and 0 before the first one
     last = -1  # the latest timestamp; every timestamp read is >= 0
-
-    def widen() -> None:
-        """Every change index in array('Q') once the axis may outgrow
-        array('I') in this block: a fast-path line adds at most one stamp."""
-        nonlocal typecode
-        if typecode == "I" and len(timestamps) + len(lines) > _NARROW:
-            typecode = "Q"
-            for series in ids.values():
-                series.indexes = array("Q", series.indexes)
-            if not header:  # the table stays empty in the header
-                table.update(_line_table(ids))
 
     def store(bits: str, id_code: str, line: int) -> None:
         series = ids.get(id_code)
@@ -204,12 +192,16 @@ def parse_vcd(stream) -> Waveform:
         indexes = series.indexes
         if indexes and indexes[-1] == cur:
             series.values[-1] = value  # same-index rewrite: last one wins
-        else:
+            return
+        try:
             indexes.append(cur)
-            series.values.append(value)
+        except OverflowError:  # past 2**32 - 1 in array('I'): this series widens
+            series.indexes = array("Q", indexes)
+            series.indexes.append(cur)
+            table.update(_line_table({id_code: series}))
+        series.values.append(value)
 
     for first, lines in _blocks(stream):
-        widen()
         # a line is numbered only off the fast path, from the lines left after it
         rest, end = iter(lines), first + len(lines) - 1
         for raw, entry in zip(rest, map(table.get, lines)):
@@ -218,10 +210,13 @@ def parse_vcd(stream) -> Waveform:
                     indexes, values, value = entry
                     if indexes and indexes[-1] == cur:
                         values[-1] = value
-                    else:
+                        continue
+                    try:
                         indexes.append(cur)
                         values.append(value)
-                    continue
+                        continue
+                    except OverflowError:  # past 2**32 - 1: store() widens in the token loop
+                        pass
                 if raw[:1] == "#":
                     digits = raw[1:]
                     # up to 19 digits, below 2**64; longer stamps take the token loop
@@ -258,7 +253,7 @@ def parse_vcd(stream) -> Waveform:
                             raise VcdError("$upscope without matching $scope", line)
                         scope_path.pop()
                     elif name == "$var":
-                        _parse_var(parts, line, scope_path, ids, signals, ranges, typecode)
+                        _parse_var(parts, line, scope_path, ids, signals, ranges)
                     name = None
                     continue
                 if vector_bits is not None:
@@ -285,7 +280,6 @@ def parse_vcd(stream) -> Waveform:
                         timestamps = array("Q", timestamps) if t < 1 << 64 else [*timestamps]
                         timestamps.append(t)
                     last = t
-                    widen()  # this line may hold many stamps
                 elif c in "01xzXZ" and len(tok) > 1:
                     store(c.lower(), tok[1:], line)
                 elif c in "bB":

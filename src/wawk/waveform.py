@@ -12,10 +12,10 @@ appeared in the dump; queries address positions on that axis ("indexes"),
 not raw timestamps. Each signal stores only its change points; lookups
 between changes return the value carried forward, and lookups before the
 first change return all-x. The axis and each signal's change indexes are
-sequences of ints: the VCD reader keeps the indexes in array('I') while
-the axis fits it, else in array('Q'), and the axis in array('I') while
-its timestamps fit it, then in array('Q'), or in a list once a timestamp
-is past 2**64 - 1.
+sequences of ints: the VCD reader keeps the axis in array('I') while its
+timestamps fit it, then in array('Q'), or in a list once a timestamp is
+past 2**64 - 1, and each series' indexes in array('I') until one of its
+changes lands past index 2**32 - 1, then in array('Q').
 """
 
 from bisect import bisect_right

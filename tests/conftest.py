@@ -127,14 +127,21 @@ def token_loop_lines():
         yield seen
 
 
+_BLOCK = vcd._BLOCK  # the reader's block size, before any test patches it
+
+
 def parse_by_token_loop(text: str) -> Waveform:
-    """parse_vcd() of `text` with one space before every non-empty line.
-    No fast path takes such a line, so the token loop, the reading the fast
-    paths must agree with, reads every line; this asserts that it did."""
+    """parse_vcd() of `text` with one space before every non-empty line,
+    read at the reader's default block size whatever block size a test has
+    patched in: a block of a few characters would cut an indented line at
+    its leading blank and hand the rest to a fast path. No fast path takes
+    an indented line, so the token loop, the reading the fast paths must
+    agree with, reads every line; this asserts that it did."""
     text = re.sub(r"(?m)^(?=.)", " ", text)
-    every = [after for _, lines in vcd._blocks(io.StringIO(text))
-             for after in reversed(range(len(lines)))]
-    with token_loop_lines() as seen:
+    with pytest.MonkeyPatch.context() as patch, token_loop_lines() as seen:
+        patch.setattr(vcd, "_BLOCK", _BLOCK)
+        every = [after for _, lines in vcd._blocks(io.StringIO(text))
+                 for after in reversed(range(len(lines)))]
         try:
             wave = parse_vcd(io.StringIO(text))
         except ParseFailure:

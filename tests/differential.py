@@ -385,15 +385,16 @@ def _run_all(mode: str, src: Path, cases: list, work: Path, tag: str) -> list:
 
 def _compare(opts, mode: str, batches, describe, other: Path, work: Path) -> list | None:
     """This tree's result for every case of `batches` when `opts.against`
-    gives the same; None, after printing the first case where it does not
-    with `describe(n, case)`."""
+    gives the same; None, after printing the seed and the first case where
+    it does not with `describe(n, case)`."""
     results = []
     for cases in batches:
         ours = _run_all(mode, ROOT / "src", cases, work, "ours")
         theirs = _run_all(mode, other / "src", cases, work, "theirs")
         for case, a, b in zip(cases, ours, theirs):
             if a != b:
-                print(f"{describe(len(results), case)}\nthis tree: {a!r}\n{opts.against}: {b!r}")
+                print(f"seed {opts.seed}: {describe(len(results), case)}\n"
+                      f"this tree: {a!r}\n{opts.against}: {b!r}")
                 return None
             results.append(a)
     return results

@@ -327,6 +327,16 @@ class TestRun:
         assert main(["run", "@nope", str(small_vcd)]) == 2
         assert "@nope" in capsys.readouterr().err
 
+    # only the scripts shipped in the package resolve, not paths to a script
+    @pytest.mark.parametrize("name", ["{tmp}/x", "../scripts/cpi", "./cpi"],
+                             ids=["absolute", "parent-dir", "slash"])
+    def test_a_bundled_name_is_not_a_path(self, tmp_path, table1_vcd, capsys, name):
+        (tmp_path / "x.wawk").write_text('BEGIN: { printf("read\\n"); }\n')
+        script = "@" + name.format(tmp=tmp_path)
+        assert main(["run", script, str(table1_vcd), "sra"]) == 2
+        message = f"wawk: no bundled script named {errors.quote(script)}\n"
+        assert capsys.readouterr() == ("", message)
+
     def test_missing_script_file(self, small_vcd, capsys):
         assert main(["run", "/no/such/script.wawk", str(small_vcd)]) == 2
 

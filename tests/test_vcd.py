@@ -567,7 +567,7 @@ class TestBlockEdges:
             assert (stamps.typecode, stamps[-1]) == ("Q", fits)
 
     # 32-bit words up to 2**32 - 1, 64-bit up to 2**64 - 1, then a list; the
-    # token loop reads each dump at the default block size, the reader at each
+    # reader at each block size, and the token loop under each
     @pytest.mark.parametrize("sep", ["\n", " "], ids=["lines", "one-line"])
     def test_the_axis_widens_at_its_limits(self, monkeypatch, sep):
         limits = [(2**32 - 1, "I"), (2**32, "Q"), (10**10, "Q"), (2**64 - 1, "Q"), (2**64, "list")]
@@ -575,10 +575,10 @@ class TestBlockEdges:
             stamps = [0] + [stamp for stamp, _ in limits[:k]]
             changes = sep.join(f"#{stamp}{sep}{n % 2}!" for n, stamp in enumerate(stamps))
             text = "$var wire 1 ! a $end\n$enddefinitions $end\n" + changes + "\n"
-            oracle = parse_by_token_loop(text)
-            assert (axis_kind(oracle.timestamps), list(oracle.timestamps)) == (kind, stamps)
             for size in BLOCKS:
                 monkeypatch.setattr(vcd, "_BLOCK", size)
+                oracle = parse_by_token_loop(text)
+                assert (axis_kind(oracle.timestamps), list(oracle.timestamps)) == (kind, stamps)
                 wave = parse(text)
                 assert axis_kind(wave.timestamps) == kind, size
                 assert (list(wave.timestamps), reading(wave)[1]) == (stamps, reading(oracle)[1])
@@ -650,17 +650,20 @@ def test_stamps_that_outgrow_32_bits_widen_the_axis_once_inline():
 
 # --- storage: one byte per 1-bit change, indexes in array('I') while they fit ---
 
-WIDE_HEADER = "$var wire 1 ! a $end\n$var wire 1 % b $end\n$var wire 4 \" v $end\n" \
-              "$enddefinitions $end\n"
-WIDE_LINES = "".join(f"#{k}\n{'01xz'[k % 4]}!\n{k % 2}%\nb{k:b} \"\n" for k in range(12))
+WIDE_HEADER = "$var wire 1 ! a $end\n$var wire 1 % b $end\n$var wire 9 \" v $end\n" \
+              "$var wire 1 & c $end\n$enddefinitions $end\n"
+# 300 indexes, stamped 0, 2, 4, ...: a 255 limit is passed by the axis at index
+# 128 and by a, b and v at index 256; c changes only before index 200
+WIDE_LINES = "".join(f"#{2 * k}\n{'01xz'[k % 4]}!\n{k % 2}%\nb{k:b} \"\n"
+                     + f"{k % 2}&\n" * (k < 200) for k in range(300))
 WIDE_TEXTS = {
     "lines": WIDE_HEADER + WIDE_LINES,
     "one-line": WIDE_HEADER + WIDE_LINES.replace("\n", " ") + "\n",
-    # ten stamps on one line, then a stamp or a change a line
-    "mixed": WIDE_HEADER + WIDE_LINES[:WIDE_LINES.index("#10")].replace("\n", " ") + "\n"
-             + WIDE_LINES[WIDE_LINES.index("#10"):],
+    # 150 stamps on one line, then a stamp or a change a line
+    "mixed": WIDE_HEADER + WIDE_LINES[:WIDE_LINES.index("#300\n")].replace("\n", " ") + "\n"
+             + WIDE_LINES[WIDE_LINES.index("#300\n"):],
     "no-stamps": WIDE_HEADER + "".join(raw for raw in WIDE_LINES.splitlines(True) if raw[0] != "#"),
-    # refused in the header: blank lines make blocks that widen there
+    # refused in the header, with blank lines that make blocks of their own
     "header-change": WIDE_HEADER.replace("$end\n$enddefinitions", "$end\n" + "\n" * 8
                                          + "1!\n$enddefinitions") + WIDE_LINES,
 }
@@ -668,14 +671,15 @@ WIDE_TEXTS = {
 
 def stored(text, read=parse):
     """The error that `read(text)` raises, or its axis and, per name, each
-    change's index and bits; and the types of the indexes."""
+    change's index and bits; and, per name, the typecode of its indexes."""
     try:
         wave = read(text)
     except VcdError as err:
-        return str(err), set()
+        return str(err), {}
+    series = wave.signals.items()
     return (list(wave.timestamps), {
-        name: (list(s.indexes), [s.value_at(i).bits for i in s.indexes])
-        for name, s in wave.signals.items()}), {s.indexes.typecode for s in wave.signals.values()}
+        name: (list(s.indexes), [s.value_at(i).bits for i in s.indexes]) for name, s in series
+    }), {name: s.indexes.typecode for name, s in series}
 
 
 class TestStorage:
@@ -724,23 +728,31 @@ class TestStorage:
         one, lines = peaks
         assert one < 1.25 * lines, peaks
 
-    # the limit patched low: the axis outgrows it at every point of each dump
+    # array('I') patched to array('B'), whose limit is 255: the token loop
+    # widens the axis, and each series whose change lands past index 255
     @pytest.mark.parametrize("size", [1, 2, 7, len(WIDE_HEADER), vcd._BLOCK],
                              ids=["block1", "block2", "block7", "header-block", "block8192"])
     @pytest.mark.parametrize("name", WIDE_TEXTS)
     def test_indexes_widen_when_the_axis_outgrows_them(self, monkeypatch, name, size):
         text = WIDE_TEXTS[name]
         expected, typecodes = stored(text, parse_by_token_loop)
-        assert typecodes <= {"I"}
+        assert set(typecodes.values()) <= {"I"}
         if name in ("lines", "one-line", "mixed"):
-            assert set(expected[1]["a"][1]) == set("01xz")
+            assert set(expected[1]["a"][1]) == set("01xz") and len(expected[0]) == 300
         monkeypatch.setattr(vcd, "_BLOCK", size)
-        for narrow in range(1, 16):
-            monkeypatch.setattr(vcd, "_NARROW", narrow)
+        with token_loop_lines() as wide:
+            stored(text)
+        monkeypatch.setattr(vcd, "array", lambda code, *args: array(code.replace("I", "B"), *args))
+        with token_loop_lines() as narrow:
             reading, typecodes = stored(text)
-            assert reading == expected, narrow
-            if typecodes and len(reading[0]) > narrow:  # an index past the limit
-                assert typecodes == {"Q"}, narrow
+        assert reading == expected
+        if typecodes:  # an index past 255 widened its series, and only its series
+            past = {n: "Q" if indexes and indexes[-1] > 255 else "B"
+                    for n, (indexes, _) in reading[1].items()}
+            assert typecodes == past
+            assert sorted(past.values()) == (["B"] * 4 if name == "no-stamps" else ["B", "Q", "Q", "Q"])
+        if name == "lines":  # a stamp line for the axis, a change line for each of a and b
+            assert len(narrow) - len(wide) == 3
 
 
 def test_the_reader_differential_agrees_with_head(differential):
